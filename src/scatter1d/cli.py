@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,12 +24,11 @@ from .noninjective import (
     BUMP_KINKED,
     BUMP_SMOOTH,
     build_counterexample,
+    recover_potential,
     verify_same_smatrix,
 )
-from .potential import Delta, Sampled, SquareWell, load_sampled_csv, validate
-from .propagate import WaveTrace, _derivative
-from .noninjective import recover_potential
-from .smatrix import SMatrix, analytic_delta, smatrix_via_transfer
+from .potential import Delta, SquareWell, load_sampled_csv, load_trace_csv, validate
+from .smatrix import analytic_delta, smatrix_via_transfer
 from .spectral import fredholm_report, jost_forms, phase_shift
 from .szego import ArcSymbol, szego_limit_check, toeplitz_logdet
 
@@ -105,56 +105,43 @@ def _json_text(report: dict) -> str:
     return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _csv_fields(row: dict) -> dict:
+    """Column name to cell text; a complex cell fills re_<name> and im_<name>."""
+    fields = {}
+    for name, value in row.items():
+        if isinstance(value, complex):
+            parts = [(f"re_{name}", value.real), (f"im_{name}", value.imag)]
+        else:
+            parts = [(name, value)]
+        for column, cell in parts:
+            fields[column] = str(cell) if isinstance(cell, (int, np.integer)) else repr(float(cell))
+    return fields
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+def _emit(
+    args: argparse.Namespace, fmt: str, rows: list[dict], report: dict | None = None
+) -> int:
+    """Write one subcommand's output to --out, or to standard output.
 
-
-def _emit(text: str, out_path) -> int:
-    if out_path:
-        with open(out_path, "w", newline="") as handle:
+    CSV is a header row plus one line per row dict, in the dict's order,
+    with complex cells split into re_<name> and im_<name> columns.  JSON is
+    {"config", "results": rows}, or {"config", **report} when a report body
+    is given; complex values become [re, im] and non-finite floats null.
+    """
+    if fmt == "json":
+        config = {key: value for key, value in vars(args).items() if key != "func"}
+        body = {"results": rows} if report is None else report
+        text = _json_text({"config": config, **body})
+    else:
+        table = [_csv_fields(row) for row in rows]
+        lines = [",".join(table[0])] + [",".join(fields.values()) for fields in table]
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _config(args: argparse.Namespace, command: str) -> dict:
-    skip = {"func"}
-    config = {"subcommand": command}
-    for key, value in vars(args).items():
-        if key in skip or key == "subcommand":
-            continue
-        config[key] = _jsonable(value) if not isinstance(value, (str, type(None))) else value
-    return config
-
-
-def _smatrix_row(energy: float, s: SMatrix) -> dict:
-    return {
-        "energy": energy,
-        "k": s.k,
-        "a": s.a,
-        "s11": s.s11,
-        "s12": s.s12,
-        "s21": s.s21,
-        "s22": s.s22,
-        "abs_s11_sq": abs(s.s11) ** 2,
-        "abs_s21_sq": abs(s.s21) ** 2,
-        "unitarity_residual": s.unitarity_residual(),
-        "parity_residual": s.parity_residual,
-    }
 
 
 def cmd_smatrix(args: argparse.Namespace) -> int:
@@ -177,25 +164,23 @@ def cmd_smatrix(args: argparse.Namespace) -> int:
         pot = validate(spec)
         matrices = [smatrix_via_transfer(pot, e, steps=args.steps) for e in energies]
 
-    results = [_smatrix_row(e, s) for e, s in zip(energies, matrices)]
-    if args.format == "json":
-        return _emit(_json_text({"config": _config(args, "smatrix"), "results": results}), args.out)
-    header = [
-        "energy", "k", "a",
-        "re_s11", "im_s11", "re_s12", "im_s12",
-        "re_s21", "im_s21", "re_s22", "im_s22",
-        "abs_s11_sq", "abs_s21_sq", "unitarity_residual", "parity_residual",
+    rows = [
+        {
+            "energy": e,
+            "k": s.k,
+            "a": s.a,
+            "s11": s.s11,
+            "s12": s.s12,
+            "s21": s.s21,
+            "s22": s.s22,
+            "abs_s11_sq": abs(s.s11) ** 2,
+            "abs_s21_sq": abs(s.s21) ** 2,
+            "unitarity_residual": s.unitarity_residual(),
+            "parity_residual": s.parity_residual,
+        }
+        for e, s in zip(energies, matrices)
     ]
-    rows = []
-    for r in results:
-        rows.append([
-            r["energy"], r["k"], r["a"],
-            r["s11"].real, r["s11"].imag, r["s12"].real, r["s12"].imag,
-            r["s21"].real, r["s21"].imag, r["s22"].real, r["s22"].imag,
-            r["abs_s11_sq"], r["abs_s21_sq"],
-            r["unitarity_residual"], r["parity_residual"],
-        ])
-    return _emit(_csv_text(header, rows), args.out)
+    return _emit(args, args.format, rows)
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
@@ -214,9 +199,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         single_bump=args.single_bump,
     )
     comparison = verify_same_smatrix(pair, steps=args.steps)
-    perturbed = pair.perturbed.recovered
     report = {
-        "config": _config(args, "counterexample"),
         "q": pair.q,
         "eps": pair.eps,
         "a": pair.a,
@@ -226,8 +209,8 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         "boundary_residual": pair.boundary_residual,
         "has_kink": pair.has_kink,
         "odd_coefficient": pair.odd_coefficient,
-        "baseline_max_abs_v": float(np.max(np.abs(pair.baseline.recovered.values))),
-        "perturbed_v_at_zero": float(perturbed.values[perturbed.x.size // 2]),
+        "baseline_max_abs_v": float(np.max(np.abs(pair.baseline.values))),
+        "perturbed_v_at_zero": float(pair.perturbed.values[pair.perturbed.x.size // 2]),
         "comparison": {
             "energy": comparison.energy,
             "max_entry_diff": comparison.max_entry_diff,
@@ -235,82 +218,39 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
             "odd_channel_diff": comparison.odd_channel_diff,
         },
     }
-    return _emit(_json_text(report), args.out)
+    return _emit(args, "json", [], report)
 
 
 def cmd_fredholm(args: argparse.Namespace) -> int:
     start, stop, step = args.t
-    count = int(round((stop - start) / step)) + 1
+    # The tolerance keeps stop when the span is a whole number of steps.
+    count = math.floor((stop - start) / step + 1e-9) + 1
     grid = start + step * np.arange(count)
-    report = fredholm_report(grid, args.quad)
-    columns = [
-        ("t", report.t_grid),
-        ("logf_plus", report.logf_plus),
-        ("logf_minus", report.logf_minus),
-        ("asym_residual_plus", report.asym_residual_plus),
-        ("asym_residual_minus", report.asym_residual_minus),
-        ("w_plus", report.w_plus),
-        ("w_minus", report.w_minus),
-        ("marchenko_plus", report.marchenko_plus),
-        ("marchenko_minus", report.marchenko_minus),
-    ]
-    if args.format == "json":
-        payload = {"config": _config(args, "fredholm")}
-        payload.update({name: values for name, values in columns})
-        return _emit(_json_text(payload), args.out)
-    header = [name for name, _ in columns]
-    rows = [[values[i] for _, values in columns] for i in range(report.t_grid.size)]
-    return _emit(_csv_text(header, rows), args.out)
+    columns = asdict(fredholm_report(grid, args.quad))
+    columns = {"t": columns.pop("t_grid"), **columns}
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    return _emit(args, args.format, rows, columns)
 
 
 def cmd_szego(args: argparse.Namespace) -> int:
     if args.alpha is not None:
         results = [toeplitz_logdet(ArcSymbol(args.alpha), n) for n in args.n]
         fmt = args.format or "csv"
-        if fmt == "json":
-            payload = {
-                "config": _config(args, "szego"),
-                "results": [
-                    {
-                        "n": r.n,
-                        "alpha": r.alpha,
-                        "log_det": r.log_det,
-                        "asymptotic": r.asymptotic,
-                        "residual": r.residual,
-                    }
-                    for r in results
-                ],
-            }
-            return _emit(_json_text(payload), args.out)
-        header = ["n", "alpha", "log_det", "asymptotic", "residual"]
-        rows = [[r.n, r.alpha, r.log_det, r.asymptotic, r.residual] for r in results]
-        return _emit(_csv_text(header, rows), args.out)
-
-    checks = []
-    for n in args.n:
-        alpha = 2.0 * math.pi * args.t / n
-        checks.append(szego_limit_check(alpha, n, args.t, quad_order=args.quad))
-    fmt = args.format or "json"
-    row_fields = [
-        "alpha", "n", "t", "quad_order", "log_det",
-        "fredholm_total", "continuum_asymptotic", "gap_fredholm", "gap_continuum",
-    ]
-    if fmt == "json":
-        payload = {
-            "config": _config(args, "szego"),
-            "results": [{f: getattr(c, f) for f in row_fields} for c in checks],
-        }
-        return _emit(_json_text(payload), args.out)
-    rows = [[getattr(c, f) for f in row_fields] for c in checks]
-    return _emit(_csv_text(row_fields, rows), args.out)
+    else:
+        results = [
+            szego_limit_check(2.0 * math.pi * args.t / n, n, args.t, quad_order=args.quad)
+            for n in args.n
+        ]
+        fmt = args.format or "json"
+    return _emit(args, fmt, [asdict(r) for r in results])
 
 
 def cmd_phaseshift(args: argparse.Namespace) -> int:
-    results = []
+    rows = []
     for k in args.k:
         shift = phase_shift(k)
         forms = jost_forms(k)
-        results.append({
+        rows.append({
             "k": k,
             "eta_even": shift.eta_even,
             "eta_odd": shift.eta_odd,
@@ -320,63 +260,22 @@ def cmd_phaseshift(args: argparse.Namespace) -> int:
             "identity_odd_residual": k * math.tan(2.0 * shift.eta_odd) - 1.0,
             "branch_residual": float(np.angle(forms.exp_ieta_even)) - shift.eta_even,
         })
-    if args.format == "json":
-        return _emit(_json_text({"config": _config(args, "phaseshift"), "results": results}), args.out)
-    header = [
-        "k", "eta_even", "eta_odd",
-        "re_a_odd", "im_a_odd", "re_exp_ieta_even", "im_exp_ieta_even",
-        "identity_even_residual", "identity_odd_residual", "branch_residual",
-    ]
-    rows = []
-    for r in results:
-        rows.append([
-            r["k"], r["eta_even"], r["eta_odd"],
-            r["a_odd"].real, r["a_odd"].imag,
-            r["exp_ieta_even"].real, r["exp_ieta_even"].imag,
-            r["identity_even_residual"], r["identity_odd_residual"], r["branch_residual"],
-        ])
-    return _emit(_csv_text(header, rows), args.out)
-
-
-def _load_trace_csv(path: str) -> WaveTrace:
-    with open(path, "r") as handle:
-        header = handle.readline().strip()
-        if header != "x,psi":
-            raise ScatterError(f"trace CSV must start with header 'x,psi', got {header!r}")
-        rows = [line.strip() for line in handle if line.strip()]
-    try:
-        data = np.array([[float(tok) for tok in row.split(",")] for row in rows])
-    except ValueError as exc:
-        raise ScatterError(f"malformed trace row: {exc}") from None
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 5:
-        raise ScatterError("trace CSV needs columns x,psi and at least 5 rows")
-    x = data[:, 0]
-    psi = data[:, 1]
-    steps = np.diff(x)
-    if not np.all(steps > 0.0):
-        raise ScatterError("trace grid must be strictly increasing")
-    h = float(steps[0])
-    if np.max(np.abs(steps - h)) > 1e-9 * max(1.0, h):
-        raise ScatterError("trace grid spacing varies beyond 1e-9")
-    return WaveTrace(grid=x, psi=psi, dpsi=_derivative(psi, h), energy=math.nan)
+    return _emit(args, args.format, rows)
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    trace = _load_trace_csv(args.trace)
-    recovered = recover_potential(trace, args.energy, node_tol=args.node_tol)
-    if args.format == "json":
-        report = {
-            "config": _config(args, "recover"),
-            "energy": args.energy,
-            "node_tol": recovered.node_tol,
-            "x": recovered.x,
-            "v": recovered.values,
-            "masked_indices": np.nonzero(recovered.mask)[0],
-            "mask_fraction": float(recovered.mask.mean()),
-        }
-        return _emit(_json_text(report), args.out)
-    rows = [[recovered.x[i], recovered.values[i]] for i in range(recovered.x.size)]
-    return _emit(_csv_text(["x", "V"], rows), args.out)
+    x, psi = load_trace_csv(args.trace)
+    recovered = recover_potential(x, psi, args.energy, node_tol=args.node_tol)
+    rows = [{"x": xi, "V": vi} for xi, vi in zip(recovered.x, recovered.values)]
+    report = {
+        "energy": args.energy,
+        "node_tol": recovered.node_tol,
+        "x": recovered.x,
+        "v": recovered.values,
+        "masked_indices": np.nonzero(recovered.mask)[0],
+        "mask_fraction": float(recovered.mask.mean()),
+    }
+    return _emit(args, args.format, rows, report)
 
 
 def build_parser() -> argparse.ArgumentParser:

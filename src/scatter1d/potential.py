@@ -165,12 +165,12 @@ def sample_analytic(spec: PotentialSpec, n: int) -> Sampled:
     return Sampled(a=spec.a, x=x, v=v)
 
 
-def load_sampled_csv(path) -> Sampled:
-    """Read a sampled potential from a two-column CSV with header ``x,V``."""
+def _read_two_columns(path, header: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both columns of a two-column CSV file that starts with ``header``."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "x,V":
-            raise PreconditionViolated(f"expected header 'x,V', got {header!r}")
+        first = fh.readline().strip()
+        if first != header:
+            raise PreconditionViolated(f"expected header {header!r}, got {first!r}")
         rows = [line.strip() for line in fh if line.strip()]
     try:
         data = np.array([[float(tok) for tok in row.split(",")] for row in rows])
@@ -178,7 +178,30 @@ def load_sampled_csv(path) -> Sampled:
         raise PreconditionViolated(f"malformed CSV row: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 2:
         raise PreconditionViolated("every row must hold exactly two columns")
-    x, v = data[:, 0], data[:, 1]
+    return data[:, 0], data[:, 1]
+
+
+def load_sampled_csv(path) -> Sampled:
+    """Read a sampled potential from a two-column CSV with header ``x,V``."""
+    x, v = _read_two_columns(path, "x,V")
     if abs(x[0] + x[-1]) > GRID_RTOL * max(1.0, abs(x[-1])):
         raise NonUniformGrid("grid endpoints are not symmetric about the origin")
     return Sampled(a=float(x[-1]), x=x, v=v)
+
+
+def load_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a wavefunction trace (x, psi) from a CSV with header ``x,psi``.
+
+    The grid needs at least 5 points, strictly increasing, with spacing
+    uniform to 1e-9 relative (absolute below unit spacing).
+    """
+    x, psi = _read_two_columns(path, "x,psi")
+    if x.size < 5:
+        raise PreconditionViolated(f"a trace needs at least 5 rows, got {x.size}")
+    steps = np.diff(x)
+    if not np.all(steps > 0.0):
+        raise NonUniformGrid("trace grid must be strictly increasing")
+    h = float(steps[0])
+    if np.max(np.abs(steps - h)) > GRID_RTOL * max(1.0, h):
+        raise NonUniformGrid("trace grid spacing varies beyond 1e-9")
+    return x, psi

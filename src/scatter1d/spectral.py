@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -103,6 +104,19 @@ def _sinc(u: np.ndarray) -> np.ndarray:
     return np.where(small, taylor, direct)
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], kept per order.
+
+    numpy's leggauss solves an order x order eigenproblem of its own, which
+    costs as much as the kernel's; the nodes depend on the order only.
+    """
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def sine_kernel_eigs(spec: KernelSpec) -> np.ndarray:
     """Eigenvalues of one parity kernel, descending, clipped to [0, 1].
 
@@ -112,7 +126,7 @@ def sine_kernel_eigs(spec: KernelSpec) -> np.ndarray:
     excursion beyond EIG_CLIP_TOL is an error, smaller ones are clipped.
     """
     length = math.pi * spec.t
-    nodes, weights = leggauss(spec.quad_order)
+    nodes, weights = _gauss_legendre(spec.quad_order)
     x = 0.5 * length * (nodes + 1.0)
     w = 0.5 * length * weights
 
@@ -169,7 +183,7 @@ def fredholm_log_det(parity: str, t: float, quad_order: int) -> float:
     eigs = sine_kernel_eigs(KernelSpec(parity, t, quad_order))
     if eigs.size and eigs[0] >= 1.0 - EIG_ONE_TOL:
         raise EigenvalueAtOne(
-            f"top eigenvalue {eigs[0]!r} is within {EIG_ONE_TOL} of 1 at "
+            f"top eigenvalue {float(eigs[0])!r} is within {EIG_ONE_TOL} of 1 at "
             f"t = {t}; the determinant underflows double precision"
         )
     kept = eigs[eigs >= EIG_TRUNCATE]

@@ -33,6 +33,33 @@ def parse_csv(text: str):
     return rows[0], rows[1:]
 
 
+def write_trace(path, x, psi):
+    lines = ["x,psi"] + [f"{float(xi)!r},{float(pi)!r}" for xi, pi in zip(x, psi)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def assert_csv_mirrors_json(text: str, records: list[dict]):
+    """Every CSV cell equals its JSON value.
+
+    A complex JSON value [re, im] feeds the re_<name> and im_<name> columns,
+    and a CSV nan is a JSON null.
+    """
+    header, rows = parse_csv(text)
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        for column, cell in zip(header, row):
+            if column in record:
+                value = record[column]
+            else:
+                part, name = column.split("_", 1)
+                value = record[name][("re", "im").index(part)]
+            if cell == "nan":
+                assert value is None, column
+            else:
+                assert float(cell) == value, column
+
+
 class TestSmatrix:
     def test_well_json_matches_closed_form(self, validator):
         proc = run_cli("smatrix", "--well", "2,1", "--energy", "1", "--format", "json")
@@ -188,6 +215,41 @@ class TestCounterexample:
         assert cmp["max_entry_diff"] < 1e-8
 
 
+class TestCsvJsonMirror:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("smatrix", "--well", "2,1", "--energy-grid", "0.5,2,3"),
+            ("smatrix", "--delta", "2", "--energy", "1"),
+            ("szego", "--alpha", "0.5", "--n", "4,8"),
+            ("szego", "--t", "1.0", "--n", "16,32", "--quad", "150"),
+            ("phaseshift", "--k", "0.5,1,2"),
+        ],
+    )
+    def test_row_reports(self, args):
+        text = run_cli(*args, "--format", "csv").stdout
+        report = json.loads(run_cli(*args, "--format", "json").stdout)
+        assert_csv_mirrors_json(text, report["results"])
+
+    def test_fredholm_columns(self):
+        args = ("fredholm", "--t", "0.1:0.3:0.025", "--quad", "96")
+        text = run_cli(*args, "--format", "csv").stdout
+        report = json.loads(run_cli(*args, "--format", "json").stdout)
+        header, _ = parse_csv(text)
+        records = [dict(zip(header, cells)) for cells in zip(*(report[c] for c in header))]
+        assert any(value is None for value in report["w_plus"])
+        assert_csv_mirrors_json(text, records)
+
+    def test_recover_columns(self, tmp_path):
+        x = np.linspace(-1.0, 1.0, 257)
+        path = write_trace(tmp_path / "trace.csv", x, np.sin(x))
+        args = ("recover", "--trace", str(path), "--energy", "2.0")
+        text = run_cli(*args, "--format", "csv").stdout
+        report = json.loads(run_cli(*args, "--format", "json").stdout)
+        records = [{"x": xi, "V": vi} for xi, vi in zip(report["x"], report["v"])]
+        assert_csv_mirrors_json(text, records)
+
+
 class TestFredholm:
     def test_csv_columns_and_nan_cells(self):
         proc = run_cli("fredholm", "--t", "0.1:0.3:0.025", "--quad", "96")
@@ -206,6 +268,16 @@ class TestFredholm:
         # tau <= 1/2 rows carry nan in the odd-channel replacement.
         assert rows[0][8] == "nan"
         assert math.isfinite(float(rows[-1][8]))
+
+    @pytest.mark.parametrize("span", ["0.1:0.3:0.035", "1:1.2:0.03"])
+    def test_range_stops_at_or_before_stop(self, span):
+        start, stop, step = (float(p) for p in span.split(":"))
+        proc = run_cli("fredholm", "--t", span, "--quad", "96")
+        assert proc.returncode == 0
+        _, rows = parse_csv(proc.stdout)
+        t = [float(r[0]) for r in rows]
+        assert len(t) == math.floor((stop - start) / step) + 1
+        assert t[-1] <= stop
 
     def test_json_mirror_is_schema_valid(self, validator):
         proc = run_cli(
@@ -265,10 +337,7 @@ class TestPhaseshift:
 class TestRecover:
     def write_trace(self, tmp_path, func, n=257):
         x = np.linspace(-1.0, 1.0, n)
-        lines = ["x,psi"] + [f"{float(xi)!r},{float(func(xi))!r}" for xi in x]
-        path = tmp_path / "trace.csv"
-        path.write_text("\n".join(lines) + "\n")
-        return path
+        return write_trace(tmp_path / "trace.csv", x, [func(xi) for xi in x])
 
     def test_cosine_trace_recovers_constant(self, tmp_path):
         path = self.write_trace(tmp_path, lambda x: math.cos(x))
@@ -305,6 +374,20 @@ class TestRecover:
         _, rows = parse_csv(proc.stdout)
         assert abs(float(rows[0][3])) < 1e-4
         assert abs(float(rows[0][5]) - 1.0) < 1e-4
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([0.0, 0.1, 0.2, 0.3], "at least 5 rows"),
+            ([0.0, 0.1, 0.1, 0.2, 0.3, 0.4], "strictly increasing"),
+            ([0.0, 0.1, 0.2, 0.35, 0.4, 0.5], "spacing"),
+        ],
+    )
+    def test_bad_trace_grid_exits_three(self, tmp_path, x, message):
+        path = write_trace(tmp_path / "bad.csv", x, np.ones(len(x)))
+        proc = run_cli("recover", "--trace", str(path), "--energy", "1.0")
+        assert proc.returncode == 3
+        assert message in proc.stderr
 
     def test_malformed_trace_exits_three(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -23,7 +23,7 @@ from scatter1d.noninjective import (
     verify_same_smatrix,
 )
 from scatter1d.potential import Sampled, validate
-from scatter1d.propagate import WaveTrace, integrate
+from scatter1d.propagate import integrate
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +36,9 @@ def single_bump_pair():
     return build_counterexample(q=1.0, eps=0.01, a=1.0, single_bump=True)
 
 
-def make_trace(psi_func, energy, n=257, a=1.0):
+def make_trace(psi_func, n=257, a=1.0):
     grid = np.linspace(-a, a, n)
-    psi = psi_func(grid)
-    h = 2.0 * a / (n - 1)
-    dpsi = np.gradient(psi, h)
-    return WaveTrace(grid=grid, psi=psi, dpsi=dpsi, energy=energy)
+    return grid, psi_func(grid)
 
 
 class TestBump:
@@ -84,41 +81,38 @@ class TestRecoverPotential:
         # sin(x) solves psi'' = -psi, so the recovered V is E - 1 and the
         # node at the origin is masked and interpolation-filled.
         energy = 2.0
-        trace = make_trace(np.sin, energy)
-        rec = recover_potential(trace, energy)
+        rec = recover_potential(*make_trace(np.sin), energy)
         assert rec.mask.sum() == 1
         assert rec.mask[rec.x.size // 2]
         assert np.max(np.abs(rec.values - (energy - 1.0))) < 1e-6
 
     def test_cosh_gives_constant_barrier(self):
         energy = 1.0
-        trace = make_trace(np.cosh, energy)
-        rec = recover_potential(trace, energy)
+        rec = recover_potential(*make_trace(np.cosh), energy)
         assert not rec.mask.any()
         assert np.max(np.abs(rec.values - (energy + 1.0))) < 1e-6
 
     def test_complex_trace_with_tiny_imag_is_accepted(self):
-        trace = make_trace(lambda x: np.cos(x) + 0j, 1.0)
-        rec = recover_potential(trace, 1.0)
+        rec = recover_potential(*make_trace(lambda x: np.cos(x) + 0j), 1.0)
         assert np.max(np.abs(rec.values)) < 1e-6
 
     def test_complex_trace_rejected(self):
-        trace = make_trace(lambda x: np.cos(x) + 1e-6j * np.sin(x), 1.0)
+        trace = make_trace(lambda x: np.cos(x) + 1e-6j * np.sin(x))
         with pytest.raises(ComplexWavefunction):
-            recover_potential(trace, 1.0)
+            recover_potential(*trace, 1.0)
 
     def test_all_masked(self):
-        trace = make_trace(lambda x: np.zeros_like(x), 1.0)
+        trace = make_trace(lambda x: np.zeros_like(x))
         with pytest.raises(AllMasked):
-            recover_potential(trace, 1.0)
-        trace = make_trace(np.cos, 1.0)
+            recover_potential(*trace, 1.0)
+        trace = make_trace(np.cos)
         with pytest.raises(AllMasked):
-            recover_potential(trace, 1.0, node_tol=2.0)
+            recover_potential(*trace, 1.0, node_tol=2.0)
 
     def test_needs_six_points(self):
-        trace = make_trace(np.cos, 1.0, n=5)
+        trace = make_trace(np.cos, n=5)
         with pytest.raises(PreconditionViolated):
-            recover_potential(trace, 1.0)
+            recover_potential(*trace, 1.0)
 
 
 class TestBuildCounterexample:
@@ -128,7 +122,7 @@ class TestBuildCounterexample:
         assert pair.energy == 1.0
 
     def test_baseline_recovers_the_zero_potential(self, pair):
-        assert np.max(np.abs(pair.baseline.recovered.values)) < 1e-7
+        assert np.max(np.abs(pair.baseline.values)) < 1e-7
 
     def test_separation_matches_edge_closed_form(self, single_bump_pair):
         # The difference peaks at the edges where it equals
@@ -147,15 +141,15 @@ class TestBuildCounterexample:
     def test_recovered_potentials_are_exactly_symmetric(self, pair):
         # The recovery stencil preserves evenness bitwise, so the strict
         # symmetry validation accepts both potentials with no margin used.
-        for branch in (pair.baseline, pair.perturbed):
-            v = branch.recovered.values
+        for rec in (pair.baseline, pair.perturbed):
+            v = rec.values
             assert np.max(np.abs(v - v[::-1])) == 0.0
-            validate(Sampled(a=pair.a, x=branch.recovered.x, v=v))
+            validate(Sampled(a=pair.a, x=rec.x, v=v))
 
     def test_forward_solve_reproduces_the_wavefunction(self, pair):
         # Integrating the recovered baseline potential from the original
         # initial data must return cos(q x) on the whole grid.
-        rec = pair.baseline.recovered
+        rec = pair.baseline
         pot = validate(Sampled(a=pair.a, x=rec.x, v=rec.values))
         trace = integrate(
             pot,
@@ -167,9 +161,9 @@ class TestBuildCounterexample:
         assert np.max(np.abs(trace.psi - np.cos(pair.q * trace.grid))) < 1e-6
 
     def test_perturbed_value_at_origin(self, single_bump_pair):
-        mid = single_bump_pair.perturbed.recovered.x.size // 2
+        mid = single_bump_pair.perturbed.x.size // 2
         expect = 1.0 - 1.04 / 1.01
-        assert abs(single_bump_pair.perturbed.recovered.values[mid] - expect) < 1e-6
+        assert abs(single_bump_pair.perturbed.values[mid] - expect) < 1e-6
 
     def test_kinked_bump_warns_and_flags(self):
         with pytest.warns(RuntimeWarning):

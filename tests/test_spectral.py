@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import scatter1d.spectral as spectral
 from helpers import full_interval_sine_eigs
 from scatter1d.core import (
     EigenvalueAtOne,
@@ -91,6 +92,30 @@ class TestSpectrum:
         assert eigs[1] < 1e-6
 
 
+class TestGaussLegendreNodes:
+    def test_nodes_are_computed_once_per_order(self, monkeypatch):
+        calls = []
+
+        def counting_leggauss(order):
+            calls.append(order)
+            return np.polynomial.legendre.leggauss(order)
+
+        monkeypatch.setattr(spectral, "leggauss", counting_leggauss)
+        spectral._gauss_legendre.cache_clear()
+        first = sine_kernel_eigs(KernelSpec(PARITY_EVEN, 1.0, 97))
+        again = sine_kernel_eigs(KernelSpec(PARITY_EVEN, 1.0, 97))
+        sine_kernel_eigs(KernelSpec(PARITY_ODD, 2.0, 97))
+        assert calls == [97]
+        assert np.array_equal(first, again)
+
+    def test_cached_nodes_are_read_only(self):
+        nodes, weights = spectral._gauss_legendre(64)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+
 class TestFredholmLogDet:
     def test_quadrature_doubling_is_converged(self):
         for parity in (PARITY_EVEN, PARITY_ODD):
@@ -112,7 +137,8 @@ class TestFredholmLogDet:
         assert -0.01 < val < 0.0
 
     def test_eigenvalue_at_one_raises_when_t_is_deep(self):
-        with pytest.raises(EigenvalueAtOne):
+        # The message prints the eigenvalue as a plain float.
+        with pytest.raises(EigenvalueAtOne, match=r"top eigenvalue 0\.9999"):
             fredholm_log_det(PARITY_EVEN, 5.5, 300)
 
     def test_deepest_supported_t_still_works(self):
