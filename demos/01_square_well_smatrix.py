@@ -17,8 +17,9 @@ pot = validate(SquareWell(v0=2.0, a=1.0))
 
 print("square well v0=2, a=1")
 print(f"{'E':>6} {'|S_num - S_exact|':>18} {'unitarity':>12} {'|t|^2':>8} {'|r|^2':>8}")
-for energy in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-    num = smatrix_via_transfer(pot, energy, steps=4096)
+energies = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+# A sequence of energies is propagated in one batch.
+for energy, num in zip(energies, smatrix_via_transfer(pot, energies, steps=4096)):
     ref = analytic_square_well(2.0, 1.0, energy)
     gap = np.max(np.abs(num.as_matrix() - ref.as_matrix()))
     transmission = abs(num.s12) ** 2

@@ -60,24 +60,16 @@ def _range_spec(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _list_of(convert):
+    """argparse type for a comma-separated list, each item read by convert."""
 
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(p) for p in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+    return parse
 
 
 def _jsonable(value):
@@ -161,8 +153,7 @@ def cmd_smatrix(args: argparse.Namespace) -> int:
     if isinstance(spec, Delta):
         matrices = [analytic_delta(spec.alpha, e) for e in energies]
     else:
-        pot = validate(spec)
-        matrices = [smatrix_via_transfer(pot, e, steps=args.steps) for e in energies]
+        matrices = smatrix_via_transfer(validate(spec), energies, steps=args.steps)
 
     rows = [
         {
@@ -327,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = szg.add_mutually_exclusive_group(required=True)
     mode.add_argument("--alpha", type=float, help="arc parameter in [0, pi): determinant table over --n")
     mode.add_argument("--t", type=float, help="continuum cross-check at alpha = 2 pi t / n for each n")
-    szg.add_argument("--n", type=_int_list, required=True, metavar="N1,N2,...", help="matrix sizes")
+    szg.add_argument("--n", type=_list_of(int), required=True, metavar="N1,N2,...", help="matrix sizes")
     szg.add_argument("--quad", type=int, default=300, help="quadrature order for the cross-check")
     szg.add_argument("--format", choices=("json", "csv"), default=None,
                      help="default: csv for the table, json for the cross-check")
@@ -335,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     szg.set_defaults(func=cmd_szego)
 
     ph = sub.add_parser("phaseshift", help="closed-form phase shifts and Jost data")
-    ph.add_argument("--k", type=_float_list, required=True, metavar="K1,K2,...", help="wavenumbers, all positive")
+    ph.add_argument("--k", type=_list_of(float), required=True, metavar="K1,K2,...", help="wavenumbers, all positive")
     ph.add_argument("--format", choices=("json", "csv"), default="csv")
     ph.add_argument("--out", default=None, help="output path (default standard output)")
     ph.set_defaults(func=cmd_phaseshift)

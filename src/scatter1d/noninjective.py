@@ -38,6 +38,7 @@ from .core import (
     PreconditionViolated,
 )
 from .potential import Sampled, validate
+from .propagate import MIN_STEPS
 from .smatrix import SMatrix, smatrix_via_transfer
 
 BUMP_SMOOTH = "smooth"
@@ -254,8 +255,8 @@ def build_counterexample(
         raise PreconditionViolated(
             f"need q*a < pi/2 for a node-free baseline, got q*a = {q * a}"
         )
-    if steps < 64:
-        raise PreconditionViolated(f"steps must be >= 64, got {steps}")
+    if steps < MIN_STEPS:
+        raise PreconditionViolated(f"steps must be >= {MIN_STEPS}, got {steps}")
     if bump == BUMP_KINKED:
         warnings.warn(
             "kinked bump has a derivative jump at the origin; the recovered "

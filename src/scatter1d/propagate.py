@@ -4,26 +4,35 @@ The three-term Numerov recurrence is fourth-order accurate for smooth
 potentials and exploits the absence of a first-derivative term.  With
 g = V - E and f = 1 - h^2 g / 12 it reads
 
-    f[i+1] psi[i+1] = (2 + 5 h^2 g[i] / 6 + ...) psi[i] - f[i-1] psi[i-1]
+    f[i+2] psi[i+2] = (2 + 5 h^2 g[i+1] / 6) psi[i+1] - f[i] psi[i].
 
-which is a banded lower-triangular linear system in the whole trace, so it
-is solved in one LAPACK call instead of a Python loop.  The second starting
-value comes from a fifth-order Taylor step whose g derivatives are taken
-from one-sided differences of the tabulated g, keeping the global order at
-four without requiring derivatives of V.
+Each step is written as a 2x2 matrix acting on the value-difference state
+(psi[i], (psi[i+1] - psi[i]) / h),
 
-First derivatives along the trace are recovered by fourth-order finite
-differences, one-sided at the two points nearest each edge.  Complex initial
-data is supported even though the fundamental solutions are real; one code
-path serves both.
+    [[1, h],
+     [h (g[i] + 10 g[i+1] + g[i+2]) / (12 f[i+2]),
+      (1 + h^2 (10 g[i+1] + g[i+2]) / 12) / f[i+2]]],
+
+and the whole trace is the sequence of prefix products of these matrices.
+One pairwise scan computes them for a block of energies at once, with both
+fundamental initial data as the two columns, so rounding grows with the
+depth of the scan's tree rather than with the step count.  The state
+(psi, psi') at -a enters through a first matrix built from a fifth-order
+Taylor step whose g derivatives are taken from one-sided differences of the
+tabulated g, keeping the global order at four without requiring
+derivatives of V.
+
+First derivatives along the trace are recovered by fourth-order five-point
+stencils, one-sided at the two points nearest each edge, evaluated on the
+differences the scan carries.  Any initial data, complex included, is a
+combination of the fundamental pair.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .core import NonPositiveEnergy, Overflow, PreconditionViolated
+from .core import Overflow, PreconditionViolated, wavenumber_from_energy
 from .potential import EvaluatedPotential
 
 #: Solutions beyond this magnitude are deep in a classically forbidden
@@ -31,6 +40,12 @@ from .potential import EvaluatedPotential
 MAX_MAGNITUDE = 1e150
 
 MIN_STEPS = 64
+
+#: Integration steps, summed over energies, propagated in one scan: 32
+#: energies at the default 4096 steps.  Longer energy lists go through in
+#: blocks of this size, which bounds the memory held at once to about 15 MB
+#: and is no slower per energy than larger blocks.
+SCAN_STEPS = 2**17
 
 
 @dataclass(frozen=True)
@@ -64,46 +79,117 @@ class WaveTrace:
         )
 
 
-def _derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative of a sampled function.
+def _derivative(diff: np.ndarray) -> np.ndarray:
+    """Fourth-order first derivative along the last axis of a trace.
 
-    Centered five-point stencil inside, one-sided five-point stencils at the
-    two points nearest each edge.
+    diff[..., j] is the difference quotient (psi[j+1] - psi[j]) / h.  The
+    centered five-point stencil inside and the one-sided five-point
+    stencils at the two points nearest each edge are written in these
+    differences, so no two nearly equal values of psi are subtracted.  The
+    right edge applies the left-edge stencils to the reversed differences.
     """
-    n = values.size
-    out = np.empty_like(values)
-    out[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (12 * h)
-    out[0] = (
-        -25 * values[0] + 48 * values[1] - 36 * values[2] + 16 * values[3] - 3 * values[4]
-    ) / (12 * h)
-    out[1] = (
-        -3 * values[0] - 10 * values[1] + 18 * values[2] - 6 * values[3] + values[4]
-    ) / (12 * h)
-    out[n - 2] = -(
-        -3 * values[-1] - 10 * values[-2] + 18 * values[-3] - 6 * values[-4] + values[-5]
-    ) / (12 * h)
-    out[n - 1] = -(
-        -25 * values[-1] + 48 * values[-2] - 36 * values[-3] + 16 * values[-4] - 3 * values[-5]
-    ) / (12 * h)
+    out = np.empty(diff.shape[:-1] + (diff.shape[-1] + 1,))
+    out[..., 2:-2] = (7 * (diff[..., 1:-2] + diff[..., 2:-1]) - diff[..., :-3] - diff[..., 3:]) / 12
+    for edge, inner, d in ((0, 1, diff), (-1, -2, diff[..., ::-1])):
+        out[..., edge] = (25 * d[..., 0] - 23 * d[..., 1] + 13 * d[..., 2] - 3 * d[..., 3]) / 12
+        out[..., inner] = (3 * d[..., 0] + 13 * d[..., 1] - 5 * d[..., 2] + d[..., 3]) / 12
     return out
 
 
-def _taylor_second_point(g, h, psi0, dpsi0):
-    """Fifth-order Taylor value of psi at the second grid node.
+def _taylor_start(g: np.ndarray, h: float):
+    """(psi[1] - psi[0]) / h per unit psi(-a) and per unit psi'(-a).
 
-    Uses psi'' = g psi and one-sided difference estimates for g' and g'' so
-    only tabulated g values are needed.
+    A fifth-order Taylor step that uses psi'' = g psi and one-sided
+    difference estimates for g' and g'', so only tabulated g values are
+    needed; g runs along the last axis.
     """
-    g0 = g[0]
-    gp = (-3 * g[0] + 4 * g[1] - g[2]) / (2 * h)
-    gpp = (2 * g[0] - 5 * g[1] + 4 * g[2] - g[3]) / (h * h)
-    return (
-        psi0
-        + h * dpsi0
-        + 0.5 * h * h * g0 * psi0
-        + (h**3 / 6.0) * (gp * psi0 + g0 * dpsi0)
-        + (h**4 / 24.0) * ((gpp + g0 * g0) * psi0 + 2 * gp * dpsi0)
-    )
+    g0 = g[..., 0]
+    gp = (-3 * g[..., 0] + 4 * g[..., 1] - g[..., 2]) / (2 * h)
+    gpp = (2 * g[..., 0] - 5 * g[..., 1] + 4 * g[..., 2] - g[..., 3]) / (h * h)
+    per_psi = 0.5 * h * g0 + (h * h / 6.0) * gp + (h**3 / 24.0) * (gpp + g0 * g0)
+    per_dpsi = 1.0 + (h * h / 6.0) * g0 + (h**3 / 12.0) * gp
+    return per_psi, per_dpsi
+
+
+def _mul(left, right):
+    """Products of two stacks of 2x2 matrices given entrywise as (m11, m12, m21, m22)."""
+    l11, l12, l21, l22 = left
+    r11, r12, r21, r22 = right
+    return l11 * r11 + l12 * r21, l11 * r12 + l12 * r22, l21 * r11 + l22 * r21, l21 * r12 + l22 * r22
+
+
+def _scan(m: np.ndarray) -> None:
+    """Replace 2x2 matrices M_k along the last axis by M_k ... M_1 M_0, in place.
+
+    m[0..3] hold the entries (m11, m12, m21, m22).  Adjacent pairs are
+    multiplied, the half-length sequence of pair products is scanned
+    recursively and gives every odd-indexed prefix, and each even-indexed
+    prefix is one product away from the odd one before it.  Rounding grows
+    with the depth of this tree, not with the length.
+    """
+    if m.shape[-1] < 2:
+        return
+    pairs = np.array(_mul(m[..., 1::2], m[..., :-1:2]))
+    _scan(pairs)
+    m[..., 1::2] = pairs
+    evens = m[..., 2::2]
+    evens[...] = _mul(evens, pairs[..., : evens.shape[-1]])
+
+
+def _fundamental_traces(pot: EvaluatedPotential, energies, steps: int):
+    """Grid, psi and dpsi of the fundamental pair at every energy, from one scan.
+
+    psi and dpsi have shape (2, len(energies), steps + 1); index 0 is the
+    solution with (psi, psi')(-a) = (1, 0) and index 1 the one with (0, 1).
+    Raises Overflow when a solution magnitude leaves the trustworthy range.
+    """
+    if pot.is_delta:
+        raise PreconditionViolated("delta potentials have no interior to integrate")
+    if steps < MIN_STEPS:
+        raise PreconditionViolated(f"steps must be >= {MIN_STEPS}, got {steps}")
+    for energy in energies:
+        wavenumber_from_energy(energy)  # raises NonPositiveEnergy unless E > 0
+
+    grid = np.linspace(-pot.a, pot.a, steps + 1)
+    h = (2.0 * pot.a) / steps
+    g = pot(grid) - np.asarray(energies, dtype=float)[:, None]
+    # Entries m[0..3] = (m11, m12, m21, m22) of one matrix per state: matrix
+    # 0 maps (psi, psi')(-a) to state 0 and matrix i + 1 is the Numerov step
+    # from state i, so the two columns of the prefix products are the
+    # states of the fundamental pair.
+    m = np.empty((4, g.shape[0], steps))
+    m[0] = 1.0
+    m[1] = h
+    m[1, :, 0] = 0.0
+    with np.errstate(all="ignore"):
+        m[2, :, 0], m[3, :, 0] = _taylor_start(g, h)
+        inv = 1.0 / (1.0 - (h * h / 12.0) * g[:, 2:])
+        m[2, :, 1:] = (h / 12.0) * (g[:, :-2] + 10.0 * g[:, 1:-1] + g[:, 2:]) * inv
+        m[3, :, 1:] = (1.0 + (h * h / 12.0) * (10.0 * g[:, 1:-1] + g[:, 2:])) * inv
+        _scan(m)
+        psi = np.empty((2, g.shape[0], steps + 1))
+        psi[..., :-1] = m[:2]
+        psi[..., -1] = m[:2, :, -1] + h * m[2:, :, -1]
+        peak = np.max(np.abs(psi))
+        if not np.isfinite(peak) or peak > MAX_MAGNITUDE:
+            raise Overflow(
+                f"wavefunction magnitude {peak:.3e} exceeds {MAX_MAGNITUDE:.0e}; "
+                "the energy is too deep in a classically forbidden region"
+            )
+        return grid, psi, _derivative(m[2:])
+
+
+def _endpoint_maps(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
+    """Maps (psi, psi')(-a) -> (psi, psi')(+a) at each energy, read off the scan.
+
+    Shape (len(energies), 2, 2); the columns are the fundamental pair.
+    """
+    block = max(1, SCAN_STEPS // steps)
+    maps = np.empty((len(energies), 2, 2))
+    for start in range(0, len(energies), block):
+        _, psi, dpsi = _fundamental_traces(pot, energies[start : start + block], steps)
+        maps[start : start + block] = np.stack([psi[..., -1], dpsi[..., -1]]).transpose(2, 0, 1)
+    return maps
 
 
 def integrate(
@@ -115,57 +201,18 @@ def integrate(
 ) -> WaveTrace:
     """Propagate initial data (psi, psi')(-a) to +a on steps+1 grid points.
 
-    The map is linear in (psi0, dpsi0).  Raises Overflow when the solution
-    magnitude leaves the trustworthy range.
+    The trace is psi0 u1 + dpsi0 u2 of the fundamental pair, so the map is
+    linear in (psi0, dpsi0) and complex data takes the same path as real
+    data.  Raises Overflow when the solution magnitude leaves the
+    trustworthy range.
     """
-    if pot.is_delta:
-        raise PreconditionViolated("delta potentials have no interior to integrate")
-    if steps < MIN_STEPS:
-        raise PreconditionViolated(f"steps must be >= {MIN_STEPS}, got {steps}")
-    if not energy > 0.0:
-        raise NonPositiveEnergy(f"energy must be positive, got {energy}")
-
-    a = pot.a
-    n = steps + 1
-    grid = np.linspace(-a, a, n)
-    g = pot(grid) - energy
-    h = (2.0 * a) / steps
-
-    complex_data = isinstance(psi0, complex) or isinstance(dpsi0, complex)
-    dtype = np.complex128 if complex_data else np.float64
-    psi0 = dtype(psi0)
-    dpsi0 = dtype(dpsi0)
-
-    f = 1.0 - (h * h / 12.0) * g
-    upper = 2.0 + (5.0 * h * h / 6.0) * g
-
-    # Banded lower-triangular system: rows 0 and 1 pin the starting values,
-    # row i+1 encodes the recurrence   f[i+1] psi[i+1] - upper[i] psi[i]
-    # + f[i-1] psi[i-1] = 0.
-    ab = np.zeros((3, n))
-    ab[0, 0] = 1.0
-    ab[0, 1] = 1.0
-    ab[0, 2:] = f[2:]
-    ab[1, 1:-1] = -upper[1:-1]
-    ab[2, :-2] = f[:-2]
-
-    b = np.zeros(n, dtype=dtype)
-    b[0] = psi0
-    b[1] = _taylor_second_point(g, h, psi0, dpsi0)
-    if complex_data:
-        ab = ab.astype(np.complex128)
-
-    psi = solve_banded((2, 0), ab, b)
-
-    peak = np.max(np.abs(psi))
-    if not np.isfinite(peak) or peak > MAX_MAGNITUDE:
-        raise Overflow(
-            f"wavefunction magnitude {peak:.3e} exceeds {MAX_MAGNITUDE:.0e}; "
-            "the energy is too deep in a classically forbidden region"
-        )
-
-    dpsi = _derivative(psi, h)
-    return WaveTrace(grid=grid, psi=psi, dpsi=dpsi, energy=float(energy))
+    u1, u2 = fundamental_pair(pot, energy, steps=steps)
+    return WaveTrace(
+        grid=u1.grid,
+        psi=psi0 * u1.psi + dpsi0 * u2.psi,
+        dpsi=psi0 * u1.dpsi + dpsi0 * u2.dpsi,
+        energy=u1.energy,
+    )
 
 
 def fundamental_pair(
@@ -176,6 +223,7 @@ def fundamental_pair(
     Their Wronskian u1 u2' - u1' u2 equals 1 along the whole grid up to the
     integrator's accuracy, which is the conservation check used in tests.
     """
-    u1 = integrate(pot, energy, 1.0, 0.0, steps=steps)
-    u2 = integrate(pot, energy, 0.0, 1.0, steps=steps)
-    return u1, u2
+    grid, psi, dpsi = _fundamental_traces(pot, [energy], steps)
+    return tuple(
+        WaveTrace(grid=grid, psi=psi[j, 0], dpsi=dpsi[j, 0], energy=float(energy)) for j in (0, 1)
+    )

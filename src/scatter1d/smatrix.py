@@ -22,6 +22,7 @@ which is exactly the condition under which the closed single-solution
 formula is usable.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -35,7 +36,7 @@ from .core import (
     wavenumber_from_energy,
 )
 from .potential import EvaluatedPotential
-from .propagate import BoundaryData, fundamental_pair
+from .propagate import BoundaryData, _endpoint_maps
 
 #: Relative threshold below which amplitude quads cannot be inverted.
 SINGULAR_RTOL = 1e-12
@@ -116,33 +117,31 @@ def amplitudes_from_boundary(bd: BoundaryData, k: float, a: float) -> AmplitudeQ
     return AmplitudeQuad(in_left=A, out_left=B, out_right=C, in_right=D)
 
 
+def _transfer_matrices(pot: EvaluatedPotential, energies, steps: int) -> list[TransferMatrix]:
+    """Transfer matrices at each energy from the batched endpoint maps."""
+    ks = [wavenumber_from_energy(energy) for energy in energies]
+    matrices = []
+    for k, m in zip(ks, _endpoint_maps(pot, energies, steps)):
+        ik = 1j * k
+        ea = np.exp(1j * k * pot.a)
+        # (psi, psi')(-a) from (A, B) and (C, D) from (psi, psi')(+a).
+        left = np.array([[1 / ea, ea], [ik / ea, -ik * ea]])
+        right = 0.5 * np.array([[1 / ea, 1 / (ik * ea)], [ea, -ea / ik]])
+        t = right @ m @ left
+        matrices.append(TransferMatrix(
+            t11=complex(t[0, 0]),
+            t12=complex(t[0, 1]),
+            t21=complex(t[1, 0]),
+            t22=complex(t[1, 1]),
+            k=k,
+            a=pot.a,
+        ))
+    return matrices
+
+
 def transfer_matrix(pot: EvaluatedPotential, energy: float, steps: int = 4096) -> TransferMatrix:
     """Assemble the transfer matrix from the fundamental pair of solutions."""
-    k = wavenumber_from_energy(energy)
-    a = pot.a
-    u1, u2 = fundamental_pair(pot, energy, steps=steps)
-    # Endpoint map (psi, psi')(-a) -> (psi, psi')(+a) in the fundamental basis.
-    m = np.array(
-        [
-            [u1.psi[-1], u2.psi[-1]],
-            [u1.dpsi[-1], u2.dpsi[-1]],
-        ],
-        dtype=np.complex128,
-    )
-    ik = 1j * k
-    ea = np.exp(1j * k * a)
-    # (psi, psi')(-a) from (A, B) and (C, D) from (psi, psi')(+a).
-    left = np.array([[1 / ea, ea], [ik / ea, -ik * ea]])
-    right = 0.5 * np.array([[1 / ea, 1 / (ik * ea)], [ea, -ea / ik]])
-    t = right @ m @ left
-    return TransferMatrix(
-        t11=complex(t[0, 0]),
-        t12=complex(t[0, 1]),
-        t21=complex(t[1, 0]),
-        t22=complex(t[1, 1]),
-        k=k,
-        a=a,
-    )
+    return _transfer_matrices(pot, [energy], steps)[0]
 
 
 def smatrix_from_transfer(t: TransferMatrix) -> SMatrix:
@@ -169,9 +168,17 @@ def smatrix_from_transfer(t: TransferMatrix) -> SMatrix:
     )
 
 
-def smatrix_via_transfer(pot: EvaluatedPotential, energy: float, steps: int = 4096) -> SMatrix:
-    """Production route: integrate, assemble the transfer matrix, convert."""
-    return smatrix_from_transfer(transfer_matrix(pot, energy, steps=steps))
+def smatrix_via_transfer(
+    pot: EvaluatedPotential, energy: float | Sequence[float], steps: int = 4096
+) -> SMatrix | list[SMatrix]:
+    """Production route: integrate, assemble the transfer matrix, convert.
+
+    A sequence of energies is propagated in one batch and gives the list of
+    matrices in the same order; each equals the one for its energy alone.
+    """
+    if np.ndim(energy) == 0:
+        return smatrix_from_transfer(transfer_matrix(pot, energy, steps=steps))
+    return [smatrix_from_transfer(t) for t in _transfer_matrices(pot, energy, steps)]
 
 
 def smatrix_from_amplitudes(quads, k: float, a: float) -> SMatrix:

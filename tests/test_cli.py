@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -58,6 +60,17 @@ def assert_csv_mirrors_json(text: str, records: list[dict]):
                 assert value is None, column
             else:
                 assert float(cell) == value, column
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency; the package must not import it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, scatter1d.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSmatrix:

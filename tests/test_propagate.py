@@ -1,8 +1,11 @@
 """Numerov integration: accuracy, order, conservation, and guards."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from helpers import numerov_recurrence
 from scatter1d.core import NonPositiveEnergy, Overflow, PreconditionViolated
 from scatter1d.potential import Delta, Sampled, SquareWell, validate
 from scatter1d.propagate import fundamental_pair, integrate
@@ -87,6 +90,29 @@ def test_fourth_order_convergence():
         assert 8.0 <= ratio <= 32.0, f"convergence ratio {ratio}"
 
 
+@pytest.mark.parametrize("steps", [65, 97, 100, 1001])
+def test_step_counts_that_are_not_powers_of_two(steps):
+    # The prefix-product scan pairs steps up; odd lengths leave one over at
+    # each level of the recursion.
+    exact = np.cos(2.0 * np.sqrt(3.0))
+    u1, u2 = fundamental_pair(WELL, 1.0, steps=steps)
+    assert abs(u1.psi[-1] - exact) < 1e-7
+    wronskian = u1.psi * u2.dpsi - u1.dpsi * u2.psi
+    assert np.max(np.abs(wronskian - 1.0)) < 1e-5
+
+
+@pytest.mark.parametrize("psi0,dpsi0", [(1.0, 0.0), (0.0, 1.0), (0.3, -1.2)])
+def test_scan_matches_the_three_term_recurrence(psi0, dpsi0):
+    # Same arithmetic in exact terms; the loop's rounding grows like
+    # steps^2 eps, which sets the tolerance.
+    steps = 1000
+    x = np.linspace(-1.0, 1.0, 257)
+    pot = validate(Sampled(a=1.0, x=x, v=-2.0 * np.exp(-8.0 * x * x)))
+    trace = integrate(pot, energy=1.5, psi0=psi0, dpsi0=dpsi0, steps=steps)
+    reference = numerov_recurrence(pot, 1.5, psi0, dpsi0, steps)
+    assert np.max(np.abs(trace.psi - reference)) < steps * steps * np.finfo(float).eps
+
+
 def test_smooth_sampled_matches_well():
     # A sampled tabulation of the well reproduces the analytic interior.
     x = np.linspace(-1.0, 1.0, 513)
@@ -101,6 +127,17 @@ def test_overflow_in_a_deep_forbidden_region():
     barrier = validate(Sampled(a=1.0, x=x, v=np.full(n, 4.0e4)))
     with pytest.raises(Overflow):
         integrate(barrier, energy=1.0, psi0=1.0, dpsi0=0.0)
+
+
+def test_overflow_message_and_no_numpy_warnings():
+    # The scan overflows to inf and nan on this barrier; numpy must not warn.
+    n = 257
+    x = np.linspace(-1.0, 1.0, n)
+    barrier = validate(Sampled(a=1.0, x=x, v=np.full(n, 1.0e6)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match=r"exceeds 1e\+150; the energy is too deep"):
+            integrate(barrier, energy=1.0, psi0=1.0, dpsi0=0.0)
 
 
 def test_moderate_barrier_tunnels_without_overflow():

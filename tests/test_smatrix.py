@@ -1,10 +1,14 @@
 """Scattering matrix routes, closed forms, and degeneracy guards."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from scatter1d.core import (
     DegenerateTransfer,
+    NonPositiveEnergy,
+    Overflow,
     PreconditionViolated,
     SingularSystem,
 )
@@ -61,6 +65,21 @@ class TestFreeAndAnalytic:
         assert np.max(np.abs(s_num.as_matrix() - s_ref.as_matrix())) < 1e-6
         assert s_num.unitarity_residual() < 1e-8
         assert s_num.parity_residual < 1e-8
+
+    @pytest.mark.parametrize("v0", [0.5, 2.0, 6.0])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+    def test_closed_form_at_default_steps(self, v0, a):
+        # At 4096 steps the worst entry gap is 5.1e-12 and shrinks 16x per
+        # step halving, so it is discretization error, not rounding.
+        pot = validate(SquareWell(v0=v0, a=a))
+        gap = max(
+            np.max(np.abs(
+                smatrix_via_transfer(pot, energy).as_matrix()
+                - analytic_square_well(v0, a, energy).as_matrix()
+            ))
+            for energy in np.linspace(0.1, 9.0, 25)
+        )
+        assert gap <= 1e-11
 
     def test_transmission_resonance(self):
         # 2 l a = pi makes the well transparent: the diagonal vanishes and
@@ -238,3 +257,33 @@ class TestGoldenGaussianWell:
         assert abs(s.s11 - s11_ref) < 2e-7
         assert abs(s.s12 - s12_ref) < 2e-7
         assert s.unitarity_residual() < 1e-10
+
+
+class TestEnergyBatch:
+    ENERGIES = [0.25, 0.5, 1.0, 2.0, 4.5, 9.0]
+
+    # 2**16 steps puts two energies in each scan, so the list spans three.
+    @pytest.mark.parametrize("steps", [4096, 2**16])
+    @pytest.mark.parametrize("kind", ["well", "gaussian"])
+    def test_batch_equals_scalar_calls(self, gaussian_pot, kind, steps):
+        pot = validate(SquareWell(v0=2.0, a=1.0)) if kind == "well" else gaussian_pot
+        batch = smatrix_via_transfer(pot, self.ENERGIES, steps=steps)
+        assert batch == [smatrix_via_transfer(pot, e, steps=steps) for e in self.ENERGIES]
+
+    def test_array_of_energies(self, gaussian_pot):
+        batch = smatrix_via_transfer(gaussian_pot, np.array(self.ENERGIES), steps=512)
+        assert [s.k for s in batch] == [np.sqrt(e) for e in self.ENERGIES]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_nonpositive_energy_in_batch(self, bad):
+        pot = validate(SquareWell(v0=2.0, a=1.0))
+        with pytest.raises(NonPositiveEnergy):
+            smatrix_via_transfer(pot, [1.0, bad, 2.0])
+
+    def test_overflow_in_batch_without_numpy_warnings(self):
+        x = np.linspace(-1.0, 1.0, 257)
+        barrier = validate(Sampled(a=1.0, x=x, v=np.full(257, 1.0e6)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match="too deep in a classically forbidden region"):
+                smatrix_via_transfer(barrier, [1.0, 2.0])
