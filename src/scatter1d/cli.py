@@ -5,8 +5,8 @@ machine-readable output: JSON (one report object, flags echoed under
 "config") or CSV (header row plus data rows).  All state lives in the
 flags, so identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 2 bad usage, 3 computation failure (message on
-standard error).
+Exit codes: 0 success, 2 bad usage, 3 computation failure or unreadable
+file (message on standard error).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .noninjective import (
     BUMP_SMOOTH,
     build_counterexample,
     recover_potential,
-    verify_same_smatrix,
 )
 from .potential import Delta, SquareWell, load_sampled_csv, load_trace_csv, validate
 from .smatrix import analytic_delta, smatrix_via_transfer
@@ -189,7 +188,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         steps=args.steps,
         single_bump=args.single_bump,
     )
-    comparison = verify_same_smatrix(pair, steps=args.steps)
+    comparison = pair.comparison
     report = {
         "q": pair.q,
         "eps": pair.eps,
@@ -225,7 +224,7 @@ def cmd_fredholm(args: argparse.Namespace) -> int:
 
 def cmd_szego(args: argparse.Namespace) -> int:
     if args.alpha is not None:
-        results = [toeplitz_logdet(ArcSymbol(args.alpha), n) for n in args.n]
+        results = toeplitz_logdet(ArcSymbol(args.alpha), args.n)
         fmt = args.format or "csv"
     else:
         results = [
@@ -351,10 +350,7 @@ def main(argv=None) -> int:
         return int(code) if code is not None else 0
     try:
         return args.func(args)
-    except ScatterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (ScatterError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

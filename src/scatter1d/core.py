@@ -4,10 +4,10 @@ Natural units are used everywhere: hbar = 1 and 2m = 1, so the stationary
 wave equation on the interaction region reads psi'' = (V - E) psi and the
 exterior wavenumber of a scattering state is k = sqrt(E).
 
-All reals are double precision.  The one exception is an internal
-extended-precision branch inside the Toeplitz determinant (see
-:mod:`scatter1d.szego`), whose public surface still takes and returns
-doubles.
+All reals are double precision.  The one exception is the Toeplitz
+determinant (see :mod:`scatter1d.szego`), which runs its recursion in
+integer fixed point at the digits the section needs; its public surface
+still takes and returns doubles.
 """
 
 import math

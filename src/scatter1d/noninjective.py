@@ -158,6 +158,40 @@ def recover_potential(
 
 
 @dataclass
+class SMatrixComparison:
+    """Forward-solved scattering matrices of both recovered potentials.
+
+    even/odd channel entries are the parity reflection eigenvalues
+    s11 + s12 and s11 - s12.  Equal boundary data fixes the even channel
+    and the default construction tunes the odd channel, so at the
+    construction energy both gaps, and max_entry_diff, measure numerics
+    only.  For a single-bump pair odd_channel_diff is a genuine gap between
+    the two matrices.
+    """
+
+    energy: float
+    s_baseline: SMatrix
+    s_perturbed: SMatrix
+    max_entry_diff: float
+    even_channel_diff: float
+    odd_channel_diff: float
+
+
+def _compare(energy: float, sb: SMatrix, sp: SMatrix) -> SMatrixComparison:
+    diff = float(np.max(np.abs(sb.as_matrix() - sp.as_matrix())))
+    even = abs((sb.s11 + sb.s12) - (sp.s11 + sp.s12))
+    odd = abs((sb.s11 - sb.s12) - (sp.s11 - sp.s12))
+    return SMatrixComparison(
+        energy=float(energy),
+        s_baseline=sb,
+        s_perturbed=sp,
+        max_entry_diff=diff,
+        even_channel_diff=float(even),
+        odd_channel_diff=float(odd),
+    )
+
+
+@dataclass
 class CounterexamplePair:
     """Two wavefunctions with identical boundary data, different potentials.
 
@@ -169,7 +203,8 @@ class CounterexamplePair:
     count (23.6, 47.3 and 94.6 at 1024, 2048 and 4096 steps for the
     single-bump pair with q = 1, eps = 0.01, a = 1).  odd_coefficient is the
     amplitude c of the tuning bump in the perturbed wave; it is 0 for a
-    single-bump pair.
+    single-bump pair.  comparison holds the two forward-solved scattering
+    matrices at the construction's energy and steps.
     """
 
     baseline: RecoveredPotential
@@ -183,6 +218,7 @@ class CounterexamplePair:
     boundary_residual: float
     has_kink: bool
     odd_coefficient: float
+    comparison: SMatrixComparison
 
 
 def _recover_perturbed(grid, psi, energy: float) -> RecoveredPotential:
@@ -197,29 +233,33 @@ def _forward_smatrix(rec: RecoveredPotential, a: float, energy: float, steps: in
     return smatrix_via_transfer(pot, energy, steps=steps)
 
 
-def _match_odd_channel(base: RecoveredPotential, psi, g, a, energy, steps, first_step) -> float:
+def _match_odd_channel(
+    base: RecoveredPotential, psi, g, a, energy, steps, first_step, search: bool
+):
     """Tuning-bump amplitude c that gives psi + c g the baseline's odd channel.
 
     The phase of (s11 - s12)_perturbed / (s11 - s12)_baseline at E is close
     to linear in c, so a secant search from c = 0 and c = first_step needs
-    only a few forward solves.
+    only a few forward solves; without search, c = 0.  Returns c, the
+    potential recovered from psi + c g, and the scattering matrices of the
+    baseline and of that potential.
     """
-    s = _forward_smatrix(base, a, energy, steps)
-    target = s.s11 - s.s12
+    s_base = _forward_smatrix(base, a, energy, steps)
+    target = s_base.s11 - s_base.s12
 
-    def phase(c: float) -> float:
+    def solve(c: float):
         rec = _recover_perturbed(base.x, psi + c * g, energy)
         s = _forward_smatrix(rec, a, energy, steps)
-        return float(np.angle((s.s11 - s.s12) / target))
+        return float(np.angle((s.s11 - s.s12) / target)), rec, s
 
-    c0, p0 = 0.0, phase(0.0)
-    if abs(p0) <= ODD_PHASE_TOL:
-        return 0.0
+    c0, (p0, rec, s) = 0.0, solve(0.0)
+    if not search or abs(p0) <= ODD_PHASE_TOL:
+        return 0.0, rec, s_base, s
     c1, p1 = first_step, p0
     for _ in range(MAX_SECANT_STEPS):
-        p1 = phase(c1)
+        p1, rec, s = solve(c1)
         if abs(p1) <= ODD_PHASE_TOL:
-            return c1
+            return c1, rec, s_base, s
         if p1 == p0:
             break
         c0, p0, c1 = c1, p1, c1 - p1 * (c1 - c0) / (p1 - p0)
@@ -247,7 +287,9 @@ def build_counterexample(
     E = q^2, making the recovered baseline potential identically zero.
     Requires q a < pi/2 so the baseline is node-free on [-a, a].  Raises
     NodeCollision if a deformed wave develops a node and
-    OddChannelUnmatched if the search finds no amplitude.
+    OddChannelUnmatched if the search finds no amplitude.  The pair's
+    comparison reuses the forward solves of the construction, so it equals
+    verify_same_smatrix(pair, steps) without solving again.
     """
     if not (q > 0.0 and a > 0.0):
         raise PreconditionViolated("q and a must be positive")
@@ -272,12 +314,11 @@ def build_counterexample(
     g, gp = tuning_bump_values(a, grid)
 
     base = recover_potential(grid, psi0, energy)
-    coefficient = 0.0
-    if not single_bump:
-        coefficient = _match_odd_channel(base, psi0 + f, g, a, energy, steps, eps)
+    coefficient, pert, s_base, s_pert = _match_odd_channel(
+        base, psi0 + f, g, a, energy, steps, eps, search=not single_bump
+    )
     psi = psi0 + f + coefficient * g
     dpsi = dpsi0 + fp + coefficient * gp
-    pert = _recover_perturbed(grid, psi, energy)
 
     boundary_residual = max(
         abs(psi0[0] - psi[0]),
@@ -298,27 +339,8 @@ def build_counterexample(
         boundary_residual=float(boundary_residual),
         has_kink=(bump == BUMP_KINKED),
         odd_coefficient=float(coefficient),
+        comparison=_compare(energy, s_base, s_pert),
     )
-
-
-@dataclass
-class SMatrixComparison:
-    """Forward-solved scattering matrices of both recovered potentials.
-
-    even/odd channel entries are the parity reflection eigenvalues
-    s11 + s12 and s11 - s12.  Equal boundary data fixes the even channel
-    and the default construction tunes the odd channel, so at the
-    construction energy both gaps, and max_entry_diff, measure numerics
-    only.  For a single-bump pair odd_channel_diff is a genuine gap between
-    the two matrices.
-    """
-
-    energy: float
-    s_baseline: SMatrix
-    s_perturbed: SMatrix
-    max_entry_diff: float
-    even_channel_diff: float
-    odd_channel_diff: float
 
 
 def verify_same_smatrix(
@@ -332,19 +354,8 @@ def verify_same_smatrix(
     """
     if energy is None:
         energy = pair.energy
-    mats = [
+    sb, sp = (
         _forward_smatrix(rec, pair.a, energy, steps)
         for rec in (pair.baseline, pair.perturbed)
-    ]
-    sb, sp = mats
-    diff = float(np.max(np.abs(sb.as_matrix() - sp.as_matrix())))
-    even = abs((sb.s11 + sb.s12) - (sp.s11 + sp.s12))
-    odd = abs((sb.s11 - sb.s12) - (sp.s11 - sp.s12))
-    return SMatrixComparison(
-        energy=float(energy),
-        s_baseline=sb,
-        s_perturbed=sp,
-        max_entry_diff=diff,
-        even_channel_diff=float(even),
-        odd_channel_diff=float(odd),
     )
+    return _compare(energy, sb, sp)

@@ -7,8 +7,8 @@ circle.  Its Fourier coefficients have the closed form
 
 and the n x n Toeplitz matrix built from them is a section of an
 orthogonal projection: symmetric, eigenvalues strictly inside (0, 1), so
-log det < 0 and Cholesky applies.  ``toeplitz_logdet`` compares the exact
-log determinant against the large-n closed form
+it is positive definite with log det < 0.  ``toeplitz_logdet`` compares
+the exact log determinant against the large-n closed form
 
     n^2 log cos(alpha/2) - (1/4) log(n sin(alpha/2)) + (1/12) log 2
         + 3 zeta'(-1),
@@ -22,22 +22,29 @@ eigenvalue of T_n is one minus its largest and decays at the rate Slepian
 
     -log10 lambda_min ~ n log10((1 + sin(alpha/2)) / (1 - sin(alpha/2))),
 
-an estimate one to two digits above the true value.  Double-precision
-Cholesky is used only where its error, about eps / lambda_min, stays below
-1e-12.  Otherwise the Levinson-Durbin recursion (Levinson 1947; Durbin
-1960) computes the log determinant in mpmath in O(n^2) operations, at the
-estimated digits plus a margin, and the value is accepted only if a re-run
-at ten more digits agrees to 1e-12.  alpha = 0 is accepted as the identity
-symbol (the matrix is exactly the identity); the asymptotic formula has no
-meaning there and both log_det and asymptotic are reported as 0.
+an estimate one to two digits above the true value.  Every log
+determinant comes from one route: the Levinson-Durbin recursion (Levinson
+1947; Durbin 1960), O(n^2) operations on Python integers scaled by a power
+of two, with as many digits as the estimate at the largest requested n plus
+a margin.  Fixed point holds absolute precision, and that suffices: a
+Cholesky pivot of a symmetric positive-definite matrix is never below
+lambda_min.  One pass at the largest n gives every smaller log determinant
+as a prefix product of its pivots, and the values are accepted only if a
+re-run at ten more digits agrees to 1e-12 at every requested n.
+
+alpha = 0 is accepted as the identity symbol (the matrix is exactly the
+identity); the asymptotic formula has no meaning there and both log_det
+and asymptotic are reported as 0.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
+from operator import mul
 
 from .core import (
     ZETA_PRIME_MINUS_ONE,
@@ -48,13 +55,13 @@ from .spectral import PARITY_EVEN, PARITY_ODD, fredholm_log_det
 
 MAX_N = 512
 
-#: Absolute tolerance on the log determinant, for every route.
+#: Absolute tolerance on the log determinant.
 LOGDET_TOL = 1e-12
-#: Working digits of the extended route beyond the -log10 lambda_min estimate.
+#: Working digits of the recursion beyond the -log10 lambda_min estimate.
 EXTRA_DIGITS = 25
-#: Further digits of the a-posteriori re-run of the extended route.
+#: Further digits of the a-posteriori re-run of the recursion.
 RECHECK_DIGITS = 10
-#: Largest -log10 lambda_min estimate the extended route takes on; at
+#: Largest -log10 lambda_min estimate the recursion takes on; at
 #: n = MAX_N it costs a few seconds.
 MAX_CONDITION_DIGITS = 600.0
 
@@ -94,112 +101,91 @@ def _condition_digits(alpha: float, n: int) -> float:
     return n * math.log10((1.0 + s) / (1.0 - s))
 
 
-def _double_error(n: int, digits: float) -> float:
-    # eps (n + 1 / lambda_min): rounding of the n pivots plus the
-    # conditioning of the section.  The exponent is capped so that the
-    # estimate saturates at 1 instead of overflowing.
-    eps = float(np.finfo(float).eps)
-    return eps * n + 10.0 ** min(digits + math.log10(eps), 0.0)
+def _levinson_logdets(alpha: float, sizes, digits: int) -> dict:
+    """log det T_m as an mpf for every m in sizes, from one recursion.
 
-
-def _logdet_double(alpha: float, n: int) -> float:
-    col = np.array([arc_coefficient(alpha, m) for m in range(n)])
-    index = np.arange(n)
-    matrix = col[np.abs(index[:, None] - index[None, :])]
-    try:
-        lower = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"Cholesky broke down at n = {n}, alpha = {alpha}: {exc}"
-        ) from exc
-    return float(2.0 * np.sum(np.log(np.diag(lower))))
-
-
-def _logdet_extended(alpha: float, n: int, digits: int):
-    """Log determinant as an mpf, by the Levinson-Durbin recursion.
-
-    Step k finds the reflection coefficient kappa of the order-k predictor
-    from the first column col; the prediction error
-    err_k = err_{k-1} (1 - kappa^2) is the k-th pivot, so
-    det T_n = prod err_k.  A pivot that is not positive means the section
-    is not positive definite at this precision.
+    The Levinson-Durbin recursion runs to the largest m on Python ints
+    scaled by 2**bits, bits holding ``digits`` decimal digits.  Step k finds
+    the reflection coefficient kappa of the order-k predictor from the
+    first column col; the prediction error err_k = err_{k-1} (1 - kappa^2)
+    is the k-th pivot, so det T_m is the product of the first m pivots.  A
+    pivot that is not positive means the section is not positive definite
+    at this precision.
     """
     import mpmath as mp
 
+    n = max(sizes)
+    bits = math.ceil(digits * math.log2(10.0))
+    with mp.workprec(bits + 16):  # guard bits for the rounding to ints
+        a = mp.mpf(alpha)
+        coefficients = [1 - a / mp.pi] + [-mp.sin(m * a) / (mp.pi * m) for m in range(1, n)]
+        col = [int(mp.nint(mp.ldexp(c, bits))) for c in coefficients]
+    err, pred, pivots = col[0], [], [col[0]]
+    for k in range(1, n):
+        kappa = -((col[k] << bits) + sum(map(mul, pred, col[k - 1:0:-1]))) // err
+        pred = [p + (kappa * q >> bits) for p, q in zip(pred, reversed(pred))]
+        pred.append(kappa)
+        err -= err * kappa * kappa >> 2 * bits
+        if err <= 0:
+            raise NotPositiveDefinite(
+                f"Levinson recursion lost positivity at step {k} of n = {n}, "
+                f"alpha = {alpha}, with {digits} digits"
+            )
+        pivots.append(err)
     with mp.workdps(digits):
-        alpha_mp = mp.mpf(alpha)
-        col = [1 - alpha_mp / mp.pi]
-        for m in range(1, n):
-            col.append(-mp.sin(m * alpha_mp) / (mp.pi * m))
-        err = det = col[0]
-        pred = []
-        for k in range(1, n):
-            kappa = -(col[k] + mp.fdot(pred, col[k - 1:0:-1])) / err
-            pred = [p + kappa * q for p, q in zip(pred, reversed(pred))]
-            pred.append(kappa)
-            err *= 1 - kappa * kappa
-            if err <= 0:
-                raise NotPositiveDefinite(
-                    f"Levinson recursion lost positivity at step {k} of n = {n}, "
-                    f"alpha = {alpha}, with {digits} digits"
-                )
-            det *= err
-        return mp.log(det)
+        dets = list(accumulate(map(mp.mpf, pivots), mul))
+        return {m: mp.log(dets[m - 1]) - m * bits * mp.ln2 for m in set(sizes)}
 
 
-def _logdet_checked(alpha: float, n: int, digits: int) -> float:
-    """Extended-precision log det, re-run at RECHECK_DIGITS more digits."""
-    import mpmath as mp
-
-    value = _logdet_extended(alpha, n, digits)
-    check = _logdet_extended(alpha, n, digits + RECHECK_DIGITS)
-    with mp.workdps(digits + RECHECK_DIGITS):
-        gap = abs(value - check)
-    if gap > LOGDET_TOL:
-        raise NotPositiveDefinite(
-            f"log det at n = {n}, alpha = {alpha} moved by {float(gap):.3e} between "
-            f"{digits} and {digits + RECHECK_DIGITS} digits"
+def _result(alpha: float, n: int, log_det: float) -> ToeplitzResult:
+    asymptotic = 0.0
+    if alpha != 0.0:
+        asymptotic = (
+            n * n * math.log(math.cos(0.5 * alpha))
+            - 0.25 * math.log(n * math.sin(0.5 * alpha))
+            + math.log(2.0) / 12.0
+            + 3.0 * ZETA_PRIME_MINUS_ONE
         )
-    return float(value)
+    return ToeplitzResult(
+        n=n, alpha=alpha, log_det=log_det, asymptotic=asymptotic, residual=log_det - asymptotic
+    )
 
 
-def toeplitz_logdet(symbol: ArcSymbol, n: int) -> ToeplitzResult:
+def toeplitz_logdet(
+    symbol: ArcSymbol, n: int | Sequence[int]
+) -> ToeplitzResult | list[ToeplitzResult]:
     """Exact log determinant of the n x n arc-symbol Toeplitz matrix.
 
     residual = log_det - asymptotic; it shrinks as n grows at fixed alpha.
+    A sequence of sizes gives the list of results in the same order,
+    duplicates kept, all from one recursion at the largest size, re-run at
+    RECHECK_DIGITS more digits.
     """
-    if not (1 <= n <= MAX_N):
+    single = isinstance(n, numbers.Integral)
+    sizes = [n] if single else list(n)
+    if not sizes or not all(1 <= m <= MAX_N for m in sizes):
         raise PreconditionViolated(f"n must lie in [1, {MAX_N}], got {n}")
     alpha = symbol.alpha
-    if alpha == 0.0:
-        return ToeplitzResult(
-            n=n, alpha=alpha, log_det=0.0, asymptotic=0.0, residual=0.0
-        )
-
-    digits = _condition_digits(alpha, n)
-    if _double_error(n, digits) < LOGDET_TOL:
-        log_det = _logdet_double(alpha, n)
-    elif digits <= MAX_CONDITION_DIGITS:
-        log_det = _logdet_checked(alpha, n, int(math.ceil(digits)) + EXTRA_DIGITS)
-    else:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue needs about {digits:.0f} digits at n = {n}, "
-            f"alpha = {alpha}; beyond supported precision"
-        )
-
-    asymptotic = (
-        n * n * math.log(math.cos(0.5 * alpha))
-        - 0.25 * math.log(n * math.sin(0.5 * alpha))
-        + math.log(2.0) / 12.0
-        + 3.0 * ZETA_PRIME_MINUS_ONE
-    )
-    return ToeplitzResult(
-        n=n,
-        alpha=alpha,
-        log_det=log_det,
-        asymptotic=asymptotic,
-        residual=log_det - asymptotic,
-    )
+    log_dets = dict.fromkeys(sizes, 0.0)
+    if alpha != 0.0:
+        estimate = _condition_digits(alpha, max(sizes))
+        if estimate > MAX_CONDITION_DIGITS:
+            raise NotPositiveDefinite(
+                f"smallest eigenvalue needs about {estimate:.0f} digits at "
+                f"n = {max(sizes)}, alpha = {alpha}; beyond supported precision"
+            )
+        digits = math.ceil(estimate) + EXTRA_DIGITS
+        log_dets = _levinson_logdets(alpha, sizes, digits)
+        check = _levinson_logdets(alpha, sizes, digits + RECHECK_DIGITS)
+        for m, value in log_dets.items():
+            gap = abs(value - check[m])
+            if gap > LOGDET_TOL:
+                raise NotPositiveDefinite(
+                    f"log det at n = {m}, alpha = {alpha} moved by {float(gap):.3e} "
+                    f"between {digits} and {digits + RECHECK_DIGITS} digits"
+                )
+    results = [_result(alpha, m, float(log_dets[m])) for m in sizes]
+    return results[0] if single else results
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,22 @@ class TestExitCodes:
         proc = run_cli("smatrix", "--sampled", "/nonexistent.csv", "--energy", "1")
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("flag", ["--sampled", "--trace"])
+    def test_directory_as_input_file_exits_three(self, tmp_path, flag):
+        command = "smatrix" if flag == "--sampled" else "recover"
+        proc = run_cli(command, flag, str(tmp_path), "--energy", "1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_input_file_exits_three(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"x,V\n\xd0\xff\xfe,1\n")
+        proc = run_cli("smatrix", "--sampled", str(path), "--energy", "1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_node_free_guard_exits_two_with_message(self):
         proc = run_cli("counterexample", "--q", "1.6", "--a", "1.0")
         assert proc.returncode == 2
@@ -328,6 +344,13 @@ class TestSzego:
     def test_mode_flags_are_exclusive(self):
         proc = run_cli("szego", "--alpha", "0.5", "--t", "1.0", "--n", "8")
         assert proc.returncode == 2
+
+    def test_table_rows_keep_the_given_order(self):
+        proc = run_cli("szego", "--alpha", "1", "--n", "64,8,64")
+        assert proc.returncode == 0
+        _, rows = parse_csv(proc.stdout)
+        assert [int(r[0]) for r in rows] == [64, 8, 64]
+        assert rows[0] == rows[2]
 
 
 class TestPhaseshift:

@@ -228,6 +228,29 @@ class TestVerifySameSMatrix:
         assert cmp.max_entry_diff > 1e-4
         assert cmp.even_channel_diff > 1e-4
 
+    def test_build_comparison_equals_a_fresh_solve(self, pair, single_bump_pair):
+        # The construction hands over the matrices of its own solves; they
+        # must be exactly those of a forward solve at its steps and energy.
+        for built in (pair, single_bump_pair):
+            assert built.comparison == verify_same_smatrix(built, steps=4096)
+
+    @pytest.mark.parametrize("single_bump", [False, True])
+    def test_build_solves_no_potential_twice(self, monkeypatch, single_bump):
+        import scatter1d.noninjective as module
+
+        solved = []
+        forward = module._forward_smatrix
+
+        def recording(rec, a, energy, steps):
+            solved.append(rec.values.tobytes())
+            return forward(rec, a, energy, steps)
+
+        monkeypatch.setattr(module, "_forward_smatrix", recording)
+        build_counterexample(q=1.0, eps=0.01, a=1.0, steps=1024, single_bump=single_bump)
+        assert len(set(solved)) == len(solved)
+        if single_bump:
+            assert len(solved) == 2
+
     def test_both_matrices_stay_unitary(self, pair):
         cmp = verify_same_smatrix(pair, steps=4096)
         assert cmp.s_baseline.unitarity_residual() < 1e-8

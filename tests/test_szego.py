@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from helpers import arc_coefficient_quadrature, arc_toeplitz_logdet_lu
+from scatter1d import szego
 from scatter1d.core import NotPositiveDefinite, PreconditionViolated
 from scatter1d.szego import (
-    LOGDET_TOL,
     ArcSymbol,
     SzegoCrossCheck,
-    _condition_digits,
-    _double_error,
-    _logdet_extended,
+    _levinson_logdets,
     arc_coefficient,
     szego_limit_check,
     toeplitz_logdet,
@@ -51,6 +49,8 @@ class TestToeplitzLogDet:
         assert r.log_det == 0.0
         assert r.asymptotic == 0.0
         assert r.residual == 0.0
+        table = toeplitz_logdet(ArcSymbol(0.0), [4, 2])
+        assert [(t.n, t.log_det, t.residual) for t in table] == [(4, 0.0, 0.0), (2, 0.0, 0.0)]
 
     def test_near_identity_symbol_stays_tiny(self):
         r = toeplitz_logdet(ArcSymbol(1e-8), 64)
@@ -97,31 +97,59 @@ class TestToeplitzLogDet:
         assert abs(r64.residual) < abs(r32.residual)
         assert abs(r64.residual) <= 0.1
 
-    def test_double_and_extended_paths_agree(self):
-        # (alpha, n) in the double-precision regime, recomputed in extended
-        # precision: both routes must land on the same value.
-        alpha, n = 0.5, 16
-        assert _double_error(n, _condition_digits(alpha, n)) < LOGDET_TOL
-        via_public = toeplitz_logdet(ArcSymbol(alpha), n).log_det
-        via_extended = _logdet_extended(alpha, n, 40)
-        assert abs(via_public - via_extended) < 1e-8
-
-    @pytest.mark.parametrize("alpha, n", [(0.7, 12), (math.pi / 2, 16), (2.0, 20)])
+    @pytest.mark.parametrize(
+        "alpha, n",
+        [(0.7, 12), (math.pi / 2, 16), (2.0, 20), (0.5, 16), (1e-8, 64)],
+    )
     def test_levinson_recursion_matches_dense_determinant(self, alpha, n):
         # At 60 digits both sides keep more than 30 digits past lambda_min.
-        levinson = _logdet_extended(alpha, n, 60)
+        levinson = _levinson_logdets(alpha, [n], 60)[n]
         dense = arc_toeplitz_logdet_lu(alpha, n, 60)
         assert abs(levinson - dense) < 1e-25
+
+    @pytest.mark.parametrize("alpha", [0.2, 1.0, math.pi / 2, 2.2])
+    def test_table_equals_single_calls(self, alpha):
+        # The table takes the digits of its largest n; each single call
+        # takes its own, fewer.
+        sizes = [8, 13, 16, 32, 64, 100, 128]
+        table = toeplitz_logdet(ArcSymbol(alpha), sizes)
+        assert [r.n for r in table] == sizes
+        for r in table:
+            single = toeplitz_logdet(ArcSymbol(alpha), r.n)
+            assert abs(r.log_det - single.log_det) <= 1e-13
+            assert abs(r.residual - single.residual) <= 1e-13
+
+    def test_table_keeps_order_and_duplicates(self):
+        table = toeplitz_logdet(ArcSymbol(1.0), (64, 8, 64))
+        assert [r.n for r in table] == [64, 8, 64]
+        assert table[0] == table[2]
+        assert table[1] == toeplitz_logdet(ArcSymbol(1.0), 8)
 
     def test_precision_wall_raises(self):
         with pytest.raises(NotPositiveDefinite):
             toeplitz_logdet(ArcSymbol(3.1), 512)
+
+    @pytest.mark.parametrize("extra, message", [(-40, "lost positivity"), (0, "moved by")])
+    def test_too_few_digits_are_refused(self, monkeypatch, extra, message):
+        # Without the margin past the lambda_min estimate, a pivot goes
+        # non-positive or the +10-digit re-run disagrees; both refuse.
+        monkeypatch.setattr(szego, "EXTRA_DIGITS", extra)
+        with pytest.raises(NotPositiveDefinite, match=message):
+            toeplitz_logdet(ArcSymbol(math.pi / 2), [8, 64])
+
+    def test_table_past_the_wall_raises(self):
+        with pytest.raises(NotPositiveDefinite):
+            toeplitz_logdet(ArcSymbol(3.1), [8, 512])
 
     def test_n_guards(self):
         with pytest.raises(PreconditionViolated):
             toeplitz_logdet(ArcSymbol(1.0), 0)
         with pytest.raises(PreconditionViolated):
             toeplitz_logdet(ArcSymbol(1.0), 513)
+        with pytest.raises(PreconditionViolated):
+            toeplitz_logdet(ArcSymbol(1.0), [8, 513])
+        with pytest.raises(PreconditionViolated):
+            toeplitz_logdet(ArcSymbol(1.0), [])
 
 
 class TestSzegoLimitCheck:
