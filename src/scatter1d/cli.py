@@ -12,6 +12,7 @@ file (message on standard error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,22 +29,29 @@ from .noninjective import (
 )
 from .potential import Delta, SquareWell, load_sampled_csv, load_trace_csv, validate
 from .smatrix import analytic_delta, smatrix_via_transfer
-from .spectral import fredholm_report, jost_forms, phase_shift
+from .spectral import QUAD_ORDER, fredholm_report, jost_forms, phase_shift
 from .szego import ArcSymbol, szego_limit_check, toeplitz_logdet
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _pair_of_floats(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected two comma-separated values, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _finite(parts[0]), _finite(parts[1])
 
 
 def _energy_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start,stop,count, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
     if count < 1:
         raise argparse.ArgumentTypeError("count must be at least 1")
     return start, stop, count
@@ -53,7 +61,7 @@ def _range_spec(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (_finite(p) for p in parts)
     if step <= 0.0 or stop < start:
         raise argparse.ArgumentTypeError("need stop >= start and step > 0")
     return start, stop, step
@@ -149,10 +157,11 @@ def cmd_smatrix(args: argparse.Namespace) -> int:
         start, stop, count = args.energy_grid
         energies = [float(e) for e in np.linspace(start, stop, count)]
 
-    if isinstance(spec, Delta):
-        matrices = [analytic_delta(spec.alpha, e) for e in energies]
+    pot = validate(spec)
+    if pot.is_delta:
+        matrices = [analytic_delta(pot.alpha, e) for e in energies]
     else:
-        matrices = smatrix_via_transfer(validate(spec), energies, steps=args.steps)
+        matrices = smatrix_via_transfer(pot, energies, steps=args.steps)
 
     rows = [
         {
@@ -268,7 +277,9 @@ def cmd_recover(args: argparse.Namespace) -> int:
     return _emit(args, args.format, rows, report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="scatter1d",
         description=(
@@ -308,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fr = sub.add_parser("fredholm", help="sine-kernel determinant sweep over t")
     fr.add_argument("--t", type=_range_spec, required=True, metavar="START:STOP:STEP", help="uniform t grid")
-    fr.add_argument("--quad", type=int, default=300, help="quadrature order (default 300)")
+    fr.add_argument("--quad", type=int, default=QUAD_ORDER, help=f"quadrature order (default {QUAD_ORDER})")
     fr.add_argument("--format", choices=("json", "csv"), default="csv")
     fr.add_argument("--out", default=None, help="output path (default standard output)")
     fr.set_defaults(func=cmd_fredholm)
@@ -318,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--alpha", type=float, help="arc parameter in [0, pi): determinant table over --n")
     mode.add_argument("--t", type=float, help="continuum cross-check at alpha = 2 pi t / n for each n")
     szg.add_argument("--n", type=_list_of(int), required=True, metavar="N1,N2,...", help="matrix sizes")
-    szg.add_argument("--quad", type=int, default=300, help="quadrature order for the cross-check")
+    szg.add_argument("--quad", type=int, default=QUAD_ORDER,
+                     help=f"quadrature order for the cross-check (default {QUAD_ORDER})")
     szg.add_argument("--format", choices=("json", "csv"), default=None,
                      help="default: csv for the table, json for the cross-check")
     szg.add_argument("--out", default=None, help="output path (default standard output)")

@@ -103,9 +103,11 @@ class NotPositiveDefinite(ScatterError):
 def wavenumber_from_energy(energy: float) -> float:
     """Exterior wavenumber k = sqrt(E) of a scattering state.
 
-    Raises NonPositiveEnergy unless E > 0; bound states and threshold are
-    out of scope.
+    Raises PreconditionViolated for a non-finite E and NonPositiveEnergy
+    unless E > 0; bound states and threshold are out of scope.
     """
+    if not math.isfinite(energy):
+        raise PreconditionViolated(f"energy must be finite, got {energy}")
     if not energy > 0.0:
         raise NonPositiveEnergy(f"energy must be positive, got {energy}")
     return math.sqrt(energy)

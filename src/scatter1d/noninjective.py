@@ -38,7 +38,7 @@ from .core import (
     PreconditionViolated,
 )
 from .potential import Sampled, validate
-from .propagate import MIN_STEPS
+from .propagate import MIN_STEPS, SCAN_STEPS
 from .smatrix import SMatrix, smatrix_via_transfer
 
 BUMP_SMOOTH = "smooth"
@@ -297,8 +297,10 @@ def build_counterexample(
         raise PreconditionViolated(
             f"need q*a < pi/2 for a node-free baseline, got q*a = {q * a}"
         )
-    if steps < MIN_STEPS:
-        raise PreconditionViolated(f"steps must be >= {MIN_STEPS}, got {steps}")
+    if not MIN_STEPS <= steps <= SCAN_STEPS:
+        raise PreconditionViolated(
+            f"steps must lie in [{MIN_STEPS}, {SCAN_STEPS}], got {steps}"
+        )
     if bump == BUMP_KINKED:
         warnings.warn(
             "kinked bump has a derivative jump at the origin; the recovered "

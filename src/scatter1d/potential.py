@@ -96,13 +96,20 @@ class EvaluatedPotential:
         return float(out) if scalar else out
 
 
+def _check_finite(**params: float) -> None:
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise PreconditionViolated(f"{name} must be finite, got {value}")
+
+
 def validate(spec: PotentialSpec) -> EvaluatedPotential:
     """Check a potential spec and return its evaluator.
 
     Raises AsymmetricPotential, NonFiniteSample, or NonUniformGrid for bad
-    sampled data and PreconditionViolated for bad parameters.
+    sampled data and PreconditionViolated for bad or non-finite parameters.
     """
     if isinstance(spec, SquareWell):
+        _check_finite(v0=spec.v0, a=spec.a)
         if not spec.a > 0.0:
             raise PreconditionViolated(f"half-width a must be positive, got {spec.a}")
         if spec.v0 < 0.0:
@@ -110,6 +117,7 @@ def validate(spec: PotentialSpec) -> EvaluatedPotential:
         return EvaluatedPotential("well", spec.a, depth=float(spec.v0))
 
     if isinstance(spec, Delta):
+        _check_finite(alpha=spec.alpha)
         if not spec.alpha > 0.0:
             raise PreconditionViolated(f"delta strength must be positive, got {spec.alpha}")
         return EvaluatedPotential("delta", 0.0, alpha=float(spec.alpha))
@@ -122,6 +130,7 @@ def validate(spec: PotentialSpec) -> EvaluatedPotential:
         n = x.size
         if n < 3 or n % 2 == 0:
             raise PreconditionViolated(f"need an odd number of samples >= 3, got {n}")
+        _check_finite(a=spec.a)
         if not spec.a > 0.0:
             raise PreconditionViolated(f"half-width a must be positive, got {spec.a}")
         if not np.all(np.isfinite(x)):

@@ -26,8 +26,17 @@ First derivatives along the trace are recovered by fourth-order five-point
 stencils, one-sided at the two points nearest each edge, evaluated on the
 differences the scan carries.  Any initial data, complex included, is a
 combination of the fundamental pair.
+
+The S-matrix needs only the map (psi, psi')(-a) -> (psi, psi')(+a), and
+psi(+a) and the edge stencil read only the last four prefixes.  The
+endpoint maps therefore keep the scan's tree but form just those four at
+each level, with the same bits as the full trace.  The full trace's
+overflow check is replaced by an a-priori bound on the solution's growth,
+and the full trace is still formed and checked wherever that bound cannot
+rule overflow out.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +53,8 @@ MIN_STEPS = 64
 #: Integration steps, summed over energies, propagated in one scan: 32
 #: energies at the default 4096 steps.  Longer energy lists go through in
 #: blocks of this size, which bounds the memory held at once to about 15 MB
-#: and is no slower per energy than larger blocks.
+#: and is no slower per energy than larger blocks.  It is also the largest
+#: step count accepted, so a single energy stays within that bound.
 SCAN_STEPS = 2**17
 
 
@@ -111,11 +121,19 @@ def _taylor_start(g: np.ndarray, h: float):
     return per_psi, per_dpsi
 
 
-def _mul(left, right):
-    """Products of two stacks of 2x2 matrices given entrywise as (m11, m12, m21, m22)."""
-    l11, l12, l21, l22 = left
-    r11, r12, r21, r22 = right
-    return l11 * r11 + l12 * r21, l11 * r12 + l12 * r22, l21 * r11 + l22 * r21, l21 * r12 + l22 * r22
+def _mul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Products of two stacks of 2x2 matrices given entrywise as (m11, m12, m21, m22).
+
+    Each entry, a sum of two products, is formed in the new result with one
+    scratch row, so a level of the scan allocates little beyond its result.
+    """
+    out = np.empty(np.broadcast_shapes(left.shape, right.shape))
+    scratch = np.empty(out.shape[1:])
+    for row, (i, j) in enumerate(((0, 0), (0, 1), (2, 0), (2, 1))):
+        np.multiply(left[i], right[j], out=out[row])
+        np.multiply(left[i + 1], right[j + 2], out=scratch)
+        out[row] += scratch
+    return out
 
 
 def _scan(m: np.ndarray) -> None:
@@ -129,34 +147,57 @@ def _scan(m: np.ndarray) -> None:
     """
     if m.shape[-1] < 2:
         return
-    pairs = np.array(_mul(m[..., 1::2], m[..., :-1:2]))
+    pairs = _mul(m[..., 1::2], m[..., :-1:2])
     _scan(pairs)
     m[..., 1::2] = pairs
     evens = m[..., 2::2]
     evens[...] = _mul(evens, pairs[..., : evens.shape[-1]])
 
 
-def _fundamental_traces(pot: EvaluatedPotential, energies, steps: int):
-    """Grid, psi and dpsi of the fundamental pair at every energy, from one scan.
+def _scan_tail(m: np.ndarray) -> np.ndarray:
+    """The last four of the prefixes that _scan(m) leaves, equal bit for bit.
 
-    psi and dpsi have shape (2, len(energies), steps + 1); index 0 is the
-    solution with (psi, psi')(-a) = (1, 0) and index 1 the one with (0, 1).
-    Raises Overflow when a solution magnitude leaves the trustworthy range.
+    The same tree: every level multiplies all its adjacent pairs, but only
+    the last four prefixes of each level are formed.  Prefix k >= 1 is pair
+    prefix (k - 1) // 2, times M_k when k is even, so the last four of a
+    level need at most the last three of the level above.  That takes about
+    half the products of the full scan.
     """
+    n = m.shape[-1]
+    if n <= 4:
+        m = m.copy()
+        _scan(m)
+        return m
+    pairs = _scan_tail(_mul(m[..., 1::2], m[..., :-1:2]))
+    k = np.arange(n - 4, n)
+    tail = pairs[..., (k - 1) // 2 - (n // 2 - pairs.shape[-1])]
+    evens = tail[..., n % 2 :: 2]
+    evens[...] = _mul(m[..., n - 4 + n % 2 :: 2], evens)
+    return tail
+
+
+def _check(pot: EvaluatedPotential, energies, steps: int) -> None:
+    """Refuse what no scan can propagate, before anything is allocated."""
     if pot.is_delta:
         raise PreconditionViolated("delta potentials have no interior to integrate")
-    if steps < MIN_STEPS:
-        raise PreconditionViolated(f"steps must be >= {MIN_STEPS}, got {steps}")
+    if not MIN_STEPS <= steps <= SCAN_STEPS:
+        raise PreconditionViolated(f"steps must lie in [{MIN_STEPS}, {SCAN_STEPS}], got {steps}")
     for energy in energies:
-        wavenumber_from_energy(energy)  # raises NonPositiveEnergy unless E > 0
+        wavenumber_from_energy(energy)  # raises unless E is finite and positive
 
+
+def _step_matrices(pot: EvaluatedPotential, energies, steps: int):
+    """Grid, spacing h, g = V - E and the step matrices of one scan.
+
+    The matrices have shape (4, len(energies), steps), entries m[0..3] =
+    (m11, m12, m21, m22) of one matrix per state: matrix 0 maps (psi,
+    psi')(-a) to state 0 and matrix i + 1 is the Numerov step from state i,
+    so the two columns of the prefix products are the states of the
+    fundamental pair.
+    """
     grid = np.linspace(-pot.a, pot.a, steps + 1)
     h = (2.0 * pot.a) / steps
     g = pot(grid) - np.asarray(energies, dtype=float)[:, None]
-    # Entries m[0..3] = (m11, m12, m21, m22) of one matrix per state: matrix
-    # 0 maps (psi, psi')(-a) to state 0 and matrix i + 1 is the Numerov step
-    # from state i, so the two columns of the prefix products are the
-    # states of the fundamental pair.
     m = np.empty((4, g.shape[0], steps))
     m[0] = 1.0
     m[1] = h
@@ -166,8 +207,17 @@ def _fundamental_traces(pot: EvaluatedPotential, energies, steps: int):
         inv = 1.0 / (1.0 - (h * h / 12.0) * g[:, 2:])
         m[2, :, 1:] = (h / 12.0) * (g[:, :-2] + 10.0 * g[:, 1:-1] + g[:, 2:]) * inv
         m[3, :, 1:] = (1.0 + (h * h / 12.0) * (10.0 * g[:, 1:-1] + g[:, 2:])) * inv
+    return grid, h, g, m
+
+
+def _traces(m: np.ndarray, h: float):
+    """psi and dpsi on the grid from the step matrices, which the scan overwrites.
+
+    Raises Overflow when a solution magnitude leaves the trustworthy range.
+    """
+    with np.errstate(all="ignore"):
         _scan(m)
-        psi = np.empty((2, g.shape[0], steps + 1))
+        psi = np.empty((2, m.shape[1], m.shape[2] + 1))
         psi[..., :-1] = m[:2]
         psi[..., -1] = m[:2, :, -1] + h * m[2:, :, -1]
         peak = np.max(np.abs(psi))
@@ -176,19 +226,62 @@ def _fundamental_traces(pot: EvaluatedPotential, energies, steps: int):
                 f"wavefunction magnitude {peak:.3e} exceeds {MAX_MAGNITUDE:.0e}; "
                 "the energy is too deep in a classically forbidden region"
             )
-        return grid, psi, _derivative(m[2:])
+        return psi, _derivative(m[2:])
+
+
+def _fundamental_traces(pot: EvaluatedPotential, energies, steps: int):
+    """Grid, psi and dpsi of the fundamental pair at every energy, from one scan.
+
+    psi and dpsi have shape (2, len(energies), steps + 1); index 0 is the
+    solution with (psi, psi')(-a) = (1, 0) and index 1 the one with (0, 1).
+    Raises Overflow when a solution magnitude leaves the trustworthy range.
+    """
+    _check(pot, energies, steps)
+    grid, h, _, m = _step_matrices(pot, energies, steps)
+    return (grid, *_traces(m, h))
+
+
+def _log_growth_bound(g: np.ndarray, m: np.ndarray, h: float) -> float:
+    """An upper bound on log |psi| over the whole trace of every energy.
+
+    With s = max(1, sqrt(max |g|)) and D = diag(1, 1/s), each psi value is
+    an entry of the first row of D P D^-1, and psi(+a) adds h s times its
+    second row, where P is a product of step matrices.  Every D M D^-1 has
+    max-row-sum norm at most R = max(1 + h s, max |m21| / s + max |m22|),
+    which is at least 1, so |psi| <= (1 + h s) R^steps.  The rescaling makes
+    R about 1 + h s, and the bound about 2 a sqrt(max |g|), the growth under
+    a barrier.  NaN or inf when an entry is not finite.
+    """
+    with np.errstate(all="ignore"):
+        s = np.sqrt(np.maximum(1.0, np.max(np.abs(g), axis=-1)))
+        row = np.max(np.abs(m[2]), axis=-1) / s + np.max(np.abs(m[3]), axis=-1)
+        norm = np.maximum(1.0 + h * s, row)
+        return float(np.max(m.shape[-1] * np.log(norm) + np.log1p(h * s)))
 
 
 def _endpoint_maps(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
     """Maps (psi, psi')(-a) -> (psi, psi')(+a) at each energy, read off the scan.
 
     Shape (len(energies), 2, 2); the columns are the fundamental pair.
+    psi(+a) and the one-sided stencil for psi'(+a) read only the last four
+    prefixes of the scan.  Where the growth bound rules out Overflow only
+    those are formed, equal bit for bit to the full scan's; elsewhere the
+    full traces are formed and checked, so Overflow is raised exactly where
+    _fundamental_traces raises it.
     """
-    block = max(1, SCAN_STEPS // steps)
+    _check(pot, energies, steps)
+    block = SCAN_STEPS // steps
     maps = np.empty((len(energies), 2, 2))
     for start in range(0, len(energies), block):
-        _, psi, dpsi = _fundamental_traces(pot, energies[start : start + block], steps)
-        maps[start : start + block] = np.stack([psi[..., -1], dpsi[..., -1]]).transpose(2, 0, 1)
+        _, h, g, m = _step_matrices(pot, energies[start : start + block], steps)
+        # The factor 2 covers rounding in the scan and in the bound itself.
+        if _log_growth_bound(g, m, h) < math.log(MAX_MAGNITUDE / 2):
+            tail = _scan_tail(m)
+            psi = tail[:2, :, -1] + h * tail[2:, :, -1]
+            dpsi = _derivative(tail[2:])[..., -1]
+        else:
+            psi, dpsi = (trace[..., -1] for trace in _traces(m, h))
+        maps[start : start + block] = np.stack([psi, dpsi]).transpose(2, 0, 1)
     return maps
 
 

@@ -51,7 +51,7 @@ from .core import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .spectral import PARITY_EVEN, PARITY_ODD, fredholm_log_det
+from .spectral import PARITY_EVEN, PARITY_ODD, QUAD_ORDER, fredholm_log_det
 
 MAX_N = 512
 
@@ -204,7 +204,7 @@ class SzegoCrossCheck:
 
 
 def szego_limit_check(
-    alpha: float, n: int, t: float, quad_order: int = 300
+    alpha: float, n: int, t: float, quad_order: int = QUAD_ORDER
 ) -> SzegoCrossCheck:
     """Compare the Toeplitz log determinant with the sine-kernel route.
 

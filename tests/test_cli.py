@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from helpers import run_cli
+from scatter1d.cli import build_parser, main
 from scatter1d.smatrix import analytic_delta, analytic_square_well
+from scatter1d.spectral import QUAD_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +198,63 @@ class TestExitCodes:
     def test_fredholm_t_too_large_exits_three(self):
         proc = run_cli("fredholm", "--t", "6.5:6.7:0.05", "--quad", "96")
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("fredholm", "--t", "nan:1:0.1"), "--t"),
+            (("smatrix", "--well", "nan,1", "--energy", "1"), "--well"),
+            (("smatrix", "--well", "1,1", "--energy-grid", "1,inf,3"), "--energy-grid"),
+        ],
+    )
+    def test_non_finite_argument_is_usage_error(self, capsys, args, flag):
+        assert main(list(args)) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a finite number" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("smatrix", "--well", "1,1", "--energy", "inf"), "energy must be finite, got inf"),
+            (("smatrix", "--delta", "inf", "--energy", "1"), "alpha must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_parameter_exits_three_naming_it(self, capsys, args, message):
+        assert main(list(args)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_steps_beyond_one_scan_exit_three(self, capsys):
+        args = ["smatrix", "--well", "1,1", "--energy", "1", "--steps", "131073"]
+        assert main(args) == 3
+        assert "steps must lie in [64, 131072]" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_quadrature_default_is_the_converged_order(self, capsys):
+        outputs = []
+        for extra in ([], ["--quad", str(QUAD_ORDER)]):
+            assert main(["fredholm", "--t", "1:1.1:0.025", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        for command in ("fredholm", "szego"):
+            assert main([command, "--help"]) == 0
+            assert f"(default {QUAD_ORDER})" in capsys.readouterr().out
+
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_parse_independently(self, capsys):
+        # One parser serves every call: nothing of one call leaks into the next.
+        assert main(["smatrix", "--well", "2,1", "--energy", "1", "--format", "csv"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith("energy,k,a,")
+        assert main(["fredholm", "--t", "1:1.1:0.025"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].startswith("t,logf_plus,") and len(rows) == 6
+        assert main(["smatrix", "--energy", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "one of the arguments --well --delta --sampled is required" in captured.err
 
 
 class TestDeterminism:

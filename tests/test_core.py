@@ -43,6 +43,12 @@ def test_wavenumber_rejects_nonpositive_energy(bad):
         wavenumber_from_energy(bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_wavenumber_rejects_non_finite_energy(bad):
+    with pytest.raises(PreconditionViolated, match="energy must be finite"):
+        wavenumber_from_energy(bad)
+
+
 def test_pi_matches_math():
     assert PI == math.pi
 

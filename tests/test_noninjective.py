@@ -23,7 +23,7 @@ from scatter1d.noninjective import (
     verify_same_smatrix,
 )
 from scatter1d.potential import Sampled, validate
-from scatter1d.propagate import integrate
+from scatter1d.propagate import SCAN_STEPS, integrate
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +189,9 @@ class TestBuildCounterexample:
             build_counterexample(q=1.0, eps=0.01, a=-1.0)
         with pytest.raises(PreconditionViolated):
             build_counterexample(q=1.0, eps=0.01, a=1.0, steps=32)
+        # Refused before any grid is allocated.
+        with pytest.raises(PreconditionViolated, match=str(SCAN_STEPS)):
+            build_counterexample(q=1.0, eps=0.01, a=1.0, steps=SCAN_STEPS + 1)
 
 
 class TestVerifySameSMatrix:

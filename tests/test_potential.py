@@ -49,6 +49,11 @@ class TestSquareWell:
         with pytest.raises(PreconditionViolated):
             validate(SquareWell(v0=1.0, a=0.0))
 
+    @pytest.mark.parametrize("v0, a, name", [(np.nan, 1.0, "v0"), (np.inf, 1.0, "v0"), (1.0, np.inf, "a")])
+    def test_rejects_non_finite_parameters(self, v0, a, name):
+        with pytest.raises(PreconditionViolated, match=f"{name} must be finite"):
+            validate(SquareWell(v0=v0, a=a))
+
 
 class TestDelta:
     def test_marker_properties(self):
@@ -65,6 +70,10 @@ class TestDelta:
     def test_rejects_nonpositive_strength(self):
         with pytest.raises(PreconditionViolated):
             validate(Delta(alpha=0.0))
+
+    def test_rejects_non_finite_strength(self):
+        with pytest.raises(PreconditionViolated, match="alpha must be finite"):
+            validate(Delta(alpha=np.inf))
 
 
 class TestSampled:
@@ -129,6 +138,11 @@ class TestSampled:
         spec.v[2] = np.inf
         with pytest.raises(NonFiniteSample):
             validate(spec)
+
+    def test_rejects_non_finite_half_width(self):
+        spec = good_sampled()
+        with pytest.raises(PreconditionViolated, match="a must be finite"):
+            validate(Sampled(a=np.inf, x=spec.x, v=spec.v))
 
 
 class TestSampleAnalytic:

@@ -1,14 +1,16 @@
 """Numerov integration: accuracy, order, conservation, and guards."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import scatter1d.propagate as propagate
 from helpers import numerov_recurrence
 from scatter1d.core import NonPositiveEnergy, Overflow, PreconditionViolated
 from scatter1d.potential import Delta, Sampled, SquareWell, validate
-from scatter1d.propagate import fundamental_pair, integrate
+from scatter1d.propagate import SCAN_STEPS, fundamental_pair, integrate
 
 FREE = validate(SquareWell(v0=0.0, a=1.0))
 WELL = validate(SquareWell(v0=2.0, a=1.0))
@@ -157,3 +159,116 @@ def test_guards():
         integrate(WELL, energy=-1.0, psi0=1.0, dpsi0=0.0)
     with pytest.raises(PreconditionViolated):
         integrate(validate(Delta(alpha=1.0)), energy=1.0, psi0=1.0, dpsi0=0.0)
+
+
+def test_steps_beyond_one_scan_are_refused():
+    # Only the refusal is exercised: a huge step count would allocate GBs.
+    with pytest.raises(PreconditionViolated, match=str(SCAN_STEPS)):
+        integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0, steps=SCAN_STEPS + 1)
+    with pytest.raises(PreconditionViolated):
+        propagate._endpoint_maps(WELL, [1.0], SCAN_STEPS + 1)
+    with pytest.raises(PreconditionViolated):
+        propagate._endpoint_maps(WELL, [1.0], 0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_energy_is_refused(bad):
+    with pytest.raises(PreconditionViolated, match="energy must be finite"):
+        integrate(WELL, energy=bad, psi0=1.0, dpsi0=0.0)
+
+
+def _full_scan_endpoints(pot, energies, steps):
+    """Endpoint maps read off the full traces, one block of energies at a time."""
+    maps = []
+    block = SCAN_STEPS // steps
+    for start in range(0, len(energies), block):
+        _, psi, dpsi = propagate._fundamental_traces(pot, energies[start : start + block], steps)
+        maps.append(np.stack([psi[..., -1], dpsi[..., -1]]).transpose(2, 0, 1))
+    return np.concatenate(maps)
+
+
+def _random_gaussian(seed):
+    rng = np.random.default_rng(seed)
+    a = float(rng.uniform(0.5, 2.0))
+    x = np.linspace(-a, a, 257)
+    v = rng.uniform(-20.0, 20.0) * np.exp(-rng.uniform(1.0, 5.0) * (x / a) ** 2)
+    return validate(Sampled(a=a, x=x, v=0.5 * (v + v[::-1]))), rng
+
+
+def test_scan_tail_equals_the_last_four_prefixes():
+    rng = np.random.default_rng(3)
+    for length in list(range(1, 40)) + [64, 127, 1000]:
+        m = rng.normal(size=(4, 3, length))
+        full = m.copy()
+        propagate._scan(full)
+        np.testing.assert_array_equal(propagate._scan_tail(m), full[..., -4:], err_msg=f"{length}")
+
+
+@pytest.mark.parametrize("steps", [64, 65, 67, 127, 4096])
+def test_endpoint_maps_equal_the_full_scan_bit_for_bit(steps):
+    pot, rng = _random_gaussian(steps)
+    energies = list(rng.uniform(0.1, 30.0, 5))
+    maps = propagate._endpoint_maps(pot, energies, steps)
+    np.testing.assert_array_equal(maps, _full_scan_endpoints(pot, energies, steps))
+
+
+def test_endpoint_maps_across_scan_blocks():
+    # 70 energies at 4096 steps fill two scans of 32 and part of a third.
+    pot, rng = _random_gaussian(7)
+    energies = list(rng.uniform(0.1, 30.0, 70))
+    maps = propagate._endpoint_maps(pot, energies, 4096)
+    np.testing.assert_array_equal(maps, _full_scan_endpoints(pot, energies, 4096))
+
+
+def _flat_barrier(height):
+    x = np.linspace(-1.0, 1.0, 257)
+    return validate(Sampled(a=1.0, x=x, v=np.full(257, height)))
+
+
+def _forbid(name):
+    def forbidden(*args):
+        raise AssertionError(f"{name} must not run here")
+
+    return forbidden
+
+
+@pytest.mark.parametrize(
+    "height, path",
+    [
+        # Bound about e^60 against a peak of e^59: only the last prefixes.
+        (900.0, "tail"),
+        # Bound about e^353 is past the limit, while the peak is e^339 and
+        # below MAX_MAGNITUDE: the full traces are formed and pass the check.
+        (28900.0, "full"),
+    ],
+)
+def test_growth_bound_picks_the_path_without_changing_the_maps(monkeypatch, height, path):
+    barrier = _flat_barrier(height)
+    _, h, g, m = propagate._step_matrices(barrier, [1.0, 2.0], 4096)
+    limit = math.log(propagate.MAX_MAGNITUDE / 2)
+    assert (propagate._log_growth_bound(g, m, h) < limit) == (path == "tail")
+    expected = _full_scan_endpoints(barrier, [1.0, 2.0], 4096)
+    skipped = "_traces" if path == "tail" else "_scan_tail"
+    monkeypatch.setattr(propagate, skipped, _forbid(skipped))
+    np.testing.assert_array_equal(propagate._endpoint_maps(barrier, [1.0, 2.0], 4096), expected)
+
+
+def test_growth_bound_holds_on_barriers():
+    # The bound is an upper bound on log max |psi|, and within a few units
+    # of it: the rescaling tracks the true 2 a sqrt(V) growth.
+    for height in (25.0, 900.0, 10000.0, 28900.0):
+        barrier = _flat_barrier(height)
+        _, h, g, m = propagate._step_matrices(barrier, [1.0], 4096)
+        bound = propagate._log_growth_bound(g, m, h)
+        _, psi, _ = propagate._fundamental_traces(barrier, [1.0], 4096)
+        peak = math.log(np.max(np.abs(psi)))
+        assert peak <= bound <= 1.05 * peak + 2.0
+
+
+def test_growth_bound_is_not_finite_for_non_finite_steps():
+    # A NaN sample never reaches the scan through validate, but the bound
+    # must still send such data to the full traces and their exact check.
+    _, h, g, m = propagate._step_matrices(WELL, [1.0], 64)
+    g[0, 3] = np.nan
+    m[2, 0, 5] = np.nan
+    assert not propagate._log_growth_bound(g, m, h) < math.inf
