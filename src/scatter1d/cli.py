@@ -304,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     sm.set_defaults(func=cmd_smatrix)
 
     ce = sub.add_parser("counterexample", help="two potentials sharing boundary data at one energy")
-    ce.add_argument("--q", type=float, default=1.0, help="construction wavenumber (default 1)")
-    ce.add_argument("--eps", type=float, default=0.01, help="bump amplitude (default 0.01)")
-    ce.add_argument("--a", type=float, default=1.0, help="support half width (default 1)")
+    ce.add_argument("--q", type=_finite, default=1.0, help="construction wavenumber (default 1)")
+    ce.add_argument("--eps", type=_finite, default=0.01, help="bump amplitude (default 0.01)")
+    ce.add_argument("--a", type=_finite, default=1.0, help="support half width (default 1)")
     ce.add_argument("--bump", choices=(BUMP_SMOOTH, BUMP_KINKED), default=BUMP_SMOOTH)
     ce.add_argument("--steps", type=int, default=4096, help="integration steps (default 4096)")
     ce.add_argument(
@@ -337,15 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     szg.set_defaults(func=cmd_szego)
 
     ph = sub.add_parser("phaseshift", help="closed-form phase shifts and Jost data")
-    ph.add_argument("--k", type=_list_of(float), required=True, metavar="K1,K2,...", help="wavenumbers, all positive")
+    ph.add_argument("--k", type=_list_of(_finite), required=True, metavar="K1,K2,...", help="wavenumbers, all positive")
     ph.add_argument("--format", choices=("json", "csv"), default="csv")
     ph.add_argument("--out", default=None, help="output path (default standard output)")
     ph.set_defaults(func=cmd_phaseshift)
 
     rc = sub.add_parser("recover", help="pointwise potential recovery from a wavefunction trace")
     rc.add_argument("--trace", required=True, metavar="FILE", help="CSV file with header x,psi")
-    rc.add_argument("--energy", type=float, required=True, help="energy of the trace")
-    rc.add_argument("--node-tol", type=float, default=1e-6, help="relative node mask threshold (default 1e-6)")
+    rc.add_argument("--energy", type=_finite, required=True, help="energy of the trace")
+    rc.add_argument("--node-tol", type=_finite, default=1e-6, help="relative node mask threshold (default 1e-6)")
     rc.add_argument("--format", choices=("json", "csv"), default="csv")
     rc.add_argument("--out", default=None, help="output path (default standard output)")
     rc.set_defaults(func=cmd_recover)

@@ -121,19 +121,11 @@ def _taylor_start(g: np.ndarray, h: float):
     return per_psi, per_dpsi
 
 
-def _mul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Products of two stacks of 2x2 matrices given entrywise as (m11, m12, m21, m22).
-
-    Each entry, a sum of two products, is formed in the new result with one
-    scratch row, so a level of the scan allocates little beyond its result.
-    """
-    out = np.empty(np.broadcast_shapes(left.shape, right.shape))
-    scratch = np.empty(out.shape[1:])
-    for row, (i, j) in enumerate(((0, 0), (0, 1), (2, 0), (2, 1))):
-        np.multiply(left[i], right[j], out=out[row])
-        np.multiply(left[i + 1], right[j + 2], out=scratch)
-        out[row] += scratch
-    return out
+def _mul(left, right):
+    """Products of two stacks of 2x2 matrices given entrywise as (m11, m12, m21, m22)."""
+    l11, l12, l21, l22 = left
+    r11, r12, r21, r22 = right
+    return l11 * r11 + l12 * r21, l11 * r12 + l12 * r22, l21 * r11 + l22 * r21, l21 * r12 + l22 * r22
 
 
 def _scan(m: np.ndarray) -> None:
@@ -147,7 +139,7 @@ def _scan(m: np.ndarray) -> None:
     """
     if m.shape[-1] < 2:
         return
-    pairs = _mul(m[..., 1::2], m[..., :-1:2])
+    pairs = np.array(_mul(m[..., 1::2], m[..., :-1:2]))
     _scan(pairs)
     m[..., 1::2] = pairs
     evens = m[..., 2::2]
@@ -168,7 +160,7 @@ def _scan_tail(m: np.ndarray) -> np.ndarray:
         m = m.copy()
         _scan(m)
         return m
-    pairs = _scan_tail(_mul(m[..., 1::2], m[..., :-1:2]))
+    pairs = _scan_tail(np.array(_mul(m[..., 1::2], m[..., :-1:2])))
     k = np.arange(n - 4, n)
     tail = pairs[..., (k - 1) // 2 - (n // 2 - pairs.shape[-1])]
     evens = tail[..., n % 2 :: 2]
@@ -187,7 +179,7 @@ def _check(pot: EvaluatedPotential, energies, steps: int) -> None:
 
 
 def _step_matrices(pot: EvaluatedPotential, energies, steps: int):
-    """Grid, spacing h, g = V - E and the step matrices of one scan.
+    """Grid, spacing h and the step matrices of one scan.
 
     The matrices have shape (4, len(energies), steps), entries m[0..3] =
     (m11, m12, m21, m22) of one matrix per state: matrix 0 maps (psi,
@@ -207,7 +199,7 @@ def _step_matrices(pot: EvaluatedPotential, energies, steps: int):
         inv = 1.0 / (1.0 - (h * h / 12.0) * g[:, 2:])
         m[2, :, 1:] = (h / 12.0) * (g[:, :-2] + 10.0 * g[:, 1:-1] + g[:, 2:]) * inv
         m[3, :, 1:] = (1.0 + (h * h / 12.0) * (10.0 * g[:, 1:-1] + g[:, 2:])) * inv
-    return grid, h, g, m
+    return grid, h, m
 
 
 def _traces(m: np.ndarray, h: float):
@@ -237,26 +229,23 @@ def _fundamental_traces(pot: EvaluatedPotential, energies, steps: int):
     Raises Overflow when a solution magnitude leaves the trustworthy range.
     """
     _check(pot, energies, steps)
-    grid, h, _, m = _step_matrices(pot, energies, steps)
+    grid, h, m = _step_matrices(pot, energies, steps)
     return (grid, *_traces(m, h))
 
 
-def _log_growth_bound(g: np.ndarray, m: np.ndarray, h: float) -> float:
+def _log_growth_bound(m: np.ndarray, h: float) -> float:
     """An upper bound on log |psi| over the whole trace of every energy.
 
-    With s = max(1, sqrt(max |g|)) and D = diag(1, 1/s), each psi value is
-    an entry of the first row of D P D^-1, and psi(+a) adds h s times its
-    second row, where P is a product of step matrices.  Every D M D^-1 has
-    max-row-sum norm at most R = max(1 + h s, max |m21| / s + max |m22|),
-    which is at least 1, so |psi| <= (1 + h s) R^steps.  The rescaling makes
-    R about 1 + h s, and the bound about 2 a sqrt(max |g|), the growth under
-    a barrier.  NaN or inf when an entry is not finite.
+    Each psi value is an entry of the first row of a product P of step
+    matrices, and psi(+a) adds h times its second row.  Every step matrix
+    has max-row-sum norm at most R = max(1 + h, max |m21| + max |m22|),
+    which is at least 1, so |psi| <= (1 + h) R^steps.  The bound is at
+    most about 2 a max |V - E|.  NaN or inf when an entry is not finite.
     """
     with np.errstate(all="ignore"):
-        s = np.sqrt(np.maximum(1.0, np.max(np.abs(g), axis=-1)))
-        row = np.max(np.abs(m[2]), axis=-1) / s + np.max(np.abs(m[3]), axis=-1)
-        norm = np.maximum(1.0 + h * s, row)
-        return float(np.max(m.shape[-1] * np.log(norm) + np.log1p(h * s)))
+        row = np.max(np.abs(m[2]), axis=-1) + np.max(np.abs(m[3]), axis=-1)
+        norm = np.maximum(1.0 + h, row)
+        return float(np.max(m.shape[-1] * np.log(norm) + np.log1p(h)))
 
 
 def _endpoint_maps(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
@@ -273,9 +262,9 @@ def _endpoint_maps(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
     block = SCAN_STEPS // steps
     maps = np.empty((len(energies), 2, 2))
     for start in range(0, len(energies), block):
-        _, h, g, m = _step_matrices(pot, energies[start : start + block], steps)
+        _, h, m = _step_matrices(pot, energies[start : start + block], steps)
         # The factor 2 covers rounding in the scan and in the bound itself.
-        if _log_growth_bound(g, m, h) < math.log(MAX_MAGNITUDE / 2):
+        if _log_growth_bound(m, h) < math.log(MAX_MAGNITUDE / 2):
             tail = _scan_tail(m)
             psi = tail[:2, :, -1] + h * tail[2:, :, -1]
             dpsi = _derivative(tail[2:])[..., -1]

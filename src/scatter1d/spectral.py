@@ -49,11 +49,12 @@ PARITY_ODD = "odd"
 T_MAX = 6.0
 MIN_QUAD_ORDER = 64
 
-#: Default Gauss-Legendre order.  The Nystrom rule has converged to double
-#: precision here for every supported t; higher orders only add rounding
-#: from forming I - K, which grows with the order.  Against an mpmath
-#: reference the even-channel error at t = 2.9 is 2.8e-9 at this order and
-#: about eight times that at five times the order.
+#: Default Gauss-Legendre order.  Against an mpmath Nystrom reference,
+#: measured up to t = 2.9 (and at t = 4.5 in ROADMAP), the quadrature has
+#: converged here and the remaining error is rounding from forming I - K,
+#: which grows with the order: the even-channel error at t = 2.9 is 2.8e-9
+#: at this order and about eight times that at five times the order.  The
+#: top eigenvalue reaches EIG_ONE_TOL of 1 from t = 5.3 on at this order.
 QUAD_ORDER = 64
 
 EIG_CLIP_TOL = 1e-10

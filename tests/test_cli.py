@@ -205,6 +205,12 @@ class TestExitCodes:
             (("fredholm", "--t", "nan:1:0.1"), "--t"),
             (("smatrix", "--well", "nan,1", "--energy", "1"), "--well"),
             (("smatrix", "--well", "1,1", "--energy-grid", "1,inf,3"), "--energy-grid"),
+            (("counterexample", "--q", "nan"), "--q"),
+            (("counterexample", "--eps", "inf"), "--eps"),
+            (("counterexample", "--a", "nan"), "--a"),
+            (("phaseshift", "--k", "1,nan"), "--k"),
+            (("recover", "--trace", "trace.csv", "--energy", "inf"), "--energy"),
+            (("recover", "--trace", "trace.csv", "--energy", "1", "--node-tol", "nan"), "--node-tol"),
         ],
     )
     def test_non_finite_argument_is_usage_error(self, capsys, args, flag):

@@ -166,6 +166,10 @@ class TestFredholmLogDet:
         val = fredholm_log_det(PARITY_EVEN, 5.0, 300)
         assert math.isfinite(val)
 
+    def test_deepest_supported_t_works_at_the_default_order(self):
+        val = fredholm_log_det(PARITY_EVEN, 5.0, spectral.QUAD_ORDER)
+        assert math.isfinite(val)
+
 
 class TestAsymptoticLogDet:
     def test_frozen_values_at_t_one(self):
