@@ -21,12 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .core import ScatterError
-from .noninjective import (
-    BUMP_KINKED,
-    BUMP_SMOOTH,
-    build_counterexample,
-    recover_potential,
-)
+from .noninjective import build_counterexample, recover_potential
 from .potential import Delta, SquareWell, load_sampled_csv, load_trace_csv, validate
 from .smatrix import analytic_delta, smatrix_via_transfer
 from .spectral import QUAD_ORDER, fredholm_report, jost_forms, phase_shift
@@ -193,7 +188,6 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         q=args.q,
         eps=args.eps,
         a=args.a,
-        bump=args.bump,
         steps=args.steps,
         single_bump=args.single_bump,
     )
@@ -202,11 +196,9 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         "q": pair.q,
         "eps": pair.eps,
         "a": pair.a,
-        "bump": pair.bump,
         "energy": pair.energy,
         "separation": pair.separation,
         "boundary_residual": pair.boundary_residual,
-        "has_kink": pair.has_kink,
         "odd_coefficient": pair.odd_coefficient,
         "baseline_max_abs_v": float(np.max(np.abs(pair.baseline.values))),
         "perturbed_v_at_zero": float(pair.perturbed.values[pair.perturbed.x.size // 2]),
@@ -307,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--q", type=_finite, default=1.0, help="construction wavenumber (default 1)")
     ce.add_argument("--eps", type=_finite, default=0.01, help="bump amplitude (default 0.01)")
     ce.add_argument("--a", type=_finite, default=1.0, help="support half width (default 1)")
-    ce.add_argument("--bump", choices=(BUMP_SMOOTH, BUMP_KINKED), default=BUMP_SMOOTH)
     ce.add_argument("--steps", type=int, default=4096, help="integration steps (default 4096)")
     ce.add_argument(
         "--single-bump",

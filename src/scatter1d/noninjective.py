@@ -2,11 +2,12 @@
 
 A node-free real solution psi at energy E determines the potential pointwise
 through V(x) = E + psi''(x) / psi(x).  Starting from the node-free baseline
-psi0 = cos(q x) with q a < pi/2, adding a bump f that vanishes to first
-order at both edges produces a second wavefunction psi0 + f with identical
-boundary data whose recovered potential differs in the interior.  Both
-recovered potentials are symmetric, so each has a well-defined scattering
-matrix at E, and ``verify_same_smatrix`` forward-solves both and compares.
+psi0 = cos(q x) with q a < pi/2, adding the smooth bump
+f = eps (x^2 - a^2)^2, which vanishes to first order at both edges,
+produces a second wavefunction psi0 + f with identical boundary data whose
+recovered potential differs in the interior.  Both recovered potentials are
+symmetric, so each has a well-defined scattering matrix at E, and
+``verify_same_smatrix`` forward-solves both and compares.
 
 Identical boundary data of the even solution fixes the even reflection
 eigenvalue s11 + s12 at E.  The odd solution feels the bump through its
@@ -17,15 +18,9 @@ on the odd eigenvalue's phase, so that both channels, and with them the
 full 2x2 matrices, agree at E.  ``single_bump=True`` keeps the one-bump
 deformation, which matches the even channel only; the comparison reports
 both channel gaps separately so either case is visible.
-
-Bump shapes: ``smooth`` is eps (x^2 - a^2)^2, twice differentiable
-everywhere; ``kinked`` is eps (|x| - a)^2, which satisfies the edge
-conditions but carries a derivative kink at the origin (f'(0+) = -2 eps a
-against f'(0-) = +2 eps a), so building with it emits a warning.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +36,6 @@ from .potential import Sampled, validate
 from .propagate import MIN_STEPS, SCAN_STEPS
 from .smatrix import SMatrix, smatrix_via_transfer
 
-BUMP_SMOOTH = "smooth"
-BUMP_KINKED = "kinked"
-
 #: Points where |psi| falls below node_tol * max|psi| are masked.
 DEFAULT_NODE_TOL = 1e-6
 
@@ -58,16 +50,14 @@ ODD_PHASE_TOL = 1e-9
 MAX_SECANT_STEPS = 20
 
 
-def bump_values(bump: str, a: float, eps: float, x: np.ndarray):
-    """Values and derivative of the edge-flat bump f on the grid."""
-    if bump == BUMP_SMOOTH:
-        f = eps * (x * x - a * a) ** 2
-        fp = 4.0 * eps * x * (x * x - a * a)
-    elif bump == BUMP_KINKED:
-        f = eps * (np.abs(x) - a) ** 2
-        fp = 2.0 * eps * (np.abs(x) - a) * np.sign(x)
-    else:
-        raise PreconditionViolated(f"unknown bump shape {bump!r}")
+def bump_values(a: float, eps: float, x: np.ndarray):
+    """Values and derivative of the bump f = eps (x^2 - a^2)^2 on the grid.
+
+    Even, twice differentiable everywhere, and flat at both edges, so it
+    leaves the boundary data of the wave it deforms unchanged.
+    """
+    f = eps * (x * x - a * a) ** 2
+    fp = 4.0 * eps * x * (x * x - a * a)
     return f, fp
 
 
@@ -197,14 +187,11 @@ class CounterexamplePair:
 
     baseline and perturbed are the potentials recovered from cos(qx) and
     from the deformed wave.  separation is the sup-norm distance between
-    them.  For the kinked bump it is a grid artifact, not a property of the
-    pair: the kink makes psi'' a point mass at the origin, which the
-    recovery stencil turns into a one-point spike that grows with the step
-    count (23.6, 47.3 and 94.6 at 1024, 2048 and 4096 steps for the
-    single-bump pair with q = 1, eps = 0.01, a = 1).  odd_coefficient is the
-    amplitude c of the tuning bump in the perturbed wave; it is 0 for a
-    single-bump pair.  comparison holds the two forward-solved scattering
-    matrices at the construction's energy and steps.
+    them; it converges with the step count, because the bump is smooth.
+    odd_coefficient is the amplitude c of the tuning bump in the perturbed
+    wave; it is 0 for a single-bump pair.  comparison holds the two
+    forward-solved scattering matrices at the construction's energy and
+    steps.
     """
 
     baseline: RecoveredPotential
@@ -214,9 +201,7 @@ class CounterexamplePair:
     q: float
     eps: float
     a: float
-    bump: str
     boundary_residual: float
-    has_kink: bool
     odd_coefficient: float
     comparison: SMatrixComparison
 
@@ -273,23 +258,22 @@ def build_counterexample(
     q: float,
     eps: float,
     a: float,
-    bump: str = BUMP_SMOOTH,
     steps: int = 4096,
     single_bump: bool = False,
 ) -> CounterexamplePair:
     """Construct the pair (cos(qx), deformed wave) and recover both potentials.
 
-    The deformed wave is cos(qx) + f + c g, with f the chosen bump and g the
-    tuning bump x^2 (x^2 - a^2)^2.  By default c is found by a secant search
-    at ``steps`` integration steps so that both reflection eigenvalues of
-    the two recovered potentials agree at E; ``single_bump=True`` sets
-    c = 0, which matches the even channel only.  The construction energy is
-    E = q^2, making the recovered baseline potential identically zero.
-    Requires q a < pi/2 so the baseline is node-free on [-a, a].  Raises
-    NodeCollision if a deformed wave develops a node and
-    OddChannelUnmatched if the search finds no amplitude.  The pair's
-    comparison reuses the forward solves of the construction, so it equals
-    verify_same_smatrix(pair, steps) without solving again.
+    The deformed wave is cos(qx) + f + c g, with f the bump
+    eps (x^2 - a^2)^2 and g the tuning bump x^2 (x^2 - a^2)^2.  By default c
+    is found by a secant search at ``steps`` integration steps so that both
+    reflection eigenvalues of the two recovered potentials agree at E;
+    ``single_bump=True`` sets c = 0, which matches the even channel only.
+    The construction energy is E = q^2, making the recovered baseline
+    potential identically zero.  Requires q a < pi/2 so the baseline is
+    node-free on [-a, a].  Raises NodeCollision if a deformed wave develops
+    a node and OddChannelUnmatched if the search finds no amplitude.  The
+    pair's comparison reuses the forward solves of the construction, so it
+    equals verify_same_smatrix(pair, steps) without solving again.
     """
     if not (q > 0.0 and a > 0.0):
         raise PreconditionViolated("q and a must be positive")
@@ -301,18 +285,11 @@ def build_counterexample(
         raise PreconditionViolated(
             f"steps must lie in [{MIN_STEPS}, {SCAN_STEPS}], got {steps}"
         )
-    if bump == BUMP_KINKED:
-        warnings.warn(
-            "kinked bump has a derivative jump at the origin; the recovered "
-            "potential is discontinuous there",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     energy = q * q
     grid = np.linspace(-a, a, steps + 1)
     psi0 = np.cos(q * grid)
     dpsi0 = -q * np.sin(q * grid)
-    f, fp = bump_values(bump, a, eps, grid)
+    f, fp = bump_values(a, eps, grid)
     g, gp = tuning_bump_values(a, grid)
 
     base = recover_potential(grid, psi0, energy)
@@ -337,9 +314,7 @@ def build_counterexample(
         q=q,
         eps=eps,
         a=a,
-        bump=bump,
         boundary_residual=float(boundary_residual),
-        has_kink=(bump == BUMP_KINKED),
         odd_coefficient=float(coefficient),
         comparison=_compare(energy, s_base, s_pert),
     )

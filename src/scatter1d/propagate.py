@@ -186,10 +186,17 @@ def _step_matrices(pot: EvaluatedPotential, energies, steps: int):
     psi')(-a) to state 0 and matrix i + 1 is the Numerov step from state i,
     so the two columns of the prefix products are the states of the
     fundamental pair.
+
+    Raises PreconditionViolated when h^2 (E - V) reaches 6 at a grid point:
+    past that edge the Numerov recurrence is unstable, and its solutions
+    grow geometrically where the true ones oscillate.
     """
     grid = np.linspace(-pot.a, pot.a, steps + 1)
     h = (2.0 * pot.a) / steps
-    g = pot(grid) - np.asarray(energies, dtype=float)[:, None]
+    v = pot(grid)
+    energies = np.asarray(energies, dtype=float)
+    _check_stability(float(energies.max()), float(v.min()), pot.a, steps)
+    g = v - energies[:, None]
     m = np.empty((4, g.shape[0], steps))
     m[0] = 1.0
     m[1] = h
@@ -200,6 +207,22 @@ def _step_matrices(pot: EvaluatedPotential, energies, steps: int):
         m[2, :, 1:] = (h / 12.0) * (g[:, :-2] + 10.0 * g[:, 1:-1] + g[:, 2:]) * inv
         m[3, :, 1:] = (1.0 + (h * h / 12.0) * (10.0 * g[:, 1:-1] + g[:, 2:])) * inv
     return grid, h, m
+
+
+def _check_stability(energy: float, v_min: float, a: float, steps: int) -> None:
+    """Refuse a step count at which h^2 (E - V) reaches Numerov's edge of 6."""
+    depth = energy - v_min
+    if ((2.0 * a) / steps) ** 2 * depth < 6.0:
+        return
+    needed = math.floor(2.0 * a * math.sqrt(depth / 6.0)) + 1
+    while ((2.0 * a) / needed) ** 2 * depth >= 6.0:  # rounding at the edge
+        needed += 1
+    raise PreconditionViolated(
+        f"energy {energy} at {steps} steps puts h^2 (E - min V) at "
+        f"{((2.0 * a) / steps) ** 2 * depth:.4g}, past the Numerov stability edge 6; "
+        f"it needs at least {needed} steps"
+        + (f", more than the {SCAN_STEPS} allowed" if needed > SCAN_STEPS else "")
+    )
 
 
 def _traces(m: np.ndarray, h: float):

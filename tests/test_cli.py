@@ -195,6 +195,13 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "pi/2" in proc.stderr
 
+    def test_bump_shape_flag_is_gone(self):
+        # The smooth bump is the only deformation, so no flag selects a
+        # shape: --bump is refused whatever its value, its old default too.
+        proc = run_cli("counterexample", "--bump", "smooth")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --bump smooth" in proc.stderr
+
     def test_fredholm_t_too_large_exits_three(self):
         proc = run_cli("fredholm", "--t", "6.5:6.7:0.05", "--quad", "96")
         assert proc.returncode == 3
@@ -233,6 +240,18 @@ class TestExitCodes:
         args = ["smatrix", "--well", "1,1", "--energy", "1", "--steps", "131073"]
         assert main(args) == 3
         assert "steps must lie in [64, 131072]" in capsys.readouterr().err
+
+    def test_energy_past_the_numerov_stability_edge_exits_three(self, capsys):
+        # h^2 (E - min V) = 6.01 at 4096 steps; this used to exit 0 with
+        # entries near 1e103.
+        energy = repr(6.01 * 2048**2 - 1.0)
+        assert main(["smatrix", "--well", "1,1", "--energy", energy]) == 3
+        err = capsys.readouterr().err
+        assert "past the Numerov stability edge 6; it needs at least 4100 steps" in err
+
+    def test_quadrature_order_above_the_cap_exits_three(self, capsys):
+        assert main(["fredholm", "--t", "1:1.1:0.025", "--quad", "1025"]) == 3
+        assert "quad_order must be <= 1024, got 1025" in capsys.readouterr().err
 
 
 class TestParser:
@@ -288,8 +307,6 @@ class TestCounterexample:
         assert report["config"]["subcommand"] == "counterexample"
         assert report["config"]["single_bump"] is True
         assert report["odd_coefficient"] == 0.0
-        assert report["bump"] == "smooth"
-        assert report["has_kink"] is False
         assert report["boundary_residual"] == 0.0
         assert abs(report["separation"] - 8.0 * 0.01 / math.cos(1.0)) < 1e-4
         cmp = report["comparison"]
@@ -433,6 +450,12 @@ class TestPhaseshift:
     def test_rejects_nonpositive_k(self):
         proc = run_cli("phaseshift", "--k", "0.5,0")
         assert proc.returncode == 3
+
+    def test_small_k_is_accepted(self):
+        proc = run_cli("phaseshift", "--k", "1e-6,1e-9")
+        assert proc.returncode == 0, proc.stderr
+        _, rows = parse_csv(proc.stdout)
+        assert [float(r[0]) for r in rows] == [1e-6, 1e-9]
 
 
 class TestRecover:

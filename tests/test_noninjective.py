@@ -14,8 +14,6 @@ from scatter1d.core import (
     PreconditionViolated,
 )
 from scatter1d.noninjective import (
-    BUMP_KINKED,
-    BUMP_SMOOTH,
     build_counterexample,
     bump_values,
     recover_potential,
@@ -44,24 +42,10 @@ def make_trace(psi_func, n=257, a=1.0):
 class TestBump:
     def test_smooth_bump_vanishes_to_first_order_at_edges(self):
         x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        f, fp = bump_values(BUMP_SMOOTH, 1.0, 0.01, x)
+        f, fp = bump_values(1.0, 0.01, x)
         assert f[0] == 0.0 and f[-1] == 0.0
         assert fp[0] == 0.0 and fp[-1] == 0.0
         assert np.all(f[1:-1] > 0.0)
-
-    def test_kinked_bump_edge_conditions_and_kink(self):
-        x = np.linspace(-1.0, 1.0, 9)
-        f, fp = bump_values(BUMP_KINKED, 1.0, 0.01, x)
-        assert f[0] == 0.0 and f[-1] == 0.0
-        assert fp[0] == 0.0 and fp[-1] == 0.0
-        # One-sided derivative limits at the origin disagree in sign.
-        eps_x = np.array([-1e-8, 1e-8])
-        _, fp_near = bump_values(BUMP_KINKED, 1.0, 0.01, eps_x)
-        assert fp_near[0] > 0.0 > fp_near[1]
-
-    def test_unknown_shape_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            bump_values("boxy", 1.0, 0.01, np.zeros(3))
 
     def test_tuning_bump_is_edge_flat_and_even(self):
         x = np.linspace(-1.0, 1.0, 9)
@@ -118,7 +102,6 @@ class TestRecoverPotential:
 class TestBuildCounterexample:
     def test_boundary_data_is_identical(self, pair):
         assert pair.boundary_residual == 0.0
-        assert not pair.has_kink
         assert pair.energy == 1.0
 
     def test_baseline_recovers_the_zero_potential(self, pair):
@@ -164,12 +147,6 @@ class TestBuildCounterexample:
         mid = single_bump_pair.perturbed.x.size // 2
         expect = 1.0 - 1.04 / 1.01
         assert abs(single_bump_pair.perturbed.values[mid] - expect) < 1e-6
-
-    def test_kinked_bump_warns_and_flags(self):
-        with pytest.warns(RuntimeWarning):
-            kinked = build_counterexample(q=1.0, eps=0.01, a=1.0, bump=BUMP_KINKED)
-        assert kinked.has_kink
-        assert kinked.boundary_residual == 0.0
 
     def test_node_collision(self):
         with pytest.raises(NodeCollision):

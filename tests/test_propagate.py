@@ -171,6 +171,22 @@ def test_steps_beyond_one_scan_are_refused():
         propagate._endpoint_maps(WELL, [1.0], 0)
 
 
+def test_steps_past_the_numerov_stability_edge_are_refused():
+    # h^2 (E - min V) = 6.01 at 4096 steps.  Without the check the scan ran
+    # and returned S-matrix entries near 1e103.
+    steps = 4096
+    energy = 6.01 * (steps / 2.0) ** 2 - 2.0
+    with pytest.raises(PreconditionViolated, match="stability edge 6; it needs at least 4100 steps"):
+        propagate._endpoint_maps(WELL, [1.0, energy], steps)
+    with pytest.raises(PreconditionViolated, match="stability edge"):
+        integrate(WELL, energy=energy, psi0=1.0, dpsi0=0.0, steps=steps)
+    with pytest.raises(PreconditionViolated, match="stability edge"):
+        propagate._endpoint_maps(WELL, [energy], 4099)
+    assert np.all(np.isfinite(propagate._endpoint_maps(WELL, [energy], 4100)))
+    with pytest.raises(PreconditionViolated, match=f"more than the {SCAN_STEPS} allowed"):
+        propagate._endpoint_maps(WELL, [1e12], 4096)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_energy_is_refused(bad):
     with pytest.raises(PreconditionViolated, match="energy must be finite"):

@@ -45,6 +45,13 @@ class TestKernelSpec:
         with pytest.raises(QuadOrderTooSmall):
             KernelSpec(PARITY_EVEN, 1.0, 32)
 
+    def test_quadrature_order_is_capped(self):
+        # Only the refusal is exercised: memory grows with the order squared.
+        KernelSpec(PARITY_EVEN, 1.0, spectral.MAX_QUAD_ORDER)
+        with pytest.raises(PreconditionViolated, match=str(spectral.MAX_QUAD_ORDER)) as info:
+            KernelSpec(PARITY_EVEN, 1.0, spectral.MAX_QUAD_ORDER + 1)
+        assert not isinstance(info.value, QuadOrderTooSmall)
+
 
 class TestSinc:
     def test_matches_library_sinc_away_from_zero(self):
@@ -259,6 +266,13 @@ class TestPhaseShift:
 
     def test_reference_value(self):
         assert abs(phase_shift(1.0).eta_even + math.pi / 8.0) < 1e-15
+
+    @pytest.mark.parametrize("k", [1e-6, 1e-9])
+    def test_small_k_passes_its_own_identity_check(self, k):
+        # 2 eta_even sits next to a pole of tan, so the identity residual
+        # is rounding of size eps / k, not a broken branch.
+        shift = phase_shift(k)
+        assert abs(shift.eta_even + math.pi / 4.0) < 2.0 * k
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(NonPositiveK):
