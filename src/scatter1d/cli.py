@@ -20,12 +20,17 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .core import ScatterError
+from .core import PreconditionViolated, ScatterError
 from .noninjective import build_counterexample, recover_potential
 from .potential import Delta, SquareWell, load_sampled_csv, load_trace_csv, validate
 from .smatrix import analytic_delta, smatrix_via_transfer
 from .spectral import QUAD_ORDER, fredholm_report, jost_forms, phase_shift
 from .szego import ArcSymbol, szego_limit_check, toeplitz_logdet
+
+#: Most points a fredholm t grid may have.  Each costs two determinants,
+#: about a millisecond together at the default order, so this bounds a run
+#: to about two minutes there.
+MAX_GRID_POINTS = 100_000
 
 
 def _finite(text: str) -> float:
@@ -214,8 +219,11 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
 def cmd_fredholm(args: argparse.Namespace) -> int:
     start, stop, step = args.t
+    span = (stop - start) / step
+    if not span < MAX_GRID_POINTS:  # refused before the grid is allocated
+        raise PreconditionViolated(f"t grid of step {step} has more than {MAX_GRID_POINTS} points")
     # The tolerance keeps stop when the span is a whole number of steps.
-    count = math.floor((stop - start) / step + 1e-9) + 1
+    count = math.floor(span + 1e-9) + 1
     grid = start + step * np.arange(count)
     columns = asdict(fredholm_report(grid, args.quad))
     columns = {"t": columns.pop("t_grid"), **columns}

@@ -33,7 +33,7 @@ from .core import (
     PreconditionViolated,
 )
 from .potential import Sampled, validate
-from .propagate import MIN_STEPS, SCAN_STEPS
+from .propagate import check_steps
 from .smatrix import SMatrix, smatrix_via_transfer
 
 #: Points where |psi| falls below node_tol * max|psi| are masked.
@@ -281,10 +281,7 @@ def build_counterexample(
         raise PreconditionViolated(
             f"need q*a < pi/2 for a node-free baseline, got q*a = {q * a}"
         )
-    if not MIN_STEPS <= steps <= SCAN_STEPS:
-        raise PreconditionViolated(
-            f"steps must lie in [{MIN_STEPS}, {SCAN_STEPS}], got {steps}"
-        )
+    check_steps(steps)
     energy = q * q
     grid = np.linspace(-a, a, steps + 1)
     psi0 = np.cos(q * grid)

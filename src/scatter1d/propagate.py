@@ -14,13 +14,13 @@ Each step is written as a 2x2 matrix acting on the value-difference state
       (1 + h^2 (10 g[i+1] + g[i+2]) / 12) / f[i+2]]],
 
 and the whole trace is the sequence of prefix products of these matrices.
-One pairwise scan computes them for a block of energies at once, with both
-fundamental initial data as the two columns, so rounding grows with the
-depth of the scan's tree rather than with the step count.  The state
-(psi, psi') at -a enters through a first matrix built from a fifth-order
-Taylor step whose g derivatives are taken from one-sided differences of the
-tabulated g, keeping the global order at four without requiring
-derivatives of V.
+One pairwise scan computes the last few or all of them for a block of
+energies at once, with both fundamental initial data as the two columns,
+so rounding grows with the depth of the scan's tree rather than with the
+step count.  The state (psi, psi') at -a enters through a first matrix
+built from a fifth-order Taylor step whose g derivatives are taken from
+one-sided differences of the tabulated g, keeping the global order at four
+without requiring derivatives of V.
 
 First derivatives along the trace are recovered by fourth-order five-point
 stencils, one-sided at the two points nearest each edge, evaluated on the
@@ -29,11 +29,10 @@ combination of the fundamental pair.
 
 The S-matrix needs only the map (psi, psi')(-a) -> (psi, psi')(+a), and
 psi(+a) and the edge stencil read only the last four prefixes.  The
-endpoint maps therefore keep the scan's tree but form just those four at
-each level, with the same bits as the full trace.  The full trace's
-overflow check is replaced by an a-priori bound on the solution's growth,
-and the full trace is still formed and checked wherever that bound cannot
-rule overflow out.
+endpoint maps therefore ask the scan for just those four, which carry the
+same bits as the full trace's.  The full trace's overflow check is replaced
+by an a-priori bound on the solution's growth, and the full trace is still
+formed and checked wherever that bound cannot rule overflow out.
 """
 
 import math
@@ -128,52 +127,46 @@ def _mul(left, right):
     return l11 * r11 + l12 * r21, l11 * r12 + l12 * r22, l21 * r11 + l22 * r21, l21 * r12 + l22 * r22
 
 
-def _scan(m: np.ndarray) -> None:
-    """Replace 2x2 matrices M_k along the last axis by M_k ... M_1 M_0, in place.
+def _prefixes(m: np.ndarray, count: int) -> np.ndarray:
+    """The last count of the prefix products M_k ... M_1 M_0 along the last axis.
 
-    m[0..3] hold the entries (m11, m12, m21, m22).  Adjacent pairs are
-    multiplied, the half-length sequence of pair products is scanned
-    recursively and gives every odd-indexed prefix, and each even-indexed
-    prefix is one product away from the odd one before it.  Rounding grows
-    with the depth of this tree, not with the length.
-    """
-    if m.shape[-1] < 2:
-        return
-    pairs = np.array(_mul(m[..., 1::2], m[..., :-1:2]))
-    _scan(pairs)
-    m[..., 1::2] = pairs
-    evens = m[..., 2::2]
-    evens[...] = _mul(evens, pairs[..., : evens.shape[-1]])
-
-
-def _scan_tail(m: np.ndarray) -> np.ndarray:
-    """The last four of the prefixes that _scan(m) leaves, equal bit for bit.
-
-    The same tree: every level multiplies all its adjacent pairs, but only
-    the last four prefixes of each level are formed.  Prefix k >= 1 is pair
-    prefix (k - 1) // 2, times M_k when k is even, so the last four of a
-    level need at most the last three of the level above.  That takes about
-    half the products of the full scan.
+    m[0..3] hold the entries (m11, m12, m21, m22) of the matrices M_k, and
+    the result holds those of the prefixes.  Adjacent pairs are multiplied
+    and the pair sequence is scanned recursively: prefix k >= 1 is pair
+    prefix (k - 1) // 2, times M_k when k is even, so each level asks the
+    next for about half as many prefixes as it returns.  Rounding grows
+    with the depth of this tree, not with the length, and a prefix has the
+    same bits whatever count is.
     """
     n = m.shape[-1]
-    if n <= 4:
-        m = m.copy()
-        _scan(m)
-        return m
-    pairs = _scan_tail(np.array(_mul(m[..., 1::2], m[..., :-1:2])))
-    k = np.arange(n - 4, n)
-    tail = pairs[..., (k - 1) // 2 - (n // 2 - pairs.shape[-1])]
-    evens = tail[..., n % 2 :: 2]
-    evens[...] = _mul(m[..., n - 4 + n % 2 :: 2], evens)
-    return tail
+    first = n - count
+    out = m[..., first:].copy()
+    if n < 2:
+        return out
+    pairs = _prefixes(np.array(_mul(m[..., 1::2], m[..., :-1:2])), n // 2 - max(first - 1, 0) // 2)
+    skipped = n // 2 - pairs.shape[-1]  # pair prefixes not formed, before pairs[..., 0]
+    # Odd k: pair prefix (k - 1) // 2.  Even k >= 2: M_k times pair prefix
+    # k // 2 - 1.  Prefix 0 is M_0 as copied.
+    odd = first | 1
+    out[..., odd - first :: 2] = pairs[..., (odd - 1) // 2 - skipped :]
+    even = max(first + first % 2, 2)
+    evens = out[..., even - first :: 2]
+    below = even // 2 - 1 - skipped
+    evens[...] = _mul(evens, pairs[..., below : below + evens.shape[-1]])
+    return out
+
+
+def check_steps(steps: int) -> None:
+    """Refuse a step count outside [MIN_STEPS, SCAN_STEPS]."""
+    if not MIN_STEPS <= steps <= SCAN_STEPS:
+        raise PreconditionViolated(f"steps must lie in [{MIN_STEPS}, {SCAN_STEPS}], got {steps}")
 
 
 def _check(pot: EvaluatedPotential, energies, steps: int) -> None:
     """Refuse what no scan can propagate, before anything is allocated."""
     if pot.is_delta:
         raise PreconditionViolated("delta potentials have no interior to integrate")
-    if not MIN_STEPS <= steps <= SCAN_STEPS:
-        raise PreconditionViolated(f"steps must lie in [{MIN_STEPS}, {SCAN_STEPS}], got {steps}")
+    check_steps(steps)
     for energy in energies:
         wavenumber_from_energy(energy)  # raises unless E is finite and positive
 
@@ -225,23 +218,25 @@ def _check_stability(energy: float, v_min: float, a: float, steps: int) -> None:
     )
 
 
-def _traces(m: np.ndarray, h: float):
-    """psi and dpsi on the grid from the step matrices, which the scan overwrites.
+def _traces(m: np.ndarray, h: float, count: int):
+    """psi and dpsi on the last count + 1 grid points, from the step matrices.
 
-    Raises Overflow when a solution magnitude leaves the trustworthy range.
+    The last two dpsi values are the full trace's whatever count is; the
+    others are only when count is the step count.  Raises Overflow when a
+    solution magnitude there leaves the trustworthy range.
     """
     with np.errstate(all="ignore"):
-        _scan(m)
-        psi = np.empty((2, m.shape[1], m.shape[2] + 1))
-        psi[..., :-1] = m[:2]
-        psi[..., -1] = m[:2, :, -1] + h * m[2:, :, -1]
+        p = _prefixes(m, count)
+        psi = np.empty((2, p.shape[1], count + 1))
+        psi[..., :-1] = p[:2]
+        psi[..., -1] = p[:2, :, -1] + h * p[2:, :, -1]
         peak = np.max(np.abs(psi))
         if not np.isfinite(peak) or peak > MAX_MAGNITUDE:
             raise Overflow(
                 f"wavefunction magnitude {peak:.3e} exceeds {MAX_MAGNITUDE:.0e}; "
                 "the energy is too deep in a classically forbidden region"
             )
-        return psi, _derivative(m[2:])
+        return psi, _derivative(p[2:])
 
 
 def _fundamental_traces(pot: EvaluatedPotential, energies, steps: int):
@@ -253,7 +248,7 @@ def _fundamental_traces(pot: EvaluatedPotential, energies, steps: int):
     """
     _check(pot, energies, steps)
     grid, h, m = _step_matrices(pot, energies, steps)
-    return (grid, *_traces(m, h))
+    return (grid, *_traces(m, h, steps))
 
 
 def _log_growth_bound(m: np.ndarray, h: float) -> float:
@@ -277,9 +272,9 @@ def _endpoint_maps(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
     Shape (len(energies), 2, 2); the columns are the fundamental pair.
     psi(+a) and the one-sided stencil for psi'(+a) read only the last four
     prefixes of the scan.  Where the growth bound rules out Overflow only
-    those are formed, equal bit for bit to the full scan's; elsewhere the
-    full traces are formed and checked, so Overflow is raised exactly where
-    _fundamental_traces raises it.
+    those are formed; elsewhere the full traces are formed and checked, so
+    Overflow is raised exactly where _fundamental_traces raises it.  Either
+    way the maps carry the bits of the full traces.
     """
     _check(pot, energies, steps)
     block = SCAN_STEPS // steps
@@ -287,13 +282,9 @@ def _endpoint_maps(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
     for start in range(0, len(energies), block):
         _, h, m = _step_matrices(pot, energies[start : start + block], steps)
         # The factor 2 covers rounding in the scan and in the bound itself.
-        if _log_growth_bound(m, h) < math.log(MAX_MAGNITUDE / 2):
-            tail = _scan_tail(m)
-            psi = tail[:2, :, -1] + h * tail[2:, :, -1]
-            dpsi = _derivative(tail[2:])[..., -1]
-        else:
-            psi, dpsi = (trace[..., -1] for trace in _traces(m, h))
-        maps[start : start + block] = np.stack([psi, dpsi]).transpose(2, 0, 1)
+        count = 4 if _log_growth_bound(m, h) < math.log(MAX_MAGNITUDE / 2) else steps
+        psi, dpsi = _traces(m, h, count)
+        maps[start : start + block] = np.stack([psi[..., -1], dpsi[..., -1]]).transpose(2, 0, 1)
     return maps
 
 

@@ -10,11 +10,11 @@ and the scattering matrix maps incoming to outgoing, (B, C)^T = S (A, D)^T.
 For a symmetric potential S is symmetric with equal diagonal entries, and
 unitary whenever the potential is real.
 
-Two independent routes produce S.  The production route assembles the
-transfer matrix (A, B) -> (C, D) from the fundamental pair of solutions and
-reads S off its entries, computing the left-incident and right-incident
-columns separately so the raw parity asymmetry can be reported before the
-entries are symmetrized.  The second route solves the linear relations
+Two independent routes produce S.  The production route forms the
+transfer matrix (A, B) -> (C, D) from the endpoint maps of the fundamental
+pair of solutions and reads S off its entries, computing the left-incident
+and right-incident columns separately so the raw parity asymmetry can be
+reported before the entries are symmetrized.  The second route solves the linear relations
 B = s11 A + s12 D, C = s12 A + s11 D directly from amplitude quads of one or
 two solutions, with parity imposed by construction; a single quad determines
 S only when its incoming amplitudes are not parity-degenerate (|A| != |D|),
@@ -30,7 +30,6 @@ import numpy as np
 
 from .core import (
     DegenerateTransfer,
-    NonPositiveEnergy,
     PreconditionViolated,
     SingularSystem,
     wavenumber_from_energy,
@@ -57,24 +56,6 @@ class AmplitudeQuad:
     out_left: complex
     out_right: complex
     in_right: complex
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Matrix mapping left amplitudes (A, B) to right amplitudes (C, D)."""
-
-    t11: complex
-    t12: complex
-    t21: complex
-    t22: complex
-    k: float
-    a: float
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.t11, self.t12], [self.t21, self.t22]])
-
-    def determinant(self) -> complex:
-        return self.t11 * self.t22 - self.t12 * self.t21
 
 
 @dataclass(frozen=True)
@@ -117,68 +98,53 @@ def amplitudes_from_boundary(bd: BoundaryData, k: float, a: float) -> AmplitudeQ
     return AmplitudeQuad(in_left=A, out_left=B, out_right=C, in_right=D)
 
 
-def _transfer_matrices(pot: EvaluatedPotential, energies, steps: int) -> list[TransferMatrix]:
-    """Transfer matrices at each energy from the batched endpoint maps."""
-    ks = [wavenumber_from_energy(energy) for energy in energies]
-    matrices = []
-    for k, m in zip(ks, _endpoint_maps(pot, energies, steps)):
-        ik = 1j * k
-        ea = np.exp(1j * k * pot.a)
-        # (psi, psi')(-a) from (A, B) and (C, D) from (psi, psi')(+a).
-        left = np.array([[1 / ea, ea], [ik / ea, -ik * ea]])
-        right = 0.5 * np.array([[1 / ea, 1 / (ik * ea)], [ea, -ea / ik]])
-        t = right @ m @ left
-        matrices.append(TransferMatrix(
-            t11=complex(t[0, 0]),
-            t12=complex(t[0, 1]),
-            t21=complex(t[1, 0]),
-            t22=complex(t[1, 1]),
-            k=k,
-            a=pot.a,
-        ))
-    return matrices
-
-
-def transfer_matrix(pot: EvaluatedPotential, energy: float, steps: int = 4096) -> TransferMatrix:
-    """Assemble the transfer matrix from the fundamental pair of solutions."""
-    return _transfer_matrices(pot, [energy], steps)[0]
-
-
-def smatrix_from_transfer(t: TransferMatrix) -> SMatrix:
-    """Convert a transfer matrix to the scattering matrix.
+def _smatrix(t, k: float, a: float) -> SMatrix:
+    """Scattering matrix from the transfer matrix t = [[t11, t12], [t21, t22]].
 
     The left-incident column gives s11 = -t21/t22 and s21 = det T / t22; the
     right-incident column gives s12 = 1/t22 and s22 = t12/t22.  Both are
     computed, the asymmetry is recorded, and the average is stored.
     """
-    scale = max(abs(t.t11), abs(t.t12), abs(t.t21), abs(t.t22), 1.0)
-    if abs(t.t22) < DEGENERATE_TRANSFER_TOL * scale:
-        raise DegenerateTransfer(f"|t22| = {abs(t.t22):.3e} is too small to invert")
-    det = t.determinant()
-    s11 = -t.t21 / t.t22
-    s21 = det / t.t22
-    s12 = 1.0 / t.t22
-    s22 = t.t12 / t.t22
+    (t11, t12), (t21, t22) = t
+    scale = max(abs(t11), abs(t12), abs(t21), abs(t22), 1.0)
+    if abs(t22) < DEGENERATE_TRANSFER_TOL * scale:
+        raise DegenerateTransfer(f"|t22| = {abs(t22):.3e} is too small to invert")
+    s11 = -t21 / t22
+    s21 = (t11 * t22 - t12 * t21) / t22
+    s12 = 1.0 / t22
+    s22 = t12 / t22
     residual = max(abs(s11 - s22), abs(s12 - s21))
     diag = 0.5 * (s11 + s22)
     off = 0.5 * (s12 + s21)
     return SMatrix(
         s11=diag, s12=off, s21=off, s22=diag,
-        k=t.k, a=t.a, parity_residual=float(residual),
+        k=k, a=a, parity_residual=float(residual),
     )
 
 
 def smatrix_via_transfer(
     pot: EvaluatedPotential, energy: float | Sequence[float], steps: int = 4096
 ) -> SMatrix | list[SMatrix]:
-    """Production route: integrate, assemble the transfer matrix, convert.
+    """Production route: integrate, form the transfer matrix, convert.
 
-    A sequence of energies is propagated in one batch and gives the list of
-    matrices in the same order; each equals the one for its energy alone.
+    The transfer matrix maps the left amplitudes (A, B) to the right ones
+    (C, D): it is the endpoint map of the fundamental pair between the
+    plane-wave bases at -a and +a.  A sequence of energies is propagated in
+    one batch and gives the list of matrices in the same order; each equals
+    the one for its energy alone.
     """
-    if np.ndim(energy) == 0:
-        return smatrix_from_transfer(transfer_matrix(pot, energy, steps=steps))
-    return [smatrix_from_transfer(t) for t in _transfer_matrices(pot, energy, steps)]
+    energies = [energy] if np.ndim(energy) == 0 else energy
+    ks = [wavenumber_from_energy(e) for e in energies]
+    maps = _endpoint_maps(pot, energies, steps)
+    ik = 1j * np.array(ks)
+    ea = np.exp(ik * pot.a)
+    # (psi, psi')(-a) from (A, B) and (C, D) from (psi, psi')(+a).
+    left = np.stack([1 / ea, ea, ik / ea, -ik * ea], axis=-1).reshape(-1, 2, 2)
+    right = 0.5 * np.stack([1 / ea, 1 / (ik * ea), ea, -ea / ik], axis=-1).reshape(-1, 2, 2)
+    # Python complex arithmetic from here: numpy's complex division differs
+    # from it in the last bit.
+    matrices = [_smatrix(t, k, pot.a) for t, k in zip((right @ maps @ left).tolist(), ks)]
+    return matrices[0] if np.ndim(energy) == 0 else matrices
 
 
 def smatrix_from_amplitudes(quads, k: float, a: float) -> SMatrix:

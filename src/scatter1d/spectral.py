@@ -67,6 +67,10 @@ EIG_ONE_TOL = 1e-13
 
 MAX_GRID_SPACING = 0.05
 MIN_GRID_POINTS = 5
+#: Smallest k that phase_shift accepts.  The tolerance of its identity
+#: check grows as 1e-12 / k near the pole of tan, and a flipped branch
+#: leaves a residual of 2; at this k the tolerance is 1.
+PHASE_K_MIN = 1e-12
 
 _SINC_TAYLOR_CUTOFF = 1e-6
 
@@ -282,12 +286,17 @@ class PhaseShift:
 def phase_shift(k: float) -> PhaseShift:
     if not (k > 0.0):
         raise NonPositiveK(f"k must be positive, got {k}")
+    if k < PHASE_K_MIN:
+        raise PreconditionViolated(
+            f"k = {k} is below {PHASE_K_MIN:g}, where the phase identity "
+            "cannot tell the two branches apart"
+        )
     eta = 0.5 * math.atan(1.0 / k)
     shift = PhaseShift(k=k, eta_even=-eta, eta_odd=eta)
     # k tan(2 eta) = -+1 must hold to rounding; anything larger means a
     # broken branch choice.  For small k, 2 eta sits next to a pole of tan,
     # which turns the rounding of eta into a residual of about eps / k.
-    if abs(k * math.tan(2.0 * shift.eta_even) + 1.0) > 1e-12 * max(1.0, 1.0 / k):
+    if not abs(k * math.tan(2.0 * shift.eta_even) + 1.0) <= 1e-12 * max(1.0, 1.0 / k):
         raise ScatterError(f"phase identity violated at k = {k}")
     return shift
 

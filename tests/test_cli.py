@@ -206,6 +206,13 @@ class TestExitCodes:
         proc = run_cli("fredholm", "--t", "6.5:6.7:0.05", "--quad", "96")
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("step", ["1e-15", "5e-324"])
+    def test_fredholm_grid_too_fine_exits_three_before_allocating(self, step):
+        proc = run_cli("fredholm", "--t", f"0.5:6:{step}")
+        assert proc.returncode == 3
+        assert "more than 100000 points" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "args, flag",
         [

@@ -211,13 +211,29 @@ def _random_gaussian(seed):
     return validate(Sampled(a=a, x=x, v=0.5 * (v + v[::-1]))), rng
 
 
-def test_scan_tail_equals_the_last_four_prefixes():
+def test_prefix_tails_equal_the_full_scan_bit_for_bit():
     rng = np.random.default_rng(3)
     for length in list(range(1, 40)) + [64, 127, 1000]:
         m = rng.normal(size=(4, 3, length))
-        full = m.copy()
-        propagate._scan(full)
-        np.testing.assert_array_equal(propagate._scan_tail(m), full[..., -4:], err_msg=f"{length}")
+        full = propagate._prefixes(m, length)
+        for count in range(1, min(length, 5) + 1):
+            np.testing.assert_array_equal(
+                propagate._prefixes(m, count), full[..., -count:], err_msg=f"{length}, {count}"
+            )
+
+
+def test_prefixes_match_sequential_products():
+    rng = np.random.default_rng(4)
+    for length in (1, 2, 3, 7, 64, 129):
+        # Near-identity factors keep the products of order one.
+        m = np.eye(2).reshape(4, 1, 1) + 0.1 * rng.normal(size=(4, 3, length))
+        p = propagate._prefixes(m, length)
+        product = np.broadcast_to(np.eye(2), (3, 2, 2))
+        for k in range(length):
+            product = m[:, :, k].T.reshape(3, 2, 2) @ product
+            expected = product.reshape(3, 4).T
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(p[:, :, k], expected, rtol=0, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("steps", [64, 65, 67, 127, 4096])
@@ -241,11 +257,17 @@ def _flat_barrier(height):
     return validate(Sampled(a=1.0, x=x, v=np.full(257, height)))
 
 
-def _forbid(name):
-    def forbidden(*args):
-        raise AssertionError(f"{name} must not run here")
+def _spy_counts(monkeypatch):
+    """Record the prefix count _traces is asked for, and let it run."""
+    counts = []
+    traces = propagate._traces
 
-    return forbidden
+    def spy(m, h, count):
+        counts.append(count)
+        return traces(m, h, count)
+
+    monkeypatch.setattr(propagate, "_traces", spy)
+    return counts
 
 
 @pytest.mark.parametrize(
@@ -264,9 +286,9 @@ def test_growth_bound_picks_the_path_without_changing_the_maps(monkeypatch, heig
     limit = math.log(propagate.MAX_MAGNITUDE / 2)
     assert (propagate._log_growth_bound(m, h) < limit) == (path == "tail")
     expected = _full_scan_endpoints(barrier, [1.0, 2.0], 4096)
-    skipped = "_traces" if path == "tail" else "_scan_tail"
-    monkeypatch.setattr(propagate, skipped, _forbid(skipped))
+    counts = _spy_counts(monkeypatch)
     np.testing.assert_array_equal(propagate._endpoint_maps(barrier, [1.0, 2.0], 4096), expected)
+    assert counts == [4 if path == "tail" else 4096]
 
 
 def test_growth_bound_holds_on_barriers():

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import scatter1d.propagate as propagate
+import scatter1d.smatrix as smatrix
 from scatter1d.core import (
     DegenerateTransfer,
     NonPositiveEnergy,
@@ -16,14 +18,12 @@ from scatter1d.potential import Sampled, SquareWell, validate
 from scatter1d.propagate import BoundaryData, fundamental_pair, integrate
 from scatter1d.smatrix import (
     AmplitudeQuad,
-    TransferMatrix,
     amplitudes_from_boundary,
     analytic_delta,
     analytic_square_well,
     delta_as_well_limit,
     smatrix_from_amplitudes,
     smatrix_via_transfer,
-    transfer_matrix,
 )
 
 FREE_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -142,23 +142,23 @@ class TestAmplitudes:
 
 
 class TestTransferRoute:
-    def test_free_transfer_is_identity(self):
-        pot = validate(SquareWell(v0=0.0, a=1.0))
-        t = transfer_matrix(pot, 1.0)
-        assert np.max(np.abs(t.as_matrix() - np.eye(2))) < 1e-9
-
     @pytest.mark.parametrize("v0,energy", [(0.5, 0.25), (2.0, 1.0), (10.0, 4.0)])
     def test_unit_determinant(self, v0, energy):
+        # The transfer matrix is the endpoint map between plane-wave bases,
+        # so its determinant is the endpoint map's, the Wronskian ratio 1.
         pot = validate(SquareWell(v0=v0, a=1.0))
-        t = transfer_matrix(pot, energy)
-        assert abs(t.determinant() - 1.0) < 1e-10
+        (m,) = propagate._endpoint_maps(pot, [energy], 4096)
+        assert abs(np.linalg.det(m) - 1.0) < 1e-10
 
-    def test_degenerate_transfer_guard(self):
-        t = TransferMatrix(t11=1.0, t12=0.0, t21=0.0, t22=0.0, k=1.0, a=1.0)
-        from scatter1d.smatrix import smatrix_from_transfer
-
+    def test_degenerate_transfer_guard(self, monkeypatch):
+        monkeypatch.setattr(
+            smatrix, "_endpoint_maps", lambda pot, energies, steps: np.zeros((len(energies), 2, 2))
+        )
+        pot = validate(SquareWell(v0=1.0, a=1.0))
         with pytest.raises(DegenerateTransfer):
-            smatrix_from_transfer(t)
+            smatrix_via_transfer(pot, 1.0)
+        with pytest.raises(DegenerateTransfer):
+            smatrix_via_transfer(pot, [1.0, 2.0])
 
 
 class TestAmplitudeRoute:

@@ -13,6 +13,7 @@ from scatter1d.core import (
     NonUniformGrid,
     PreconditionViolated,
     QuadOrderTooSmall,
+    ScatterError,
     TauTooSmall,
     TTooLarge,
     ZETA_PRIME_MINUS_ONE,
@@ -279,6 +280,24 @@ class TestPhaseShift:
             phase_shift(0.0)
         with pytest.raises(NonPositiveK):
             phase_shift(-1.0)
+
+    @pytest.mark.parametrize("k", [1e-13, 1e-300])
+    def test_refuses_k_where_the_branches_look_alike(self, k):
+        with pytest.raises(PreconditionViolated, match="below"):
+            phase_shift(k)
+
+    def test_infinite_k_fails_the_identity_check(self):
+        # k tan(2 eta) is inf * 0 there, which no tolerance accepts.
+        with pytest.raises(ScatterError, match="phase identity violated"):
+            phase_shift(math.inf)
+
+    @pytest.mark.parametrize("k", [spectral.PHASE_K_MIN, 1e-9, 1.0, 1e6])
+    def test_identity_check_catches_a_flipped_branch(self, monkeypatch, k):
+        shift = spectral.PhaseShift
+        flipped = lambda k, eta_even, eta_odd: shift(k, eta_odd, eta_even)
+        monkeypatch.setattr(spectral, "PhaseShift", flipped)
+        with pytest.raises(ScatterError, match="phase identity violated"):
+            phase_shift(k)
 
 
 class TestJostForms:
