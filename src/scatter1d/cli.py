@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     en = sm.add_mutually_exclusive_group(required=True)
     en.add_argument("--energy", type=float, help="single energy, must be positive")
     en.add_argument("--energy-grid", type=_energy_grid, metavar="START,STOP,COUNT", help="uniform energy grid")
-    sm.add_argument("--steps", type=int, default=4096, help="integration steps (default 4096)")
+    sm.add_argument("--steps", type=int, default=4096, help="integration steps, even (default 4096)")
     sm.add_argument("--format", choices=("json", "csv"), default="json")
     sm.add_argument("--out", default=None, help="output path (default standard output)")
     sm.set_defaults(func=cmd_smatrix)
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--q", type=_finite, default=1.0, help="construction wavenumber (default 1)")
     ce.add_argument("--eps", type=_finite, default=0.01, help="bump amplitude (default 0.01)")
     ce.add_argument("--a", type=_finite, default=1.0, help="support half width (default 1)")
-    ce.add_argument("--steps", type=int, default=4096, help="integration steps (default 4096)")
+    ce.add_argument("--steps", type=int, default=4096, help="integration steps, even (default 4096)")
     ce.add_argument(
         "--single-bump",
         action="store_true",

@@ -32,7 +32,7 @@ from .core import (
     OddChannelUnmatched,
     PreconditionViolated,
 )
-from .potential import Sampled, validate
+from .potential import MIN_TRACE_POINTS, Sampled, validate
 from .propagate import check_steps
 from .smatrix import SMatrix, smatrix_via_transfer
 
@@ -71,7 +71,7 @@ def tuning_bump_values(a: float, x: np.ndarray):
     return x * x * w * w, 2.0 * x * w * (3.0 * x * x - a * a)
 
 
-def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
+def _stencil_d2(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order second derivative, one-sided at the edges.
 
     The interior stencil sums mirror neighbours pairwise so that an exactly
@@ -79,9 +79,8 @@ def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     order would leak summation rounding into a spurious asymmetry that the
     strict potential validation downstream does not tolerate.
     """
-    n = values.size
-    if n < 6:
-        raise PreconditionViolated("need at least 6 grid points")
+    if values.size < MIN_TRACE_POINTS:
+        raise PreconditionViolated(f"need at least {MIN_TRACE_POINTS} grid points, got {values.size}")
     # Reductions below must see one memory layout: numpy picks the dot
     # accumulation order by stride, and a layout mismatch between the two
     # edges breaks the exact mirror symmetry of the output.
@@ -134,7 +133,7 @@ def recover_potential(
         psi = psi.real
     grid = np.asarray(grid, dtype=float)
     h = (grid[-1] - grid[0]) / (grid.size - 1)
-    d2 = _second_derivative(psi, h)
+    d2 = _stencil_d2(psi, h)
 
     mask = np.abs(psi) < node_tol * peak
     if mask.all():

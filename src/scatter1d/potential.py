@@ -31,6 +31,10 @@ SYMMETRY_RTOL = 1e-12
 #: Relative tolerance on grid spacing uniformity.
 GRID_RTOL = 1e-9
 
+#: Fewest points of a wavefunction trace: the one-sided second-derivative
+#: stencils of potential recovery read six.
+MIN_TRACE_POINTS = 6
+
 
 @dataclass(frozen=True)
 class SquareWell:
@@ -201,12 +205,12 @@ def load_sampled_csv(path) -> Sampled:
 def load_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a wavefunction trace (x, psi) from a CSV with header ``x,psi``.
 
-    The grid needs at least 5 points, strictly increasing, with spacing
-    uniform to 1e-9 relative (absolute below unit spacing).
+    The grid needs at least MIN_TRACE_POINTS points, strictly increasing,
+    with spacing uniform to 1e-9 relative (absolute below unit spacing).
     """
     x, psi = _read_two_columns(path, "x,psi")
-    if x.size < 5:
-        raise PreconditionViolated(f"a trace needs at least 5 rows, got {x.size}")
+    if x.size < MIN_TRACE_POINTS:
+        raise PreconditionViolated(f"a trace needs at least {MIN_TRACE_POINTS} rows, got {x.size}")
     steps = np.diff(x)
     if not np.all(steps > 0.0):
         raise NonUniformGrid("trace grid must be strictly increasing")

@@ -14,7 +14,10 @@ Two independent routes produce S.  The production route forms the
 transfer matrix (A, B) -> (C, D) from the endpoint maps of the fundamental
 pair of solutions and reads S off its entries, computing the left-incident
 and right-incident columns separately so the raw parity asymmetry can be
-reported before the entries are symmetrized.  The second route solves the linear relations
+reported before the entries are symmetrized.  Each endpoint map is the
+product of fourth-order Magnus cell matrices over two grid intervals each
+(see propagate), exact where V is constant, so square wells agree with
+their closed form to rounding.  The second route solves the linear relations
 B = s11 A + s12 D, C = s12 A + s11 D directly from amplitude quads of one or
 two solutions, with parity imposed by construction; a single quad determines
 S only when its incoming amplitudes are not parity-degenerate (|A| != |D|),

@@ -78,6 +78,14 @@ _SINC_TAYLOR_CUTOFF = 1e-6
 _ALPHA0 = math.log(2.0) / 24.0 + 1.5 * ZETA_PRIME_MINUS_ONE
 
 
+def _check_positive(name: str, value: float, error=PreconditionViolated) -> None:
+    """Refuse a non-finite value with PreconditionViolated and a non-positive one with error."""
+    if not math.isfinite(value):
+        raise PreconditionViolated(f"{name} must be finite, got {value}")
+    if not value > 0.0:
+        raise error(f"{name} must be positive, got {value}")
+
+
 def _parity_sign(parity: str) -> int:
     if parity == PARITY_EVEN:
         return 1
@@ -96,8 +104,7 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         _parity_sign(self.parity)
-        if not (self.t > 0.0):
-            raise PreconditionViolated(f"t must be positive, got {self.t}")
+        _check_positive("t", self.t)
         if self.t > T_MAX:
             raise TTooLarge(
                 f"t = {self.t} exceeds {T_MAX}; eigenvalues too close to 1 "
@@ -212,8 +219,7 @@ def fredholm_log_det(parity: str, t: float, quad_order: int) -> float:
 
 def asymptotic_log_det(parity: str, t: float) -> float:
     """Large-interval closed form for log det(1 - K_pm) at tau = pi t."""
-    if not (t > 0.0):
-        raise PreconditionViolated(f"t must be positive, got {t}")
+    _check_positive("t", t)
     sign = _parity_sign(parity)
     tau = math.pi * t
     return (
@@ -284,8 +290,7 @@ class PhaseShift:
 
 
 def phase_shift(k: float) -> PhaseShift:
-    if not (k > 0.0):
-        raise NonPositiveK(f"k must be positive, got {k}")
+    _check_positive("k", k, NonPositiveK)
     if k < PHASE_K_MIN:
         raise PreconditionViolated(
             f"k = {k} is below {PHASE_K_MIN:g}, where the phase identity "
@@ -316,8 +321,7 @@ class JostClosedForms:
 
 
 def jost_forms(k: float) -> JostClosedForms:
-    if not (k > 0.0):
-        raise NonPositiveK(f"k must be positive, got {k}")
+    _check_positive("k", k, NonPositiveK)
     a_odd = complex(k / (k + 1j)) ** 0.5
     exp_ieta_even = complex((k - 1j) / (k + 1j)) ** 0.25
     forms = JostClosedForms(k=k, a_odd=a_odd, exp_ieta_even=exp_ieta_even)

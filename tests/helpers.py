@@ -11,7 +11,8 @@ import sys
 
 import numpy as np
 
-from scatter1d.potential import Sampled
+from scatter1d.potential import Sampled, validate
+from scatter1d.propagate import integrate
 
 
 def full_interval_sine_eigs(t: float, order: int) -> np.ndarray:
@@ -90,33 +91,20 @@ def random_smooth_sampled(rng: np.random.Generator, n: int = 257) -> Sampled:
     return Sampled(a=a, x=x, v=v)
 
 
-def numerov_recurrence(pot, energy: float, psi0: float, dpsi0: float, steps: int) -> np.ndarray:
-    """psi on steps + 1 nodes over [-a, a] by the three-term Numerov recurrence.
+def smooth_order_errors(steps) -> list[float]:
+    """Errors of psi(+a) from integrate at each step count, on a smooth V.
 
-    With g = V - E and f = 1 - h^2 g / 12, each loop iteration solves
-
-        f[i+1] psi[i+1] = (2 + 5 h^2 g[i] / 6) psi[i] - f[i-1] psi[i-1],
-
-    starting from the library's fifth-order Taylor value of psi[1].  Its
-    rounding grows with the step count, so it is a reference only to well
-    above double precision.
+    V = -20 (1 - x^2)^3 on [-1, 1] at E = 1, from (psi, psi')(-1) = (1, 0),
+    against a 131072-step solve.  V is tabulated on that solve's nodes, so
+    every step count that divides 131072 reads exact values of the smooth
+    V; a coarser table would make the reference solve a piecewise-linear V
+    instead.
     """
-    h = 2.0 * pot.a / steps
-    g = [float(v) - energy for v in pot(np.linspace(-pot.a, pot.a, steps + 1))]
-    f = [1.0 - h * h * gi / 12.0 for gi in g]
-    gp = (-3 * g[0] + 4 * g[1] - g[2]) / (2 * h)
-    gpp = (2 * g[0] - 5 * g[1] + 4 * g[2] - g[3]) / (h * h)
-    psi = [
-        psi0,
-        psi0
-        + h * dpsi0
-        + 0.5 * h * h * g[0] * psi0
-        + (h**3 / 6.0) * (gp * psi0 + g[0] * dpsi0)
-        + (h**4 / 24.0) * ((gpp + g[0] * g[0]) * psi0 + 2 * gp * dpsi0),
-    ]
-    for i in range(1, steps):
-        psi.append(((2.0 + 5.0 * h * h * g[i] / 6.0) * psi[i] - f[i - 1] * psi[i - 1]) / f[i + 1])
-    return np.array(psi)
+    reference = 2**17
+    x = np.linspace(-1.0, 1.0, reference + 1)
+    pot = validate(Sampled(a=1.0, x=x, v=-20.0 * (1.0 - x * x) ** 3))
+    exact = integrate(pot, 1.0, 1.0, 0.0, steps=reference).psi[-1]
+    return [abs(integrate(pot, 1.0, 1.0, 0.0, steps=n).psi[-1] - exact) for n in steps]
 
 
 def run_cli(*args: str, cwd=None) -> subprocess.CompletedProcess:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import full_interval_sine_eigs, random_smooth_sampled, run_cli
+from helpers import full_interval_sine_eigs, random_smooth_sampled, run_cli, smooth_order_errors
 from scatter1d.core import AsymmetricPotential, SingularSystem, TauTooSmall
 from scatter1d.noninjective import build_counterexample, verify_same_smatrix
 from scatter1d.potential import Sampled, SquareWell, validate
@@ -323,15 +323,16 @@ def test_criterion_11_toeplitz_second_order_asymptotics():
 
 
 def test_criterion_12_property_suite():
-    # Order of convergence.
+    # Order of convergence on a smooth V; exactness where V is constant.
+    errs = smooth_order_errors((128, 256, 512))
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
     well = validate(SquareWell(v0=2.0, a=1.0))
     exact = math.cos(2.0 * math.sqrt(3.0))
-    errs = [
+    well_err = max(
         abs(integrate(well, 1.0, 1.0, 0.0, steps=steps).psi[-1] - exact)
         for steps in (128, 256, 512)
-    ]
-    ratios = [a / b for a, b in zip(errs, errs[1:])]
-    order_ok = all(8.0 <= r <= 32.0 for r in ratios)
+    )
+    order_ok = all(8.0 <= r <= 32.0 for r in ratios) and well_err <= 1e-13
 
     # Wronskian conservation.
     u1, u2 = fundamental_pair(validate(SquareWell(v0=10.0, a=1.0)), 0.5)
@@ -357,6 +358,7 @@ def test_criterion_12_property_suite():
         12,
         order_ok and wronskian_dev <= 1e-8 and rejects_antisymmetric and deterministic,
         f"convergence ratios {[f'{r:.1f}' for r in ratios]} (window [8, 32]), "
+        f"well error {well_err:.1e} (limit 1e-13), "
         f"Wronskian drift {wronskian_dev:.3e} (limit 1e-8), antisymmetric "
         f"input rejected: {rejects_antisymmetric}, CLI reruns byte-identical: "
         f"{deterministic}",

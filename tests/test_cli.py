@@ -248,13 +248,20 @@ class TestExitCodes:
         assert main(args) == 3
         assert "steps must lie in [64, 131072]" in capsys.readouterr().err
 
-    def test_energy_past_the_numerov_stability_edge_exits_three(self, capsys):
-        # h^2 (E - min V) = 6.01 at 4096 steps; this used to exit 0 with
-        # entries near 1e103.
-        energy = repr(6.01 * 2048**2 - 1.0)
-        assert main(["smatrix", "--well", "1,1", "--energy", energy]) == 3
-        err = capsys.readouterr().err
-        assert "past the Numerov stability edge 6; it needs at least 4100 steps" in err
+    def test_odd_steps_exit_three(self, capsys):
+        args = ["smatrix", "--well", "1,1", "--energy", "1", "--steps", "4095"]
+        assert main(args) == 3
+        assert "be even, got 4095" in capsys.readouterr().err
+
+    def test_energy_past_the_former_numerov_edge_matches_the_closed_form(self, capsys):
+        # h^2 (E - min V) = 6.01 at 4096 steps, past the edge 6 where a
+        # Numerov step is unstable.
+        energy = 6.01 * 2048**2 - 1.0
+        assert main(["smatrix", "--well", "1,1", "--energy", repr(energy)]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["results"]
+        ref = analytic_square_well(1.0, 1.0, energy)
+        assert abs(complex(*row["s11"]) - ref.s11) < 1e-12
+        assert abs(complex(*row["s12"]) - ref.s12) < 1e-12
 
     def test_quadrature_order_above_the_cap_exits_three(self, capsys):
         assert main(["fredholm", "--t", "1:1.1:0.025", "--quad", "1025"]) == 3
@@ -509,9 +516,11 @@ class TestRecover:
     @pytest.mark.parametrize(
         "x, message",
         [
-            ([0.0, 0.1, 0.2, 0.3], "at least 5 rows"),
+            ([0.0, 0.1, 0.2, 0.3], "at least 6 rows, got 4"),
             ([0.0, 0.1, 0.1, 0.2, 0.3, 0.4], "strictly increasing"),
             ([0.0, 0.1, 0.2, 0.35, 0.4, 0.5], "spacing"),
+            # Recovery's edge stencils read six points.
+            ([0.0, 0.1, 0.2, 0.3, 0.4], "at least 6 rows, got 5"),
         ],
     )
     def test_bad_trace_grid_exits_three(self, tmp_path, x, message):

@@ -1,4 +1,4 @@
-"""Numerov integration: accuracy, order, conservation, and guards."""
+"""Magnus integration: accuracy, order, conservation, and guards."""
 
 import math
 import warnings
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import scatter1d.propagate as propagate
-from helpers import numerov_recurrence
+from helpers import smooth_order_errors
 from scatter1d.core import NonPositiveEnergy, Overflow, PreconditionViolated
 from scatter1d.potential import Delta, Sampled, SquareWell, validate
 from scatter1d.propagate import SCAN_STEPS, fundamental_pair, integrate
@@ -81,21 +81,23 @@ def test_wronskian_is_one_along_the_grid():
 
 
 def test_fourth_order_convergence():
-    # Halving the step divides the endpoint error by about 16.
-    exact = np.cos(2.0 * np.sqrt(3.0))
-    errs = []
-    for steps in (128, 256, 512):
-        trace = integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0, steps=steps)
-        errs.append(abs(trace.psi[-1] - exact))
+    # Halving the step divides the endpoint error on a smooth V by about 16.
+    errs = smooth_order_errors((128, 256, 512))
     for coarse, fine in zip(errs, errs[1:]):
         ratio = coarse / fine
         assert 8.0 <= ratio <= 32.0, f"convergence ratio {ratio}"
+    # Each Magnus step is the exact propagator where V is constant, so the
+    # well leaves rounding only.
+    exact = np.cos(2.0 * np.sqrt(3.0))
+    for steps in (128, 256, 512):
+        trace = integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0, steps=steps)
+        assert abs(trace.psi[-1] - exact) <= 1e-13
 
 
-@pytest.mark.parametrize("steps", [65, 97, 100, 1001])
+@pytest.mark.parametrize("steps", [130, 194, 100, 2002])
 def test_step_counts_that_are_not_powers_of_two(steps):
-    # The prefix-product scan pairs steps up; odd lengths leave one over at
-    # each level of the recursion.
+    # The prefix-product scan pairs cells of two steps up; odd cell counts
+    # leave one over at each level.
     exact = np.cos(2.0 * np.sqrt(3.0))
     u1, u2 = fundamental_pair(WELL, 1.0, steps=steps)
     assert abs(u1.psi[-1] - exact) < 1e-7
@@ -105,14 +107,25 @@ def test_step_counts_that_are_not_powers_of_two(steps):
 
 @pytest.mark.parametrize("psi0,dpsi0", [(1.0, 0.0), (0.0, 1.0), (0.3, -1.2)])
 def test_scan_matches_the_three_term_recurrence(psi0, dpsi0):
-    # Same arithmetic in exact terms; the loop's rounding grows like
-    # steps^2 eps, which sets the tolerance.
+    # The reference steps the state (psi, psi') from node to node in a
+    # Python loop, by the same cell and half-cell matrices; the loop's
+    # rounding grows with the number of cells.
     steps = 1000
     x = np.linspace(-1.0, 1.0, 257)
     pot = validate(Sampled(a=1.0, x=x, v=-2.0 * np.exp(-8.0 * x * x)))
     trace = integrate(pot, energy=1.5, psi0=psi0, dpsi0=dpsi0, steps=steps)
-    reference = numerov_recurrence(pot, 1.5, psi0, dpsi0, steps)
-    assert np.max(np.abs(trace.psi - reference)) < steps * steps * np.finfo(float).eps
+    _, cells, halves = propagate._nodes(pot, steps)
+    energies = np.array([1.5])
+    m = propagate._cell_matrices(cells, energies)[:, 0].T.reshape(-1, 2, 2)
+    half = propagate._cell_matrices(halves, energies)[:, 0].T.reshape(-1, 2, 2)
+    state = np.array([psi0, dpsi0])
+    reference = [state]
+    for cell, first_half in zip(m, half):
+        reference += [first_half @ state, cell @ state]
+        state = reference[-1]
+    reference = np.array(reference)
+    assert np.max(np.abs(trace.psi - reference[:, 0])) < steps * np.finfo(float).eps
+    assert np.max(np.abs(trace.dpsi - reference[:, 1])) < steps * np.finfo(float).eps
 
 
 def test_smooth_sampled_matches_well():
@@ -171,20 +184,27 @@ def test_steps_beyond_one_scan_are_refused():
         propagate._endpoint_maps(WELL, [1.0], 0)
 
 
-def test_steps_past_the_numerov_stability_edge_are_refused():
-    # h^2 (E - min V) = 6.01 at 4096 steps.  Without the check the scan ran
-    # and returned S-matrix entries near 1e103.
-    steps = 4096
-    energy = 6.01 * (steps / 2.0) ** 2 - 2.0
-    with pytest.raises(PreconditionViolated, match="stability edge 6; it needs at least 4100 steps"):
-        propagate._endpoint_maps(WELL, [1.0, energy], steps)
-    with pytest.raises(PreconditionViolated, match="stability edge"):
-        integrate(WELL, energy=energy, psi0=1.0, dpsi0=0.0, steps=steps)
-    with pytest.raises(PreconditionViolated, match="stability edge"):
-        propagate._endpoint_maps(WELL, [energy], 4099)
-    assert np.all(np.isfinite(propagate._endpoint_maps(WELL, [energy], 4100)))
-    with pytest.raises(PreconditionViolated, match=f"more than the {SCAN_STEPS} allowed"):
-        propagate._endpoint_maps(WELL, [1e12], 4096)
+def test_odd_step_counts_are_refused():
+    # A cell spans two steps.
+    for steps in (65, 4095):
+        with pytest.raises(PreconditionViolated, match=f"be even, got {steps}"):
+            integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0, steps=steps)
+        with pytest.raises(PreconditionViolated, match="even"):
+            propagate._endpoint_maps(WELL, [1.0], steps)
+
+
+def test_energy_past_the_former_numerov_edge_keeps_the_closed_form():
+    # h^2 (E - min V) = 6.01 at 4096 steps, past the edge 6 where a Numerov
+    # step is unstable.  Each Magnus step is exact on the well; the scaled
+    # map error is rounding, which grows with the phase 2 l a (about 1e4).
+    energy = 6.01 * (4096 / 2.0) ** 2 - 2.0
+    l = math.sqrt(energy + 2.0)
+    for steps in (4096, 4100):
+        (m,) = propagate._endpoint_maps(WELL, [energy], steps)
+        c, s = math.cos(2.0 * l), math.sin(2.0 * l)
+        scaled = m * np.array([[1.0, l], [1.0 / l, 1.0]])
+        assert np.max(np.abs(scaled - [[c, s], [-s, c]])) < 1e-11
+    assert np.all(np.isfinite(propagate._endpoint_maps(WELL, [1e12], 4096)))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -236,7 +256,7 @@ def test_prefixes_match_sequential_products():
             np.testing.assert_allclose(p[:, :, k], expected, rtol=0, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("steps", [64, 65, 67, 127, 4096])
+@pytest.mark.parametrize("steps", [64, 130, 134, 254, 4096])
 def test_endpoint_maps_equal_the_full_scan_bit_for_bit(steps):
     pot, rng = _random_gaussian(steps)
     energies = list(rng.uniform(0.1, 30.0, 5))
@@ -258,37 +278,42 @@ def _flat_barrier(height):
 
 
 def _spy_counts(monkeypatch):
-    """Record the prefix count _traces is asked for, and let it run."""
+    """Record each prefix count the scan is asked for, and let it run."""
     counts = []
-    traces = propagate._traces
+    prefixes = propagate._prefixes
 
-    def spy(m, h, count):
+    def spy(m, count):
         counts.append(count)
-        return traces(m, h, count)
+        return prefixes(m, count)
 
-    monkeypatch.setattr(propagate, "_traces", spy)
+    monkeypatch.setattr(propagate, "_prefixes", spy)
     return counts
+
+
+def _bound(pot, energies, steps):
+    _, cells, halves = propagate._nodes(pot, steps)
+    energies = np.asarray(energies)
+    return propagate._log_growth_bound(propagate._cell_matrices(cells, energies), halves, energies)
 
 
 @pytest.mark.parametrize(
     "height, path",
     [
-        # Bound about e^194 against a peak of e^19: only the last prefixes.
+        # Bound about e^189 against a peak of e^19: only the last prefix.
         (100.0, "tail"),
-        # Bound about e^1490 is past the limit, while the peak is e^59 and
+        # Bound about e^1292 is past the limit, while the peak is e^59 and
         # below MAX_MAGNITUDE: the full traces are formed and pass the check.
         (900.0, "full"),
     ],
 )
 def test_growth_bound_picks_the_path_without_changing_the_maps(monkeypatch, height, path):
     barrier = _flat_barrier(height)
-    _, h, m = propagate._step_matrices(barrier, [1.0, 2.0], 4096)
     limit = math.log(propagate.MAX_MAGNITUDE / 2)
-    assert (propagate._log_growth_bound(m, h) < limit) == (path == "tail")
+    assert (_bound(barrier, [1.0, 2.0], 4096) < limit) == (path == "tail")
     expected = _full_scan_endpoints(barrier, [1.0, 2.0], 4096)
     counts = _spy_counts(monkeypatch)
     np.testing.assert_array_equal(propagate._endpoint_maps(barrier, [1.0, 2.0], 4096), expected)
-    assert counts == [4 if path == "tail" else 4096]
+    assert counts == ([1] if path == "tail" else [2048, 1])
 
 
 def test_growth_bound_holds_on_barriers():
@@ -296,8 +321,7 @@ def test_growth_bound_holds_on_barriers():
     # 2 a max |V - E| it stands for (a = 1, E = 1 here).
     for height in (25.0, 100.0, 900.0, 28900.0):
         barrier = _flat_barrier(height)
-        _, h, m = propagate._step_matrices(barrier, [1.0], 4096)
-        bound = propagate._log_growth_bound(m, h)
+        bound = _bound(barrier, [1.0], 4096)
         _, psi, _ = propagate._fundamental_traces(barrier, [1.0], 4096)
         peak = math.log(np.max(np.abs(psi)))
         assert peak <= bound <= 2.0 * (height - 1.0)
@@ -306,6 +330,22 @@ def test_growth_bound_holds_on_barriers():
 def test_growth_bound_is_not_finite_for_non_finite_steps():
     # A NaN sample never reaches the scan through validate, but the bound
     # must still send such data to the full traces and their exact check.
-    _, h, m = propagate._step_matrices(WELL, [1.0], 64)
+    _, cells, halves = propagate._nodes(WELL, 64)
+    m = propagate._cell_matrices(cells, np.array([1.0]))
     m[2, 0, 5] = np.nan
-    assert not propagate._log_growth_bound(m, h) < math.inf
+    assert not propagate._log_growth_bound(m, halves, np.array([1.0])) < math.inf
+
+
+def test_overflow_check_reads_the_midpoints(monkeypatch):
+    # Here the second solution, sin(l (x + a)) / l, peaks at a midpoint.
+    # With the limit between its largest cell-node and midpoint values,
+    # both the traces and the endpoint maps must refuse.
+    pot = validate(SquareWell(v0=0.31, a=2.0))
+    _, psi, _ = propagate._fundamental_traces(pot, [0.5], 66)
+    nodes, everywhere = np.max(np.abs(psi[..., ::2])), np.max(np.abs(psi))
+    assert everywhere > nodes
+    monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * (nodes + everywhere))
+    with pytest.raises(Overflow):
+        propagate._fundamental_traces(pot, [0.5], 66)
+    with pytest.raises(Overflow):
+        propagate._endpoint_maps(pot, [0.5], 66)

@@ -286,11 +286,6 @@ class TestPhaseShift:
         with pytest.raises(PreconditionViolated, match="below"):
             phase_shift(k)
 
-    def test_infinite_k_fails_the_identity_check(self):
-        # k tan(2 eta) is inf * 0 there, which no tolerance accepts.
-        with pytest.raises(ScatterError, match="phase identity violated"):
-            phase_shift(math.inf)
-
     @pytest.mark.parametrize("k", [spectral.PHASE_K_MIN, 1e-9, 1.0, 1e6])
     def test_identity_check_catches_a_flipped_branch(self, monkeypatch, k):
         shift = spectral.PhaseShift
@@ -320,6 +315,15 @@ class TestJostForms:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(NonPositiveK):
             jost_forms(0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_closed_forms_refuse_non_finite_input(bad):
+    # Unchecked, k = inf fails the phase identity with a bare ScatterError,
+    # gives NaN Jost forms, and t = inf gives a log det of -inf.
+    for call in (phase_shift, jost_forms, lambda t: asymptotic_log_det(PARITY_EVEN, t)):
+        with pytest.raises(PreconditionViolated, match=f"must be finite, got {bad}"):
+            call(bad)
 
 
 class TestMarchenko:
