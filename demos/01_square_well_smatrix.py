@@ -3,8 +3,8 @@ Square well scattering, numeric against closed form
 ====================================================
 
 Builds the 2x2 scattering matrix of a finite square well two ways: by
-propagating a fundamental pair across the support and assembling the
-transfer matrix, and from the textbook closed form.  Inside the well V is
+propagating the even and odd solutions from the centre to the edge of the
+support and reading S off them there, and from the textbook closed form.  Inside the well V is
 constant, where each Magnus step of the integrator is the exact
 propagator, so the two agree to rounding, and both stay unitary.
 """

@@ -27,9 +27,10 @@ from .smatrix import analytic_delta, smatrix_via_transfer
 from .spectral import QUAD_ORDER, fredholm_report, jost_forms, phase_shift
 from .szego import ArcSymbol, szego_limit_check, toeplitz_logdet
 
-#: Most points a fredholm t grid may have.  Each costs two determinants,
-#: about a millisecond together at the default order, so this bounds a run
-#: to about two minutes there.
+#: Most points a fredholm t grid or an smatrix energy grid may have.  A t
+#: point costs two determinants, about a millisecond together at the
+#: default order, so this bounds a fredholm run to about two minutes there;
+#: an energy grid stays far below that.
 MAX_GRID_POINTS = 100_000
 
 
@@ -155,6 +156,8 @@ def cmd_smatrix(args: argparse.Namespace) -> int:
         energies = [args.energy]
     else:
         start, stop, count = args.energy_grid
+        if count > MAX_GRID_POINTS:  # refused before the grid is allocated
+            raise PreconditionViolated(f"energy grid of {count} points has more than {MAX_GRID_POINTS}")
         energies = [float(e) for e in np.linspace(start, stop, count)]
 
     pot = validate(spec)
@@ -175,7 +178,6 @@ def cmd_smatrix(args: argparse.Namespace) -> int:
             "abs_s11_sq": abs(s.s11) ** 2,
             "abs_s21_sq": abs(s.s21) ** 2,
             "unitarity_residual": s.unitarity_residual(),
-            "parity_residual": s.parity_residual,
         }
         for e, s in zip(energies, matrices)
     ]
@@ -298,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     en = sm.add_mutually_exclusive_group(required=True)
     en.add_argument("--energy", type=float, help="single energy, must be positive")
     en.add_argument("--energy-grid", type=_energy_grid, metavar="START,STOP,COUNT", help="uniform energy grid")
-    sm.add_argument("--steps", type=int, default=4096, help="integration steps, even (default 4096)")
+    sm.add_argument("--steps", type=int, default=4096,
+                    help="steps of [-a, a], even (default 4096); S crosses [0, a] in ceil(steps/4) cells")
     sm.add_argument("--format", choices=("json", "csv"), default="json")
     sm.add_argument("--out", default=None, help="output path (default standard output)")
     sm.set_defaults(func=cmd_smatrix)

@@ -52,10 +52,6 @@ class Overflow(ScatterError):
     """Wavefunction magnitude left the trustworthy range during integration."""
 
 
-class DegenerateTransfer(ScatterError):
-    """Transfer matrix cannot be inverted for scattering amplitudes."""
-
-
 class SingularSystem(ScatterError):
     """Amplitude quads do not determine the scattering matrix."""
 

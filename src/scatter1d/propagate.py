@@ -1,4 +1,4 @@
-"""Magnus integration of psi'' = (V - E) psi across [-a, a].
+"""Magnus integration of psi'' = (V - E) psi across [-a, a] or [0, a].
 
 The state y = (psi, psi') obeys y' = A y with A = [[0, 1], [g, 0]] and
 g = V - E.  The grid's intervals, an even number, are paired into cells of
@@ -26,11 +26,12 @@ the cell's first node, whose quarter-point g is the quadratic through the
 cell's three nodes, (3 g0 + 6 gm - g1) / 8.  Any initial data, complex
 included, is a combination of the fundamental pair.
 
-The S-matrix needs only the map (psi, psi')(-a) -> (psi, psi')(+a), which
-is the scan's last prefix, and the endpoint maps ask the scan for that one
-alone.  The full trace's overflow check is replaced by an a-priori bound on
-the solution's growth, and the full trace is still formed and checked
-wherever that bound cannot rule overflow out.
+For a symmetric V the S-matrix needs only the map (psi, psi')(0) ->
+(psi, psi')(a), whose columns are the even and odd solutions: the last
+prefix of a scan over [0, a], and the endpoint maps ask the scan for that
+one alone.  The full trace's overflow check is replaced by an a-priori
+bound on the solution's growth, and the full trace is still formed and
+checked wherever that bound cannot rule overflow out.
 """
 
 import math
@@ -49,10 +50,10 @@ MIN_STEPS = 64
 
 #: Integration steps, summed over energies, propagated in one scan: 32
 #: energies at the default 4096 steps.  Longer energy lists go through in
-#: blocks of this size, which bounds the memory held at once to about 7 MB
-#: for endpoint maps and 16 MB for full traces, and is no slower per energy
-#: than larger blocks.  It is also the largest
-#: step count accepted, so a single energy stays within that bound.
+#: blocks of this size, which bounds the array memory held at once to about
+#: 2 MB for endpoint maps, which cross [0, a] only, and 12 MB for full
+#: traces, and is no slower per energy than larger blocks.  It is also the
+#: largest step count accepted, so a single energy stays within that bound.
 SCAN_STEPS = 2**17
 
 
@@ -160,17 +161,17 @@ def _omega(v0: np.ndarray, vm: np.ndarray, v1: np.ndarray, width: float):
     return (v0 + 4.0 * vm + v1) / 6.0, (width * width / 12.0) * (v0 - v1), width
 
 
-def _nodes(pot: EvaluatedPotential, steps: int):
-    """Grid, and the Omega parts of its cells and of their first halves.
+def _nodes(pot: EvaluatedPotential, start: float, cells: int):
+    """Grid of [start, a], and the Omega parts of its cells and of their first halves.
 
-    A half cell reads V at its cell's first node, at the quarter point, by
+    The grid has 2 cells + 1 nodes.  A half cell reads V at its cell's first node, at the quarter point, by
     the quadratic through the cell's three nodes, and at the middle node.
     """
-    grid = np.linspace(-pot.a, pot.a, steps + 1)
+    grid = np.linspace(start, pot.a, 2 * cells + 1)
     v = pot(grid)
     v0, vm, v1 = v[:-1:2], v[1::2], v[2::2]
     quarter = (3.0 * v0 + 6.0 * vm - v1) / 8.0
-    width = 4.0 * pot.a / steps
+    width = (pot.a - start) / cells
     return grid, _omega(v0, vm, v1, width), _omega(v0, quarter, vm, 0.5 * width)
 
 
@@ -204,9 +205,10 @@ def _cell_matrices(omega, energies: np.ndarray) -> np.ndarray:
 def _traces(m: np.ndarray, halves, energies: np.ndarray):
     """psi and dpsi of the fundamental pair on every grid node, from the cell matrices.
 
-    Both have shape (2, len(energies), steps + 1); index 0 is the solution
-    with (psi, psi')(-a) = (1, 0) and index 1 the one with (0, 1).  Raises
-    Overflow when a solution magnitude leaves the trustworthy range.
+    Both have shape (2, len(energies), 2 cells + 1); index 0 is the
+    solution with (psi, psi') = (1, 0) at the grid's start and index 1 the
+    one with (0, 1).  Raises Overflow when a solution magnitude leaves the
+    trustworthy range.
     """
     psi, dpsi = np.empty((2, 2, energies.size, 2 * m.shape[-1] + 1))
     psi[..., 0], dpsi[..., 0] = [[1.0], [0.0]], [[0.0], [1.0]]
@@ -233,7 +235,7 @@ def _fundamental_traces(pot: EvaluatedPotential, energies, steps: int):
     range.
     """
     energies = _check(pot, energies, steps)
-    grid, cells, halves = _nodes(pot, steps)
+    grid, cells, halves = _nodes(pot, -pot.a, steps // 2)
     return (grid, *_traces(_cell_matrices(cells, energies), halves, energies))
 
 
@@ -245,7 +247,8 @@ def _log_growth_bound(m: np.ndarray, halves, energies: np.ndarray) -> float:
     or 1.  psi at a midpoint is an entry of exp(Omega') P_j with Omega' the
     half cell's, and ||exp(Omega')|| <= exp(||Omega'||), where ||Omega'|| <=
     |d'| + H' max(1, |s'|).  So log |psi| <= cells log R + max ||Omega'||,
-    at most about 2 a max |V - E|.  NaN or inf when an entry is not finite.
+    at most about the interval's length times max |V - E|.  NaN or inf when
+    an entry is not finite.
     """
     sv, d, width = halves
     top = np.max(np.abs(m[0]), axis=-1) + np.max(np.abs(m[1]), axis=-1)
@@ -258,25 +261,29 @@ def _log_growth_bound(m: np.ndarray, halves, energies: np.ndarray) -> float:
 
 @np.errstate(all="ignore")
 def _endpoint_maps(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
-    """Maps (psi, psi')(-a) -> (psi, psi')(+a) at each energy, read off the scan.
+    """Maps (psi, psi')(0) -> (psi, psi')(a) at each energy, read off one scan of [0, a].
 
-    Shape (len(energies), 2, 2); the columns are the fundamental pair.  The
-    map is the scan's last prefix, and only that one is formed.  Where the
-    growth bound cannot rule out Overflow the full traces are formed and
-    checked too, so Overflow is raised exactly where _fundamental_traces
-    raises it.  Either way the maps carry the bits of the full traces.
+    Shape (len(energies), 2, 2); the columns are the even and odd solutions.
+    The scan takes ceil(steps / 4) cells, so its cells are those of steps
+    on [-a, a] whenever 4 divides steps.  Only the scan's last prefix is
+    formed, unless the growth bound cannot rule out Overflow: then the full
+    traces are formed and checked, and the map is their last node, which
+    carries the same bits.
     """
     energies = _check(pot, energies, steps)
-    _, cells, halves = _nodes(pot, steps)
+    _, cells, halves = _nodes(pot, 0.0, -(-steps // 4))
     block = SCAN_STEPS // steps
     maps = np.empty((energies.size, 2, 2))
     for start in range(0, energies.size, block):
         chunk = energies[start : start + block]
         m = _cell_matrices(cells, chunk)
         # The factor 2 covers rounding in the scan and in the bound itself.
-        if not _log_growth_bound(m, halves, chunk) < math.log(MAX_MAGNITUDE / 2):
-            _traces(m, halves, chunk)
-        maps[start : start + block] = _prefixes(m, 1)[..., 0].T.reshape(-1, 2, 2)
+        if _log_growth_bound(m, halves, chunk) < math.log(MAX_MAGNITUDE / 2):
+            last = _prefixes(m, 1)[..., 0]
+        else:
+            psi, dpsi = _traces(m, halves, chunk)
+            last = np.concatenate([psi[..., -1], dpsi[..., -1]])
+        maps[start : start + block] = last.T.reshape(-1, 2, 2)
     return maps
 
 

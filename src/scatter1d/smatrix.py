@@ -10,40 +10,32 @@ and the scattering matrix maps incoming to outgoing, (B, C)^T = S (A, D)^T.
 For a symmetric potential S is symmetric with equal diagonal entries, and
 unitary whenever the potential is real.
 
-Two independent routes produce S.  The production route forms the
-transfer matrix (A, B) -> (C, D) from the endpoint maps of the fundamental
-pair of solutions and reads S off its entries, computing the left-incident
-and right-incident columns separately so the raw parity asymmetry can be
-reported before the entries are symmetrized.  Each endpoint map is the
-product of fourth-order Magnus cell matrices over two grid intervals each
-(see propagate), exact where V is constant, so square wells agree with
-their closed form to rounding.  The second route solves the linear relations
+Two independent routes produce S.  The production route reads S off the
+even and odd solutions u+ and u-, started at x = 0 from (1, 0) and (0, 1)
+and carried to x = a by fourth-order Magnus cells (see propagate), exact
+where V is constant.  Each is a parity channel, and outside the support
+its amplitudes give the channel eigenvalue e^{-2ika} (u' + iku) / (iku - u')
+of S at x = a.  The second route solves the linear relations
 B = s11 A + s12 D, C = s12 A + s11 D directly from amplitude quads of one or
-two solutions, with parity imposed by construction; a single quad determines
-S only when its incoming amplitudes are not parity-degenerate (|A| != |D|),
-which is exactly the condition under which the closed single-solution
-formula is usable.
+two solutions on [-a, a], with parity imposed by construction; a single
+quad determines S only when its incoming amplitudes are not
+parity-degenerate (|A| != |D|), which is exactly the condition under which
+the closed single-solution formula is usable.
 """
 
+import cmath
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .core import (
-    DegenerateTransfer,
-    PreconditionViolated,
-    SingularSystem,
-    wavenumber_from_energy,
-)
+from .core import PreconditionViolated, SingularSystem, wavenumber_from_energy
 from .potential import EvaluatedPotential
 from .propagate import BoundaryData, _endpoint_maps
 
 #: Relative threshold below which amplitude quads cannot be inverted.
 SINGULAR_RTOL = 1e-12
-
-DEGENERATE_TRANSFER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,12 +55,7 @@ class AmplitudeQuad:
 
 @dataclass(frozen=True)
 class SMatrix:
-    """Scattering matrix entries plus the raw parity asymmetry diagnostic.
-
-    parity_residual is the larger of |s11 - s22| and |s12 - s21| measured
-    before the entries were symmetrized; closed-form constructors set it to
-    zero.
-    """
+    """Scattering matrix entries at wavenumber k of a potential supported on [-a, a]."""
 
     s11: complex
     s12: complex
@@ -76,7 +63,6 @@ class SMatrix:
     s22: complex
     k: float
     a: float
-    parity_residual: float = 0.0
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.s11, self.s12], [self.s21, self.s22]])
@@ -101,52 +87,40 @@ def amplitudes_from_boundary(bd: BoundaryData, k: float, a: float) -> AmplitudeQ
     return AmplitudeQuad(in_left=A, out_left=B, out_right=C, in_right=D)
 
 
-def _smatrix(t, k: float, a: float) -> SMatrix:
-    """Scattering matrix from the transfer matrix t = [[t11, t12], [t21, t22]].
+def _from_channels(m, k: float, a: float) -> SMatrix:
+    """S from the map m = [[u+, u-], [u+', u-']] of the even and odd solutions at x = a.
 
-    The left-incident column gives s11 = -t21/t22 and s21 = det T / t22; the
-    right-incident column gives s12 = 1/t22 and s22 = t12/t22.  Both are
-    computed, the asymmetry is recorded, and the average is stored.
+    With D = iku - u', the channel eigenvalues e^{-2ika} (iku + u') / D
+    combine, by the Wronskian u+ u-' - u+' u- = 1, into
+
+        s11 = -e^{-2ika} (u+' u-' + k^2 u+ u-) / (D+ D-),
+        s12 = -ik e^{-2ika} / (D+ D-),
+
+    with no cancellation.  |D|^2 = k^2 u^2 + u'^2 never vanishes, and each
+    factor is divided by its own D, so no product overflows.
     """
-    (t11, t12), (t21, t22) = t
-    scale = max(abs(t11), abs(t12), abs(t21), abs(t22), 1.0)
-    if abs(t22) < DEGENERATE_TRANSFER_TOL * scale:
-        raise DegenerateTransfer(f"|t22| = {abs(t22):.3e} is too small to invert")
-    s11 = -t21 / t22
-    s21 = (t11 * t22 - t12 * t21) / t22
-    s12 = 1.0 / t22
-    s22 = t12 / t22
-    residual = max(abs(s11 - s22), abs(s12 - s21))
-    diag = 0.5 * (s11 + s22)
-    off = 0.5 * (s12 + s21)
-    return SMatrix(
-        s11=diag, s12=off, s21=off, s22=diag,
-        k=k, a=a, parity_residual=float(residual),
-    )
+    (u_even, u_odd), (du_even, du_odd) = m
+    d_even, d_odd = complex(-du_even, k * u_even), complex(-du_odd, k * u_odd)
+    phase = cmath.exp(-2j * k * a)
+    s11 = -phase * (du_even / d_even * (du_odd / d_odd) + k * k * (u_even / d_even) * (u_odd / d_odd))
+    s12 = -1j * k * phase / d_even / d_odd
+    return SMatrix(s11=s11, s12=s12, s21=s12, s22=s11, k=k, a=a)
 
 
 def smatrix_via_transfer(
     pot: EvaluatedPotential, energy: float | Sequence[float], steps: int = 4096
 ) -> SMatrix | list[SMatrix]:
-    """Production route: integrate, form the transfer matrix, convert.
+    """Production route: propagate the even and odd solutions across [0, a] and read S off them.
 
-    The transfer matrix maps the left amplitudes (A, B) to the right ones
-    (C, D): it is the endpoint map of the fundamental pair between the
-    plane-wave bases at -a and +a.  A sequence of energies is propagated in
-    one batch and gives the list of matrices in the same order; each equals
-    the one for its energy alone.
+    steps counts the steps of [-a, a]; the half interval is crossed in
+    ceil(steps / 4) Magnus cells.  A sequence of energies is
+    propagated in one batch and gives the list of matrices in the same
+    order; each equals the one for its energy alone.
     """
     energies = [energy] if np.ndim(energy) == 0 else energy
     ks = [wavenumber_from_energy(e) for e in energies]
     maps = _endpoint_maps(pot, energies, steps)
-    ik = 1j * np.array(ks)
-    ea = np.exp(ik * pot.a)
-    # (psi, psi')(-a) from (A, B) and (C, D) from (psi, psi')(+a).
-    left = np.stack([1 / ea, ea, ik / ea, -ik * ea], axis=-1).reshape(-1, 2, 2)
-    right = 0.5 * np.stack([1 / ea, 1 / (ik * ea), ea, -ea / ik], axis=-1).reshape(-1, 2, 2)
-    # Python complex arithmetic from here: numpy's complex division differs
-    # from it in the last bit.
-    matrices = [_smatrix(t, k, pot.a) for t, k in zip((right @ maps @ left).tolist(), ks)]
+    matrices = [_from_channels(m, k, pot.a) for m, k in zip(maps.tolist(), ks)]
     return matrices[0] if np.ndim(energy) == 0 else matrices
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from scatter1d.potential import Sampled, validate
 from scatter1d.propagate import integrate
+from scatter1d.smatrix import SMatrix
 
 
 def full_interval_sine_eigs(t: float, order: int) -> np.ndarray:
@@ -72,6 +73,28 @@ def arc_toeplitz_logdet_lu(alpha: float, n: int, digits: int):
             for j in range(n):
                 matrix[i, j] = col[abs(i - j)]
         return mp.log(mp.det(matrix))
+
+
+def analytic_square_barrier(height: float, a: float, energy: float) -> SMatrix:
+    """Closed-form scattering matrix of the flat barrier V = height on [-a, a].
+
+    The square-well formula of scatter1d.smatrix.analytic_square_well, with
+    the interior wavenumber l = sqrt(E - V) complex above the energy:
+
+        s_off  = e^{-2ika} / (cos 2la - i (k^2 + l^2)/(2kl) sin 2la)
+        s_diag = s_off * i (l^2 - k^2)/(2kl) sin 2la.
+    """
+    k = np.sqrt(energy)
+    l = np.sqrt(complex(energy - height))
+    two_la = 2.0 * l * a
+    off = np.exp(-2j * k * a) / (np.cos(two_la) - 1j * ((k * k + l * l) / (2.0 * k * l)) * np.sin(two_la))
+    diag = off * 1j * ((l * l - k * k) / (2.0 * k * l)) * np.sin(two_la)
+    return SMatrix(s11=complex(diag), s12=complex(off), s21=complex(off), s22=complex(diag), k=k, a=a)
+
+
+def flat_barrier(height: float) -> Sampled:
+    """The barrier V = height tabulated on 257 nodes over [-1, 1]."""
+    return Sampled(a=1.0, x=np.linspace(-1.0, 1.0, 257), v=np.full(257, height))
 
 
 def random_smooth_sampled(rng: np.random.Generator, n: int = 257) -> Sampled:

@@ -12,8 +12,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from helpers import run_cli
-from scatter1d.cli import build_parser, main
+from helpers import analytic_square_barrier, run_cli
+from scatter1d.cli import MAX_GRID_POINTS, build_parser, main
 from scatter1d.smatrix import analytic_delta, analytic_square_well
 from scatter1d.spectral import QUAD_ORDER
 
@@ -96,7 +96,7 @@ class TestSmatrix:
             "energy", "k", "a",
             "re_s11", "im_s11", "re_s12", "im_s12",
             "re_s21", "im_s21", "re_s22", "im_s22",
-            "abs_s11_sq", "abs_s21_sq", "unitarity_residual", "parity_residual",
+            "abs_s11_sq", "abs_s21_sq", "unitarity_residual",
         ]
         assert len(rows) == 1
         ref = analytic_square_well(2.0, 1.0, 1.0)
@@ -135,6 +135,18 @@ class TestSmatrix:
         (row,) = report["results"]
         ref = analytic_square_well(2.0, 1.0, 1.0)
         assert abs(complex(*row["s11"]) - ref.s11) < 1e-5
+
+    def test_tall_sampled_barrier_transmits_what_the_closed_form_says(self, tmp_path, validator):
+        # |s21|^2 is about 1.5e-54 here; it is read off the channel
+        # solutions on [0, a] with no cancellation.
+        path = tmp_path / "barrier.csv"
+        x = np.linspace(-1.0, 1.0, 257)
+        path.write_text("\n".join(["x,V"] + [f"{float(xi)!r},900.0" for xi in x]) + "\n")
+        proc = run_cli("smatrix", "--sampled", str(path), "--energy", "1", "--format", "json")
+        assert proc.returncode == 0
+        (row,) = check_json(validator, proc.stdout)["results"]
+        expected = abs(analytic_square_barrier(900.0, 1.0, 1.0).s21) ** 2
+        assert abs(row["abs_s21_sq"] - expected) <= 1e-10 * expected
 
     def test_out_file_writes_and_silences_stdout(self, tmp_path):
         target = tmp_path / "report.json"
@@ -205,6 +217,11 @@ class TestExitCodes:
     def test_fredholm_t_too_large_exits_three(self):
         proc = run_cli("fredholm", "--t", "6.5:6.7:0.05", "--quad", "96")
         assert proc.returncode == 3
+
+    def test_energy_grid_too_long_exits_three_before_allocating(self, capsys):
+        count = MAX_GRID_POINTS + 1
+        assert main(["smatrix", "--well", "2,1", "--energy-grid", f"0.5,2,{count}"]) == 3
+        assert f"energy grid of {count} points has more than {MAX_GRID_POINTS}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("step", ["1e-15", "5e-324"])
     def test_fredholm_grid_too_fine_exits_three_before_allocating(self, step):

@@ -11,7 +11,6 @@ from scatter1d.core import (
     AllMasked,
     AsymmetricPotential,
     ComplexWavefunction,
-    DegenerateTransfer,
     DeltaNotSamplable,
     EigenvalueAtOne,
     NodeCollision,
@@ -68,7 +67,6 @@ def test_every_error_is_a_scatter_error():
         NonUniformGrid,
         DeltaNotSamplable,
         Overflow,
-        DegenerateTransfer,
         SingularSystem,
         ComplexWavefunction,
         AllMasked,

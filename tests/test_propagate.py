@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import scatter1d.propagate as propagate
-from helpers import smooth_order_errors
+from helpers import flat_barrier, smooth_order_errors
 from scatter1d.core import NonPositiveEnergy, Overflow, PreconditionViolated
 from scatter1d.potential import Delta, Sampled, SquareWell, validate
 from scatter1d.propagate import SCAN_STEPS, fundamental_pair, integrate
@@ -114,7 +114,7 @@ def test_scan_matches_the_three_term_recurrence(psi0, dpsi0):
     x = np.linspace(-1.0, 1.0, 257)
     pot = validate(Sampled(a=1.0, x=x, v=-2.0 * np.exp(-8.0 * x * x)))
     trace = integrate(pot, energy=1.5, psi0=psi0, dpsi0=dpsi0, steps=steps)
-    _, cells, halves = propagate._nodes(pot, steps)
+    _, cells, halves = propagate._nodes(pot, -pot.a, steps // 2)
     energies = np.array([1.5])
     m = propagate._cell_matrices(cells, energies)[:, 0].T.reshape(-1, 2, 2)
     half = propagate._cell_matrices(halves, energies)[:, 0].T.reshape(-1, 2, 2)
@@ -196,12 +196,13 @@ def test_odd_step_counts_are_refused():
 def test_energy_past_the_former_numerov_edge_keeps_the_closed_form():
     # h^2 (E - min V) = 6.01 at 4096 steps, past the edge 6 where a Numerov
     # step is unstable.  Each Magnus step is exact on the well; the scaled
-    # map error is rounding, which grows with the phase 2 l a (about 1e4).
+    # map error on [0, a] is rounding, which grows with the phase l a
+    # (about 5e3).
     energy = 6.01 * (4096 / 2.0) ** 2 - 2.0
     l = math.sqrt(energy + 2.0)
     for steps in (4096, 4100):
         (m,) = propagate._endpoint_maps(WELL, [energy], steps)
-        c, s = math.cos(2.0 * l), math.sin(2.0 * l)
+        c, s = math.cos(l), math.sin(l)
         scaled = m * np.array([[1.0, l], [1.0 / l, 1.0]])
         assert np.max(np.abs(scaled - [[c, s], [-s, c]])) < 1e-11
     assert np.all(np.isfinite(propagate._endpoint_maps(WELL, [1e12], 4096)))
@@ -213,12 +214,24 @@ def test_non_finite_energy_is_refused(bad):
         integrate(WELL, energy=bad, psi0=1.0, dpsi0=0.0)
 
 
+def _half_scan(pot, energies, steps):
+    """Cell matrices, half-cell Omega parts and energies of the [0, a] scan that _endpoint_maps takes."""
+    _, cells, halves = propagate._nodes(pot, 0.0, -(-steps // 4))
+    energies = np.asarray(energies, dtype=float)
+    return propagate._cell_matrices(cells, energies), halves, energies
+
+
+def _half_traces(pot, energies, steps):
+    """psi and dpsi of the even and odd solutions on [0, a]."""
+    return propagate._traces(*_half_scan(pot, energies, steps))
+
+
 def _full_scan_endpoints(pot, energies, steps):
-    """Endpoint maps read off the full traces, one block of energies at a time."""
+    """Maps (psi, psi')(0) -> (psi, psi')(a) from the half-interval traces' last node, block by block."""
     maps = []
     block = SCAN_STEPS // steps
     for start in range(0, len(energies), block):
-        _, psi, dpsi = propagate._fundamental_traces(pot, energies[start : start + block], steps)
+        psi, dpsi = _half_traces(pot, energies[start : start + block], steps)
         maps.append(np.stack([psi[..., -1], dpsi[..., -1]]).transpose(2, 0, 1))
     return np.concatenate(maps)
 
@@ -272,11 +285,6 @@ def test_endpoint_maps_across_scan_blocks():
     np.testing.assert_array_equal(maps, _full_scan_endpoints(pot, energies, 4096))
 
 
-def _flat_barrier(height):
-    x = np.linspace(-1.0, 1.0, 257)
-    return validate(Sampled(a=1.0, x=x, v=np.full(257, height)))
-
-
 def _spy_counts(monkeypatch):
     """Record each prefix count the scan is asked for, and let it run."""
     counts = []
@@ -291,61 +299,70 @@ def _spy_counts(monkeypatch):
 
 
 def _bound(pot, energies, steps):
-    _, cells, halves = propagate._nodes(pot, steps)
-    energies = np.asarray(energies)
-    return propagate._log_growth_bound(propagate._cell_matrices(cells, energies), halves, energies)
+    return propagate._log_growth_bound(*_half_scan(pot, energies, steps))
 
 
 @pytest.mark.parametrize(
     "height, path",
     [
-        # Bound about e^189 against a peak of e^19: only the last prefix.
+        # Bound about e^95 against a peak of e^9: only the last prefix.
         (100.0, "tail"),
-        # Bound about e^1292 is past the limit, while the peak is e^59 and
-        # below MAX_MAGNITUDE: the full traces are formed and pass the check.
+        # Bound about e^646 is past the limit, while the peak is e^29 and
+        # below MAX_MAGNITUDE: the full traces are formed and pass the check,
+        # and the map is their last node.
         (900.0, "full"),
     ],
 )
 def test_growth_bound_picks_the_path_without_changing_the_maps(monkeypatch, height, path):
-    barrier = _flat_barrier(height)
+    barrier = validate(flat_barrier(height))
     limit = math.log(propagate.MAX_MAGNITUDE / 2)
     assert (_bound(barrier, [1.0, 2.0], 4096) < limit) == (path == "tail")
     expected = _full_scan_endpoints(barrier, [1.0, 2.0], 4096)
     counts = _spy_counts(monkeypatch)
     np.testing.assert_array_equal(propagate._endpoint_maps(barrier, [1.0, 2.0], 4096), expected)
-    assert counts == ([1] if path == "tail" else [2048, 1])
+    assert counts == ([1] if path == "tail" else [1024])
 
 
 def test_growth_bound_holds_on_barriers():
-    # The bound is an upper bound on log max |psi|, and at most the
-    # 2 a max |V - E| it stands for (a = 1, E = 1 here).
+    # The bound is an upper bound on log max |psi| over [0, a], and at most
+    # the a max |V - E| it stands for (a = 1, E = 1 here).
     for height in (25.0, 100.0, 900.0, 28900.0):
-        barrier = _flat_barrier(height)
+        barrier = validate(flat_barrier(height))
         bound = _bound(barrier, [1.0], 4096)
-        _, psi, _ = propagate._fundamental_traces(barrier, [1.0], 4096)
+        psi, _ = _half_traces(barrier, [1.0], 4096)
         peak = math.log(np.max(np.abs(psi)))
-        assert peak <= bound <= 2.0 * (height - 1.0)
+        assert peak <= bound <= height - 1.0
 
 
 def test_growth_bound_is_not_finite_for_non_finite_steps():
     # A NaN sample never reaches the scan through validate, but the bound
     # must still send such data to the full traces and their exact check.
-    _, cells, halves = propagate._nodes(WELL, 64)
+    _, cells, halves = propagate._nodes(WELL, 0.0, 16)
     m = propagate._cell_matrices(cells, np.array([1.0]))
     m[2, 0, 5] = np.nan
     assert not propagate._log_growth_bound(m, halves, np.array([1.0])) < math.inf
 
 
+def _peaks(psi):
+    """Largest |psi| on the cell nodes, and on every node."""
+    return np.max(np.abs(psi[..., ::2])), np.max(np.abs(psi))
+
+
 def test_overflow_check_reads_the_midpoints(monkeypatch):
-    # Here the second solution, sin(l (x + a)) / l, peaks at a midpoint.
-    # With the limit between its largest cell-node and midpoint values,
-    # both the traces and the endpoint maps must refuse.
-    pot = validate(SquareWell(v0=0.31, a=2.0))
+    # Here the second solution, sin(l (x + a)) / l on [-a, a] and sin(l x) / l
+    # on [0, a], peaks at a midpoint of both grids.  With the limit between
+    # its largest cell-node and midpoint values, the traces and the
+    # endpoint maps must each refuse.
+    pot = validate(SquareWell(v0=0.45, a=2.0))
     _, psi, _ = propagate._fundamental_traces(pot, [0.5], 66)
-    nodes, everywhere = np.max(np.abs(psi[..., ::2])), np.max(np.abs(psi))
+    nodes, everywhere = _peaks(psi)
     assert everywhere > nodes
     monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * (nodes + everywhere))
     with pytest.raises(Overflow):
         propagate._fundamental_traces(pot, [0.5], 66)
+    monkeypatch.undo()
+    nodes, everywhere = _peaks(_half_traces(pot, [0.5], 66)[0])
+    assert everywhere > nodes
+    monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * (nodes + everywhere))
     with pytest.raises(Overflow):
         propagate._endpoint_maps(pot, [0.5], 66)
