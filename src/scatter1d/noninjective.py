@@ -29,6 +29,7 @@ from .core import (
     AllMasked,
     ComplexWavefunction,
     NodeCollision,
+    NonFiniteSample,
     OddChannelUnmatched,
     PreconditionViolated,
 )
@@ -120,8 +121,11 @@ def recover_potential(
     """Recover V(x) = E + psi'' / psi from a real node-free-enough trace.
 
     grid is the uniform grid of the trace and psi its values there.
+    Raises NonFiniteSample when a value of psi is NaN or infinite.
     """
     psi = np.asarray(psi)
+    if not np.all(np.isfinite(psi)):
+        raise NonFiniteSample("wavefunction trace holds a NaN or infinite value")
     peak = float(np.max(np.abs(psi)))
     if peak == 0.0:
         raise AllMasked("wavefunction is identically zero")

@@ -27,14 +27,13 @@ cell's three nodes, (3 g0 + 6 gm - g1) / 8.  Any initial data, complex
 included, is a combination of the fundamental pair.
 
 For a symmetric V the S-matrix needs only the map (psi, psi')(0) ->
-(psi, psi')(a), whose columns are the even and odd solutions: the last
-prefix of a scan over [0, a], and the endpoint maps ask the scan for that
-one alone.  The full trace's overflow check is replaced by an a-priori
-bound on the solution's growth, and the full trace is still formed and
-checked wherever that bound cannot rule overflow out.
+(psi, psi')(a), whose columns are the even and odd solutions: the product
+of a scan's cell matrices over [0, a], with the bits of the full trace's
+last node.  The endpoint maps form that product alone and check the
+values S is read from, psi at x = a; full traces check psi on every node
+and midpoint.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,38 +99,47 @@ def _mul(left, right, out):
     return out
 
 
-def _prefixes(m: np.ndarray, count: int) -> np.ndarray:
-    """The last count of the prefix products M_k ... M_1 M_0 along the last axis.
+def _pairs(m: np.ndarray) -> np.ndarray:
+    """The products M_{2j+1} M_{2j} of adjacent pairs along the last axis; an odd last M is left out."""
+    return _mul(m[..., 1::2], m[..., :-1:2], np.empty(m.shape[:-1] + (m.shape[-1] // 2,)))
+
+
+def _prefixes(m: np.ndarray) -> np.ndarray:
+    """All prefix products M_k ... M_1 M_0 along the last axis.
 
     m[0..3] hold the entries (m11, m12, m21, m22) of the matrices M_k, and
-    the result holds those of the prefixes.  Adjacent pairs are multiplied,
-    level by level, and the prefixes are assembled back up: prefix k >= 1
-    is pair prefix (k - 1) // 2, times M_k when k is even, so each level
-    needs about half as many prefixes of the next as it returns.  A level
-    keeps only the tail of its matrices that its prefixes read, so the
-    last prefix alone costs little memory beyond m.  Rounding grows with
-    the depth of this tree, not with the length, and a prefix has the same
-    bits whatever count is.
+    the result holds those of the prefixes.  Adjacent pairs are multiplied
+    and their prefixes formed the same way: prefix k >= 1 is pair prefix
+    (k - 1) // 2, times M_k when k is even.  Rounding grows with the depth
+    of this tree, not with the length.
     """
-    tails = []  # per level: its matrices from the first prefix wanted on, and that index
+    if (n := m.shape[-1]) == 1:
+        return m
+    pairs = _prefixes(_pairs(m))
+    out = m.copy()  # prefix 0 is M_0
+    out[..., 1::2] = pairs
+    _mul(m[..., 2::2], pairs[..., : (n - 1) // 2], out[..., 2::2])
+    return out
+
+
+def _product(m: np.ndarray) -> np.ndarray:
+    """The product M_{n-1} ... M_1 M_0 of the n matrices along the last axis.
+
+    Adjacent pairs are multiplied level by level.  A level of odd length
+    sets its last matrix aside, and the set-aside matrices multiply the
+    coarsest level's single matrix on the left at the end, the finest
+    last.  That is how _prefixes forms its last prefix, so the two agree
+    bit for bit, while no level but the current one is kept.
+    """
+    aside = []
     while (n := m.shape[-1]) > 1:
-        first = n - count
-        tails.append((m[..., first:].copy(), first))
-        count = n // 2 - max(first - 1, 0) // 2
-        m = _mul(m[..., 1::2], m[..., :-1:2], np.empty(m.shape[:-1] + (n // 2,)))
-    # m now holds the prefixes wanted of the coarsest level, a single matrix.
-    for out, first in reversed(tails):
-        skipped = (first + out.shape[-1]) // 2 - m.shape[-1]  # pair prefixes not formed
-        # Odd k: pair prefix (k - 1) // 2.  Even k >= 2: M_k times pair prefix
-        # k // 2 - 1.  Prefix 0 is M_0 as copied.
-        odd = first | 1
-        out[..., odd - first :: 2] = m[..., (odd - 1) // 2 - skipped :]
-        even = max(first + first % 2, 2)
-        evens = out[..., even - first :: 2]
-        below = even // 2 - 1 - skipped
-        _mul(evens.copy(), m[..., below : below + evens.shape[-1]], evens)
-        m = out
-    return m
+        if n % 2:
+            aside.append(m[..., -1].copy())
+        m = _pairs(m)
+    p = m[..., 0]
+    for left in reversed(aside):
+        p = _mul(left, p, np.empty_like(p))
+    return p
 
 
 def check_steps(steps: int) -> None:
@@ -202,6 +210,15 @@ def _cell_matrices(omega, energies: np.ndarray) -> np.ndarray:
     return m
 
 
+def _refuse_overflow(peak: float) -> None:
+    """Raise Overflow unless peak, a largest |psi|, is at most MAX_MAGNITUDE (NaN is not)."""
+    if not peak <= MAX_MAGNITUDE:
+        raise Overflow(
+            f"wavefunction magnitude {peak:.3e} exceeds {MAX_MAGNITUDE:.0e}; "
+            "the energy is too deep in a classically forbidden region"
+        )
+
+
 def _traces(m: np.ndarray, halves, energies: np.ndarray):
     """psi and dpsi of the fundamental pair on every grid node, from the cell matrices.
 
@@ -212,17 +229,13 @@ def _traces(m: np.ndarray, halves, energies: np.ndarray):
     """
     psi, dpsi = np.empty((2, 2, energies.size, 2 * m.shape[-1] + 1))
     psi[..., 0], dpsi[..., 0] = [[1.0], [0.0]], [[0.0], [1.0]]
-    p = _prefixes(m, m.shape[-1])
+    p = _prefixes(m)
     psi[..., 2::2], dpsi[..., 2::2] = p[:2], p[2:]
     half = _cell_matrices(halves, energies)
     u, du = psi[..., :-1:2], dpsi[..., :-1:2]
     psi[..., 1::2] = half[0] * u + half[1] * du
     dpsi[..., 1::2] = half[2] * u + half[3] * du
-    if not (peak := np.max(np.abs(psi))) <= MAX_MAGNITUDE:
-        raise Overflow(
-            f"wavefunction magnitude {peak:.3e} exceeds {MAX_MAGNITUDE:.0e}; "
-            "the energy is too deep in a classically forbidden region"
-        )
+    _refuse_overflow(np.max(np.abs(psi)))
     return psi, dpsi
 
 
@@ -239,51 +252,26 @@ def _fundamental_traces(pot: EvaluatedPotential, energies, steps: int):
     return (grid, *_traces(_cell_matrices(cells, energies), halves, energies))
 
 
-def _log_growth_bound(m: np.ndarray, halves, energies: np.ndarray) -> float:
-    """An upper bound on log |psi| over the whole trace of every energy.
-
-    psi at a cell node is an entry of a prefix P_j of j cell matrices, so
-    |psi| <= R^j with R >= 1 the largest max-row-sum norm of a cell matrix,
-    or 1.  psi at a midpoint is an entry of exp(Omega') P_j with Omega' the
-    half cell's, and ||exp(Omega')|| <= exp(||Omega'||), where ||Omega'|| <=
-    |d'| + H' max(1, |s'|).  So log |psi| <= cells log R + max ||Omega'||,
-    at most about the interval's length times max |V - E|.  NaN or inf when
-    an entry is not finite.
-    """
-    sv, d, width = halves
-    top = np.max(np.abs(m[0]), axis=-1) + np.max(np.abs(m[1]), axis=-1)
-    bottom = np.max(np.abs(m[2]), axis=-1) + np.max(np.abs(m[3]), axis=-1)
-    norm = np.maximum(1.0, np.maximum(top, bottom))
-    s = np.maximum(np.max(sv) - energies, energies - np.min(sv))
-    half = np.max(np.abs(d)) + width * np.maximum(1.0, s)
-    return float(np.max(m.shape[-1] * np.log(norm) + half))
-
-
 @np.errstate(all="ignore")
 def _endpoint_maps(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
-    """Maps (psi, psi')(0) -> (psi, psi')(a) at each energy, read off one scan of [0, a].
+    """Maps (psi, psi')(0) -> (psi, psi')(a) at each energy, the product of one scan of [0, a].
 
     Shape (len(energies), 2, 2); the columns are the even and odd solutions.
     The scan takes ceil(steps / 4) cells, so its cells are those of steps
-    on [-a, a] whenever 4 divides steps.  Only the scan's last prefix is
-    formed, unless the growth bound cannot rule out Overflow: then the full
-    traces are formed and checked, and the map is their last node, which
-    carries the same bits.
+    on [-a, a] whenever 4 divides steps.  Only the product of the cells is
+    formed, with the bits of the full traces' last node.  Raises Overflow
+    when an entry of a map is not finite or |psi| at x = a, the value S is
+    read from, leaves the trustworthy range; the nodes inside [0, a] are
+    not checked.
     """
     energies = _check(pot, energies, steps)
-    _, cells, halves = _nodes(pot, 0.0, -(-steps // 4))
+    _, cells, _ = _nodes(pot, 0.0, -(-steps // 4))
     block = SCAN_STEPS // steps
     maps = np.empty((energies.size, 2, 2))
     for start in range(0, energies.size, block):
-        chunk = energies[start : start + block]
-        m = _cell_matrices(cells, chunk)
-        # The factor 2 covers rounding in the scan and in the bound itself.
-        if _log_growth_bound(m, halves, chunk) < math.log(MAX_MAGNITUDE / 2):
-            last = _prefixes(m, 1)[..., 0]
-        else:
-            psi, dpsi = _traces(m, halves, chunk)
-            last = np.concatenate([psi[..., -1], dpsi[..., -1]])
-        maps[start : start + block] = last.T.reshape(-1, 2, 2)
+        m = _cell_matrices(cells, energies[start : start + block])
+        maps[start : start + block] = _product(m).T.reshape(-1, 2, 2)
+    _refuse_overflow(np.max(np.abs(maps[:, 0])) if np.all(np.isfinite(maps)) else np.inf)
     return maps
 
 

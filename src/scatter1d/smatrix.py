@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import PreconditionViolated, SingularSystem, wavenumber_from_energy
-from .potential import EvaluatedPotential
+from .potential import EvaluatedPotential, _check_finite
 from .propagate import BoundaryData, _endpoint_maps
 
 #: Relative threshold below which amplitude quads cannot be inverted.
@@ -74,6 +74,7 @@ class SMatrix:
 
 def amplitudes_from_boundary(bd: BoundaryData, k: float, a: float) -> AmplitudeQuad:
     """Read plane-wave amplitudes off boundary values of a solution."""
+    _check_finite(k=k, a=a)
     if not k > 0.0:
         raise PreconditionViolated(f"wavenumber must be positive, got {k}")
     if not a > 0.0:
@@ -180,6 +181,7 @@ def analytic_square_well(v0: float, a: float, energy: float) -> SMatrix:
 
     The v0 = 0 limit is the free matrix [[0, 1], [1, 0]].
     """
+    _check_finite(v0=v0, a=a)
     if v0 < 0.0:
         raise PreconditionViolated(f"well depth v0 must be >= 0, got {v0}")
     if not a > 0.0:
@@ -206,6 +208,7 @@ def analytic_delta(alpha: float, energy: float) -> SMatrix:
 
     The support is a point, so the matrix carries a = 0.
     """
+    _check_finite(alpha=alpha)
     if not alpha > 0.0:
         raise PreconditionViolated(f"delta strength must be positive, got {alpha}")
     k = wavenumber_from_energy(energy)

@@ -92,9 +92,9 @@ def analytic_square_barrier(height: float, a: float, energy: float) -> SMatrix:
     return SMatrix(s11=complex(diag), s12=complex(off), s21=complex(off), s22=complex(diag), k=k, a=a)
 
 
-def flat_barrier(height: float) -> Sampled:
-    """The barrier V = height tabulated on 257 nodes over [-1, 1]."""
-    return Sampled(a=1.0, x=np.linspace(-1.0, 1.0, 257), v=np.full(257, height))
+def flat_barrier(height: float, a: float = 1.0) -> Sampled:
+    """The barrier V = height tabulated on 257 nodes over [-a, a]."""
+    return Sampled(a=a, x=np.linspace(-a, a, 257), v=np.full(257, height))
 
 
 def random_smooth_sampled(rng: np.random.Generator, n: int = 257) -> Sampled:

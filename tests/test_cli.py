@@ -546,6 +546,18 @@ class TestRecover:
         assert proc.returncode == 3
         assert message in proc.stderr
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_trace_value_exits_three(self, tmp_path, bad):
+        x = np.linspace(-1.0, 1.0, 9)
+        psi = np.cos(x)
+        psi[3] = bad
+        path = write_trace(tmp_path / "bad.csv", x, psi)
+        proc = run_cli("recover", "--trace", str(path), "--energy", "1.0")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "NaN or infinite" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_malformed_trace_exits_three(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,psi\n0.0,oops\n")

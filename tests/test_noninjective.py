@@ -10,6 +10,7 @@ from scatter1d.core import (
     AllMasked,
     ComplexWavefunction,
     NodeCollision,
+    NonFiniteSample,
     OddChannelUnmatched,
     PreconditionViolated,
 )
@@ -92,6 +93,13 @@ class TestRecoverPotential:
         trace = make_trace(np.cos)
         with pytest.raises(AllMasked):
             recover_potential(*trace, 1.0, node_tol=2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_trace_value_is_refused(self, bad):
+        grid, psi = make_trace(np.cos)
+        psi[100] = bad
+        with pytest.raises(NonFiniteSample, match="NaN or infinite"):
+            recover_potential(grid, psi, 1.0)
 
     def test_needs_six_points(self):
         trace = make_trace(np.cos, n=5)

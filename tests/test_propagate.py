@@ -244,15 +244,13 @@ def _random_gaussian(seed):
     return validate(Sampled(a=a, x=x, v=0.5 * (v + v[::-1]))), rng
 
 
-def test_prefix_tails_equal_the_full_scan_bit_for_bit():
+def test_product_equals_the_last_prefix_bit_for_bit():
     rng = np.random.default_rng(3)
-    for length in list(range(1, 40)) + [64, 127, 1000]:
+    for length in list(range(1, 41)) + [64, 127, 1000, 1024]:
         m = rng.normal(size=(4, 3, length))
-        full = propagate._prefixes(m, length)
-        for count in range(1, min(length, 5) + 1):
-            np.testing.assert_array_equal(
-                propagate._prefixes(m, count), full[..., -count:], err_msg=f"{length}, {count}"
-            )
+        np.testing.assert_array_equal(
+            propagate._product(m), propagate._prefixes(m)[..., -1], err_msg=str(length)
+        )
 
 
 def test_prefixes_match_sequential_products():
@@ -260,7 +258,7 @@ def test_prefixes_match_sequential_products():
     for length in (1, 2, 3, 7, 64, 129):
         # Near-identity factors keep the products of order one.
         m = np.eye(2).reshape(4, 1, 1) + 0.1 * rng.normal(size=(4, 3, length))
-        p = propagate._prefixes(m, length)
+        p = propagate._prefixes(m)
         product = np.broadcast_to(np.eye(2), (3, 2, 2))
         for k in range(length):
             product = m[:, :, k].T.reshape(3, 2, 2) @ product
@@ -285,62 +283,35 @@ def test_endpoint_maps_across_scan_blocks():
     np.testing.assert_array_equal(maps, _full_scan_endpoints(pot, energies, 4096))
 
 
-def _spy_counts(monkeypatch):
-    """Record each prefix count the scan is asked for, and let it run."""
-    counts = []
-    prefixes = propagate._prefixes
+def test_endpoint_maps_on_barriers_are_the_last_node_or_refused(monkeypatch):
+    # Tall barriers grow the odd and even solutions like e^{a sqrt(V - E)}.
+    # Up to MAX_MAGNITUDE at x = a, the map is the last node of the [0, a]
+    # traces, whatever the nodes inside; past it, the map is refused.  Any
+    # full scan the endpoint maps formed would fail the test.
 
-    def spy(m, count):
-        counts.append(count)
-        return prefixes(m, count)
+    def forbidden(*args):
+        raise AssertionError("the endpoint maps formed a full scan")
 
-    monkeypatch.setattr(propagate, "_prefixes", spy)
-    return counts
-
-
-def _bound(pot, energies, steps):
-    return propagate._log_growth_bound(*_half_scan(pot, energies, steps))
-
-
-@pytest.mark.parametrize(
-    "height, path",
-    [
-        # Bound about e^95 against a peak of e^9: only the last prefix.
-        (100.0, "tail"),
-        # Bound about e^646 is past the limit, while the peak is e^29 and
-        # below MAX_MAGNITUDE: the full traces are formed and pass the check,
-        # and the map is their last node.
-        (900.0, "full"),
-    ],
-)
-def test_growth_bound_picks_the_path_without_changing_the_maps(monkeypatch, height, path):
-    barrier = validate(flat_barrier(height))
-    limit = math.log(propagate.MAX_MAGNITUDE / 2)
-    assert (_bound(barrier, [1.0, 2.0], 4096) < limit) == (path == "tail")
-    expected = _full_scan_endpoints(barrier, [1.0, 2.0], 4096)
-    counts = _spy_counts(monkeypatch)
-    np.testing.assert_array_equal(propagate._endpoint_maps(barrier, [1.0, 2.0], 4096), expected)
-    assert counts == ([1] if path == "tail" else [1024])
-
-
-def test_growth_bound_holds_on_barriers():
-    # The bound is an upper bound on log max |psi| over [0, a], and at most
-    # the a max |V - E| it stands for (a = 1, E = 1 here).
-    for height in (25.0, 100.0, 900.0, 28900.0):
-        barrier = validate(flat_barrier(height))
-        bound = _bound(barrier, [1.0], 4096)
-        psi, _ = _half_traces(barrier, [1.0], 4096)
-        peak = math.log(np.max(np.abs(psi)))
-        assert peak <= bound <= height - 1.0
-
-
-def test_growth_bound_is_not_finite_for_non_finite_steps():
-    # A NaN sample never reaches the scan through validate, but the bound
-    # must still send such data to the full traces and their exact check.
-    _, cells, halves = propagate._nodes(WELL, 0.0, 16)
-    m = propagate._cell_matrices(cells, np.array([1.0]))
-    m[2, 0, 5] = np.nan
-    assert not propagate._log_growth_bound(m, halves, np.array([1.0])) < math.inf
+    answered = refused = 0
+    for height in (100.0, 400.0, 900.0, 1e4, 1e5):
+        for a in (0.5, 1.0, 2.0):
+            barrier = validate(flat_barrier(height, a))
+            for steps in (66, 1026, 4096):
+                m, _, _ = _half_scan(barrier, [1.0, 2.0], steps)
+                with np.errstate(all="ignore"):
+                    last = propagate._prefixes(m)[..., -1]
+                with monkeypatch.context() as patch:
+                    patch.setattr(propagate, "_prefixes", forbidden)
+                    patch.setattr(propagate, "_traces", forbidden)
+                    if np.all(np.isfinite(last)) and np.max(np.abs(last[:2])) <= propagate.MAX_MAGNITUDE:
+                        maps = propagate._endpoint_maps(barrier, [1.0, 2.0], steps)
+                        np.testing.assert_array_equal(maps, last.T.reshape(-1, 2, 2))
+                        answered += 1
+                    else:
+                        with pytest.raises(Overflow):
+                            propagate._endpoint_maps(barrier, [1.0, 2.0], steps)
+                        refused += 1
+    assert answered and refused
 
 
 def _peaks(psi):
@@ -351,8 +322,9 @@ def _peaks(psi):
 def test_overflow_check_reads_the_midpoints(monkeypatch):
     # Here the second solution, sin(l (x + a)) / l on [-a, a] and sin(l x) / l
     # on [0, a], peaks at a midpoint of both grids.  With the limit between
-    # its largest cell-node and midpoint values, the traces and the
-    # endpoint maps must each refuse.
+    # its largest cell-node and midpoint values, the traces refuse, while
+    # the endpoint maps, which check only x = a, return the traces' last
+    # node.  With the limit below |psi(a)|, the endpoint maps refuse too.
     pot = validate(SquareWell(v0=0.45, a=2.0))
     _, psi, _ = propagate._fundamental_traces(pot, [0.5], 66)
     nodes, everywhere = _peaks(psi)
@@ -361,8 +333,14 @@ def test_overflow_check_reads_the_midpoints(monkeypatch):
     with pytest.raises(Overflow):
         propagate._fundamental_traces(pot, [0.5], 66)
     monkeypatch.undo()
-    nodes, everywhere = _peaks(_half_traces(pot, [0.5], 66)[0])
+    psi, dpsi = _half_traces(pot, [0.5], 66)
+    nodes, everywhere = _peaks(psi)
     assert everywhere > nodes
     monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * (nodes + everywhere))
     with pytest.raises(Overflow):
+        propagate._traces(*_half_scan(pot, [0.5], 66))
+    (m,) = propagate._endpoint_maps(pot, [0.5], 66)
+    np.testing.assert_array_equal(m, [psi[:, 0, -1], dpsi[:, 0, -1]])
+    monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * np.max(np.abs(psi[..., -1])))
+    with pytest.raises(Overflow, match="too deep in a classically forbidden region"):
         propagate._endpoint_maps(pot, [0.5], 66)

@@ -91,6 +91,9 @@ class TestFreeAndAnalytic:
             analytic_square_well(v0=-1.0, a=1.0, energy=1.0)
         with pytest.raises(PreconditionViolated):
             analytic_square_well(v0=1.0, a=0.0, energy=1.0)
+        for v0, a in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf)):
+            with pytest.raises(PreconditionViolated, match="must be finite"):
+                analytic_square_well(v0=v0, a=a, energy=1.0)
 
     def test_metadata_fields(self):
         s = analytic_square_well(v0=2.0, a=1.5, energy=4.0)
@@ -131,6 +134,9 @@ class TestAmplitudes:
             amplitudes_from_boundary(bd, 0.0, 1.0)
         with pytest.raises(PreconditionViolated):
             amplitudes_from_boundary(bd, 1.0, 0.0)
+        for k, a in ((np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf)):
+            with pytest.raises(PreconditionViolated, match="must be finite"):
+                amplitudes_from_boundary(bd, k, a)
 
 
 class TestTransferRoute:
@@ -225,6 +231,8 @@ class TestDelta:
     def test_guards(self):
         with pytest.raises(PreconditionViolated):
             analytic_delta(0.0, 1.0)
+        with pytest.raises(PreconditionViolated, match="alpha must be finite"):
+            analytic_delta(np.inf, 1.0)
         with pytest.raises(PreconditionViolated):
             delta_as_well_limit(2.0, 1.0, eps=0.0)
         with pytest.raises(PreconditionViolated):
