@@ -283,6 +283,37 @@ def test_endpoint_maps_across_scan_blocks():
     np.testing.assert_array_equal(maps, _full_scan_endpoints(pot, energies, 4096))
 
 
+@pytest.mark.parametrize(
+    "height, path",
+    [
+        # The cases an a-priori growth bound once split: at V = 100 it took
+        # only the last prefix ("tail"), at V = 900 it fell back to the full
+        # traces ("full").  Both now take the one product of the 1024 cells,
+        # and the maps keep their bits.
+        (100.0, "tail"),
+        (900.0, "full"),
+    ],
+)
+def test_growth_bound_picks_the_path_without_changing_the_maps(monkeypatch, height, path):
+    barrier = validate(flat_barrier(height))
+    expected = _full_scan_endpoints(barrier, [1.0, 2.0], 4096)
+    lengths = []
+    product = propagate._product
+
+    def spy(m):
+        lengths.append(m.shape[-1])
+        return product(m)
+
+    def forbidden(*args):
+        raise AssertionError("the endpoint maps formed a full scan")
+
+    monkeypatch.setattr(propagate, "_product", spy)
+    monkeypatch.setattr(propagate, "_prefixes", forbidden)
+    monkeypatch.setattr(propagate, "_traces", forbidden)
+    np.testing.assert_array_equal(propagate._endpoint_maps(barrier, [1.0, 2.0], 4096), expected)
+    assert lengths == [1024]
+
+
 def test_endpoint_maps_on_barriers_are_the_last_node_or_refused(monkeypatch):
     # Tall barriers grow the odd and even solutions like e^{a sqrt(V - E)}.
     # Up to MAX_MAGNITUDE at x = a, the map is the last node of the [0, a]
