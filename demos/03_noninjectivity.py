@@ -11,10 +11,16 @@ their even-channel scattering at E = q^2 is identical because the
 boundary data of psi never changed.
 
 The odd channel needs more: the second, linearly independent solution
-feels the bump through a reduction-of-order integral.  A second edge-flat
-bump c*x^2*(x^2 - a^2)^2, with c found by a secant search on the odd
-channel's phase, pins that channel too, so the full 2x2 matrices agree.
-The single-bump pair at the end shows what is left without it.
+is psi(x) times the integral of psi^-2 from 0 to x, so it feels the bump
+through that reduction-of-order integral.  A second edge-flat bump
+c*x^2*(x^2 - a^2)^2, with c chosen so that the integral of psi^-2 over
+the support is the undeformed one, pins that channel too, so the full
+2x2 matrices agree.  The single-bump pair at the end shows what is left
+without it.
+
+The recovered potentials are tables on the construction grid, so the
+comparisons below forward-solve them at the pair's own step count, where
+the solver reads them at their nodes.
 """
 
 from scatter1d.noninjective import build_counterexample, verify_same_smatrix
@@ -25,20 +31,20 @@ print(f"tuning bump amplitude c = {pair.odd_coefficient:.6f}")
 print(f"sup-norm separation of the two potentials: {pair.separation:.6f}")
 print(f"boundary residual of the deformed wave: {pair.boundary_residual:.1e}")
 
-at_energy = verify_same_smatrix(pair, steps=8192)
+at_energy = verify_same_smatrix(pair)
 print("\nscattering comparison at the construction energy:")
 print(f"  even channel gap: {at_energy.even_channel_diff:.3e}  (boundary data)")
 print(f"  odd channel gap:  {at_energy.odd_channel_diff:.3e}  (tuning bump)")
 print(f"  max matrix entry: {at_energy.max_entry_diff:.3e}")
 
-shifted = verify_same_smatrix(pair, steps=8192, energy=pair.energy + 0.5)
+shifted = verify_same_smatrix(pair, energy=pair.energy + 0.5)
 print("\naway from the construction energy (E + 0.5) both channels move:")
 print(f"  even channel gap: {shifted.even_channel_diff:.3e}")
 print(f"  odd channel gap:  {shifted.odd_channel_diff:.3e}")
 
 # Without the tuning bump only the even channel is pinned.
 single = build_counterexample(q=1.0, eps=0.01, a=1.0, single_bump=True)
-split = verify_same_smatrix(single, steps=8192)
+split = verify_same_smatrix(single)
 print("\nsingle-bump pair at the construction energy:")
 print(f"  even channel gap: {split.even_channel_diff:.3e}  (identical)")
 print(f"  odd channel gap:  {split.odd_channel_diff:.3e}  (genuinely different)")

@@ -169,18 +169,23 @@ def _omega(v0: np.ndarray, vm: np.ndarray, v1: np.ndarray, width: float):
     return (v0 + 4.0 * vm + v1) / 6.0, (width * width / 12.0) * (v0 - v1), width
 
 
+def _cells(pot: EvaluatedPotential, start: float, cells: int):
+    """Grid of [start, a] with 2 cells + 1 nodes, V on it, and the Omega parts of its cells."""
+    grid = np.linspace(start, pot.a, 2 * cells + 1)
+    v = pot(grid)
+    return grid, v, _omega(v[:-1:2], v[1::2], v[2::2], (pot.a - start) / cells)
+
+
 def _nodes(pot: EvaluatedPotential, start: float, cells: int):
     """Grid of [start, a], and the Omega parts of its cells and of their first halves.
 
-    The grid has 2 cells + 1 nodes.  A half cell reads V at its cell's first node, at the quarter point, by
+    A half cell reads V at its cell's first node, at the quarter point, by
     the quadratic through the cell's three nodes, and at the middle node.
+    Only full traces read the halves.
     """
-    grid = np.linspace(start, pot.a, 2 * cells + 1)
-    v = pot(grid)
+    grid, v, omega = _cells(pot, start, cells)
     v0, vm, v1 = v[:-1:2], v[1::2], v[2::2]
-    quarter = (3.0 * v0 + 6.0 * vm - v1) / 8.0
-    width = (pot.a - start) / cells
-    return grid, _omega(v0, vm, v1, width), _omega(v0, quarter, vm, 0.5 * width)
+    return grid, omega, _omega(v0, (3.0 * v0 + 6.0 * vm - v1) / 8.0, vm, 0.5 * omega[2])
 
 
 def _cell_matrices(omega, energies: np.ndarray) -> np.ndarray:
@@ -265,7 +270,7 @@ def _endpoint_maps(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
     not checked.
     """
     energies = _check(pot, energies, steps)
-    _, cells, _ = _nodes(pot, 0.0, -(-steps // 4))
+    *_, cells = _cells(pot, 0.0, -(-steps // 4))
     block = SCAN_STEPS // steps
     maps = np.empty((energies.size, 2, 2))
     for start in range(0, energies.size, block):

@@ -356,6 +356,23 @@ class TestCounterexample:
         assert cmp["odd_channel_diff"] < 1e-8
         assert cmp["max_entry_diff"] < 1e-8
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # Not divisible by 4: the forward solves would read the
+            # recovered table between its nodes.
+            (("--steps", "4094"), "divisible by 4"),
+            # The wave changes sign between grid points, where |psi| never
+            # falls below the node tolerance.
+            (("--q", "0.6", "--eps", "-1.2", "--single-bump"), "node"),
+        ],
+    )
+    def test_refusals_exit_three(self, args, message):
+        proc = run_cli("counterexample", *args)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert message in proc.stderr
+
 
 class TestCsvJsonMirror:
     @pytest.mark.parametrize(

@@ -123,7 +123,7 @@ class TestBuildCounterexample:
         assert abs(single_bump_pair.separation - expect) < 1e-5
 
     def test_tuning_amplitude_and_separation(self, pair):
-        # The secant root for q = 1, eps = 0.01, a = 1; the tuning bump adds
+        # The Newton root for q = 1, eps = 0.01, a = 1; the tuning bump adds
         # c g''(a) / cos(q a) = 8 c a^4 / cos(q a) to the edge gap.
         assert abs(pair.odd_coefficient + 0.049571) < 1e-5
         expect = 8.0 * (0.01 + pair.odd_coefficient) / math.cos(1.0)
@@ -156,14 +156,73 @@ class TestBuildCounterexample:
         expect = 1.0 - 1.04 / 1.01
         assert abs(single_bump_pair.perturbed.values[mid] - expect) < 1e-6
 
+    @pytest.mark.parametrize(
+        "q, eps, a",
+        [(1.0, 0.01, 1.0), (1.446832, 0.04, 1.0), (0.5, 0.01, 1.3)],
+    )
+    def test_tuning_amplitude_matches_an_independent_root(self, q, eps, a):
+        # Equal boundary data leave the odd channel to the integral of
+        # psi^-2, which for cos(q x) on [0, a] is tan(q a) / q.
+        from scipy.integrate import quad
+        from scipy.optimize import brentq
+
+        def gap(c):
+            def wave(x):
+                w = x * x - a * a
+                return math.cos(q * x) + eps * w * w + c * x * x * w * w
+
+            return quad(lambda x: wave(x) ** -2, 0.0, a, epsabs=0.0, epsrel=1e-13)[0] - math.tan(q * a) / q
+
+        root = brentq(gap, -10 * eps, 0.0, xtol=1e-15, rtol=1e-14)
+        pair = build_counterexample(q=q, eps=eps, a=a)
+        assert abs(pair.odd_coefficient - root) <= 1e-8 * abs(root)
+
+    @pytest.mark.parametrize("q, a, steps", [(1.0, 0.7, 4096), (0.5, 1.3, 4096), (1.0, 1.0, 4092)])
+    def test_grids_that_are_not_powers_of_two_answer(self, q, a, steps):
+        # The grid is mirrored from [0, a], so both potentials are exactly
+        # even on any support and any step count divisible by 4.
+        cmp = build_counterexample(q=q, eps=0.01, a=a, steps=steps).comparison
+        assert max(cmp.max_entry_diff, cmp.even_channel_diff, cmp.odd_channel_diff) <= 1e-9
+
     def test_node_collision(self):
         with pytest.raises(NodeCollision):
             build_counterexample(q=1.0, eps=-1.0, a=1.0)
 
+    def test_sign_change_between_nodes_is_a_node_collision(self):
+        # cos(0.6 x) - 1.2 (x^2 - 1)^2 crosses zero between grid points, so
+        # |psi| stays above the node tolerance on every node.
+        with pytest.raises(NodeCollision):
+            build_counterexample(q=0.6, eps=-1.2, a=1.0, single_bump=True)
+
+    def test_newton_steps_back_from_a_node(self, monkeypatch):
+        # From c = 0 the first Newton step overshoots to a wave with a
+        # node; pulled back halfway, the search still reaches the root.
+        verdicts = []
+        node_free = noninjective._node_free
+        monkeypatch.setattr(
+            noninjective, "_node_free", lambda psi: verdicts.append(node_free(psi)) or verdicts[-1]
+        )
+        pair = build_counterexample(q=0.43, eps=0.082, a=2.0)
+        assert False in verdicts
+        assert pair.comparison.odd_channel_diff < 1e-9
+
     def test_unconverged_odd_channel_search_raises(self, monkeypatch):
-        monkeypatch.setattr(noninjective, "MAX_SECANT_STEPS", 1)
+        monkeypatch.setattr(noninjective, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(OddChannelUnmatched):
             build_counterexample(q=1.0, eps=0.01, a=1.0)
+
+    def test_forward_solved_odd_gap_is_checked_after_the_fact(self, monkeypatch):
+        # The default pair's odd channels agree to about 3e-12.
+        monkeypatch.setattr(noninjective, "ODD_CHANNEL_TOL", 1e-13)
+        with pytest.raises(OddChannelUnmatched, match="forward-solved"):
+            build_counterexample(q=1.0, eps=0.01, a=1.0)
+
+    def test_nearly_nodal_tuned_wave_is_refused(self):
+        # The integral match lands near c = 143, where the wave almost
+        # touches zero and the recovered table no longer carries the odd
+        # channel: the forward solves disagree by about 3e-2.
+        with pytest.raises(OddChannelUnmatched, match="forward-solved"):
+            build_counterexample(q=0.1413, eps=-0.06, a=2.0)
 
     def test_parameter_guards(self):
         with pytest.raises(PreconditionViolated):
@@ -177,6 +236,8 @@ class TestBuildCounterexample:
         # Refused before any grid is allocated.
         with pytest.raises(PreconditionViolated, match=str(SCAN_STEPS)):
             build_counterexample(q=1.0, eps=0.01, a=1.0, steps=SCAN_STEPS + 1)
+        with pytest.raises(PreconditionViolated, match="divisible by 4"):
+            build_counterexample(q=1.0, eps=0.01, a=1.0, steps=4094)
 
 
 class TestVerifySameSMatrix:
@@ -236,8 +297,11 @@ class TestVerifySameSMatrix:
         monkeypatch.setattr(module, "_forward_smatrix", recording)
         build_counterexample(q=1.0, eps=0.01, a=1.0, steps=1024, single_bump=single_bump)
         assert len(set(solved)) == len(solved)
-        if single_bump:
-            assert len(solved) == 2
+        assert len(solved) == 2
+
+    def test_default_steps_are_the_pairs_own(self):
+        built = build_counterexample(q=1.0, eps=0.01, a=1.0, steps=1024)
+        assert verify_same_smatrix(built) == built.comparison
 
     def test_both_matrices_stay_unitary(self, pair):
         cmp = verify_same_smatrix(pair, steps=4096)
