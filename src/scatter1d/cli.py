@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--q", type=_finite, default=1.0, help="construction wavenumber (default 1)")
     ce.add_argument("--eps", type=_finite, default=0.01, help="bump amplitude (default 0.01)")
     ce.add_argument("--a", type=_finite, default=1.0, help="support half width (default 1)")
-    ce.add_argument("--steps", type=int, default=4096, help="integration steps, even (default 4096)")
+    ce.add_argument("--steps", type=int, default=4096, help="integration steps, a multiple of 4 (default 4096)")
     ce.add_argument(
         "--single-bump",
         action="store_true",
