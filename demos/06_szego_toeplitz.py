@@ -14,8 +14,9 @@ at the largest n yields the whole table below.
 
 The same determinant, through the discretization coupling alpha*n =
 2 pi t, approximates the product of both parity sine-kernel
-determinants; the cross-check below shows the gap shrinking as the arc
-refines at fixed t.
+determinants.  ``szego_limit_check(n, t)`` takes the section at that
+alpha; the cross-check below shows the gap shrinking as the arc refines
+at fixed t.
 """
 
 import math
@@ -33,6 +34,6 @@ for result in toeplitz_logdet(ArcSymbol(alpha), [4, 8, 16, 32, 64, 128]):
 print("\ndeterminant vs parity-split Fredholm product at fixed t=2:")
 print(f"{'n':>5} {'alpha':>9} {'log det':>12} {'fredholm total':>15} {'gap':>10}")
 for n in (64, 128, 256):
-    check = szego_limit_check(alpha=2 * math.pi * 2.0 / n, n=n, t=2.0, quad_order=QUAD_ORDER)
+    check = szego_limit_check(n=n, t=2.0, quad_order=QUAD_ORDER)
     print(f"{n:5d} {check.alpha:9.5f} {check.log_det:12.6f}"
           f" {check.fredholm_total:15.6f} {check.gap_fredholm:10.5f}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import PreconditionViolated, ScatterError
 from .noninjective import build_counterexample, recover_potential
-from .potential import Delta, SquareWell, load_sampled_csv, load_trace_csv, validate
+from .potential import SquareWell, load_sampled_csv, load_trace_csv, validate
 from .smatrix import analytic_delta, smatrix_via_transfer
 from .spectral import QUAD_ORDER, fredholm_report, jost_forms, phase_shift
 from .szego import ArcSymbol, szego_limit_check, toeplitz_logdet
@@ -145,11 +145,11 @@ def _emit(
 
 
 def cmd_smatrix(args: argparse.Namespace) -> int:
+    # A sampled file is read before the energy grid is checked, so an
+    # unreadable file is the error reported when both are bad.
     if args.well is not None:
         spec = SquareWell(v0=args.well[0], a=args.well[1])
-    elif args.delta is not None:
-        spec = Delta(alpha=args.delta)
-    else:
+    elif args.sampled is not None:
         spec = load_sampled_csv(args.sampled)
 
     if args.energy is not None:
@@ -160,11 +160,10 @@ def cmd_smatrix(args: argparse.Namespace) -> int:
             raise PreconditionViolated(f"energy grid of {count} points has more than {MAX_GRID_POINTS}")
         energies = [float(e) for e in np.linspace(start, stop, count)]
 
-    pot = validate(spec)
-    if pot.is_delta:
-        matrices = [analytic_delta(pot.alpha, e) for e in energies]
+    if args.delta is not None:
+        matrices = [analytic_delta(args.delta, e) for e in energies]
     else:
-        matrices = smatrix_via_transfer(pot, energies, steps=args.steps)
+        matrices = smatrix_via_transfer(validate(spec), energies, steps=args.steps)
 
     rows = [
         {
@@ -238,10 +237,7 @@ def cmd_szego(args: argparse.Namespace) -> int:
         results = toeplitz_logdet(ArcSymbol(args.alpha), args.n)
         fmt = args.format or "csv"
     else:
-        results = [
-            szego_limit_check(2.0 * math.pi * args.t / n, n, args.t, quad_order=args.quad)
-            for n in args.n
-        ]
+        results = [szego_limit_check(n, args.t, quad_order=args.quad) for n in args.n]
         fmt = args.format or "json"
     return _emit(args, fmt, [asdict(r) for r in results])
 

@@ -44,10 +44,6 @@ class NonUniformGrid(ScatterError):
     """Sampled potential grid is not uniform over [-a, a]."""
 
 
-class DeltaNotSamplable(ScatterError):
-    """A delta potential has no pointwise values to tabulate."""
-
-
 class Overflow(ScatterError):
     """Wavefunction magnitude left the trustworthy range during integration."""
 

@@ -1,16 +1,17 @@
 """Symmetric potentials compactly supported on [-a, a].
 
-Three variants cover everything downstream:
+Two specs describe a potential:
 
 * ``SquareWell(v0, a)``: constant value -v0 on [-a, a], zero outside.
-* ``Delta(alpha)``: attractive point interaction alpha at the origin.  It has
-  no pointwise values and is only consumed by closed-form scattering.
 * ``Sampled(a, x, v)``: values on a uniform symmetric grid over [-a, a],
   evaluated between nodes by linear interpolation.
 
-``validate`` turns a spec into an ``EvaluatedPotential`` after running the
-symmetry, finiteness, and grid checks.  Everything that integrates a
-potential consumes the evaluated form, so the checks run exactly once.
+``validate`` runs the symmetry, finiteness, and grid checks and returns an
+``EvaluatedPotential``: a read-only copy of the table, with the well as its
+three nodes -a, 0, a.  Everything that integrates a potential consumes the
+evaluated form, so the checks run exactly once.  The point interaction has
+no pointwise values and is not a potential here; ``smatrix.analytic_delta``
+is its closed form.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ import numpy as np
 
 from .core import (
     AsymmetricPotential,
-    DeltaNotSamplable,
     NonFiniteSample,
     NonUniformGrid,
     PreconditionViolated,
@@ -44,13 +44,6 @@ class SquareWell:
     a: float
 
 
-@dataclass(frozen=True)
-class Delta:
-    """Point interaction of strength alpha > 0 at the origin."""
-
-    alpha: float
-
-
 @dataclass
 class Sampled:
     """Tabulated potential on a uniform grid spanning [-a, a].
@@ -63,41 +56,24 @@ class Sampled:
     v: np.ndarray
 
 
-PotentialSpec = SquareWell | Delta | Sampled
+PotentialSpec = SquareWell | Sampled
 
 
+@dataclass(frozen=True, eq=False)
 class EvaluatedPotential:
-    """Validated, pointwise-evaluable potential.
+    """Validated, pointwise-evaluable potential: a read-only table on [-a, a].
 
-    Calling it returns V(x); the interior value applies on the closed
-    interval [-a, a] and V = 0 outside.  The delta variant is a marker only
-    and refuses pointwise evaluation.
+    Calling it returns V(x), interpolated linearly between the nodes on the
+    closed interval [-a, a], and V = 0 outside.
     """
 
-    def __init__(self, kind, a, depth=None, x=None, v=None, alpha=None):
-        self.kind = kind
-        self.a = float(a)
-        self._depth = depth
-        self._x = x
-        self._v = v
-        self.alpha = alpha
-
-    @property
-    def is_delta(self) -> bool:
-        return self.kind == "delta"
+    a: float
+    x: np.ndarray
+    v: np.ndarray
 
     def __call__(self, x):
-        if self.kind == "delta":
-            raise DeltaNotSamplable("a delta potential has no pointwise values")
-        scalar = np.isscalar(x)
-        xa = np.asarray(x, dtype=float)
-        inside = np.abs(xa) <= self.a
-        if self.kind == "well":
-            out = np.where(inside, -self._depth, 0.0)
-        else:
-            out = np.zeros_like(xa)
-            out[inside] = np.interp(xa[inside], self._x, self._v)
-        return float(out) if scalar else out
+        out = np.where(np.abs(x) <= self.a, np.interp(x, self.x, self.v), 0.0)
+        return float(out) if np.isscalar(x) else out
 
 
 def _check_finite(**params: float) -> None:
@@ -106,11 +82,19 @@ def _check_finite(**params: float) -> None:
             raise PreconditionViolated(f"{name} must be finite, got {value}")
 
 
+def _read_only(values) -> np.ndarray:
+    table = np.array(values, dtype=float)
+    table.flags.writeable = False
+    return table
+
+
 def validate(spec: PotentialSpec) -> EvaluatedPotential:
     """Check a potential spec and return its evaluator.
 
     Raises AsymmetricPotential, NonFiniteSample, or NonUniformGrid for bad
     sampled data and PreconditionViolated for bad or non-finite parameters.
+    The evaluator holds its own copy of the table, so later edits of the
+    spec's arrays do not reach it.
     """
     if isinstance(spec, SquareWell):
         _check_finite(v0=spec.v0, a=spec.a)
@@ -118,57 +102,44 @@ def validate(spec: PotentialSpec) -> EvaluatedPotential:
             raise PreconditionViolated(f"half-width a must be positive, got {spec.a}")
         if spec.v0 < 0.0:
             raise PreconditionViolated(f"well depth v0 must be >= 0, got {spec.v0}")
-        return EvaluatedPotential("well", spec.a, depth=float(spec.v0))
+        spec = Sampled(spec.a, np.array([-spec.a, 0.0, spec.a]), np.full(3, -float(spec.v0)))
+    if not isinstance(spec, Sampled):
+        raise PreconditionViolated(f"unknown potential spec {spec!r}")
 
-    if isinstance(spec, Delta):
-        _check_finite(alpha=spec.alpha)
-        if not spec.alpha > 0.0:
-            raise PreconditionViolated(f"delta strength must be positive, got {spec.alpha}")
-        return EvaluatedPotential("delta", 0.0, alpha=float(spec.alpha))
-
-    if isinstance(spec, Sampled):
-        x = np.asarray(spec.x, dtype=float)
-        v = np.asarray(spec.v, dtype=float)
-        if x.ndim != 1 or x.shape != v.shape:
-            raise PreconditionViolated("x and v must be 1d arrays of equal length")
-        n = x.size
-        if n < 3 or n % 2 == 0:
-            raise PreconditionViolated(f"need an odd number of samples >= 3, got {n}")
-        _check_finite(a=spec.a)
-        if not spec.a > 0.0:
-            raise PreconditionViolated(f"half-width a must be positive, got {spec.a}")
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteSample("grid contains non-finite values")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteSample("potential samples contain non-finite values")
-        h = (x[-1] - x[0]) / (n - 1)
-        if not h > 0.0:
-            raise NonUniformGrid("grid must be strictly increasing")
-        if np.max(np.abs(np.diff(x) - h)) > GRID_RTOL * h:
-            raise NonUniformGrid("grid spacing is not uniform to 1e-9 relative")
-        tol_a = GRID_RTOL * max(1.0, spec.a)
-        if abs(x[0] + spec.a) > tol_a or abs(x[-1] - spec.a) > tol_a:
-            raise NonUniformGrid(
-                f"grid must span exactly [-a, a], got [{x[0]}, {x[-1]}] for a={spec.a}"
-            )
-        scale = max(1.0, float(np.max(np.abs(v))))
-        asym = float(np.max(np.abs(v - v[::-1])))
-        if asym > SYMMETRY_RTOL * scale:
-            raise AsymmetricPotential(
-                f"sampled values break V(x) = V(-x): max deviation {asym:.3e}"
-            )
-        return EvaluatedPotential("sampled", spec.a, x=x, v=v)
-
-    raise PreconditionViolated(f"unknown potential spec {spec!r}")
+    x, v = _read_only(spec.x), _read_only(spec.v)
+    if x.ndim != 1 or x.shape != v.shape:
+        raise PreconditionViolated("x and v must be 1d arrays of equal length")
+    n = x.size
+    if n < 3 or n % 2 == 0:
+        raise PreconditionViolated(f"need an odd number of samples >= 3, got {n}")
+    _check_finite(a=spec.a)
+    if not spec.a > 0.0:
+        raise PreconditionViolated(f"half-width a must be positive, got {spec.a}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteSample("grid contains non-finite values")
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteSample("potential samples contain non-finite values")
+    h = (x[-1] - x[0]) / (n - 1)
+    if not h > 0.0:
+        raise NonUniformGrid("grid must be strictly increasing")
+    if np.max(np.abs(np.diff(x) - h)) > GRID_RTOL * h:
+        raise NonUniformGrid("grid spacing is not uniform to 1e-9 relative")
+    tol_a = GRID_RTOL * max(1.0, spec.a)
+    if abs(x[0] + spec.a) > tol_a or abs(x[-1] - spec.a) > tol_a:
+        raise NonUniformGrid(
+            f"grid must span exactly [-a, a], got [{x[0]}, {x[-1]}] for a={spec.a}"
+        )
+    scale = max(1.0, float(np.max(np.abs(v))))
+    asym = float(np.max(np.abs(v - v[::-1])))
+    if asym > SYMMETRY_RTOL * scale:
+        raise AsymmetricPotential(
+            f"sampled values break V(x) = V(-x): max deviation {asym:.3e}"
+        )
+    return EvaluatedPotential(float(spec.a), x, v)
 
 
 def sample_analytic(spec: PotentialSpec, n: int) -> Sampled:
-    """Tabulate an analytic potential on an odd uniform grid over [-a, a].
-
-    Only the square well is samplable; the delta has no pointwise values.
-    """
-    if isinstance(spec, Delta):
-        raise DeltaNotSamplable("cannot tabulate a delta potential")
+    """Tabulate a square well on an odd uniform grid over [-a, a]."""
     if not isinstance(spec, SquareWell):
         raise PreconditionViolated("only analytic (square well) specs can be sampled")
     if n < 3 or n % 2 == 0:

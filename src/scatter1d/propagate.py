@@ -153,8 +153,6 @@ def _check(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
 
     Returns the energies as an array.
     """
-    if pot.is_delta:
-        raise PreconditionViolated("delta potentials have no interior to integrate")
     check_steps(steps)
     for energy in energies:
         wavenumber_from_energy(energy)  # raises unless E is finite and positive

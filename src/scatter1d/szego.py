@@ -203,24 +203,21 @@ class SzegoCrossCheck:
     gap_continuum: float
 
 
-def szego_limit_check(
-    alpha: float, n: int, t: float, quad_order: int = QUAD_ORDER
-) -> SzegoCrossCheck:
+def szego_limit_check(n: int, t: float, quad_order: int = QUAD_ORDER) -> SzegoCrossCheck:
     """Compare the Toeplitz log determinant with the sine-kernel route.
 
+    The n x n section is taken at the coupling alpha = 2 pi t / n.
     The full-interval determinant factorizes over parity, so the continuum
     reference is fredholm_log_det(even) + fredholm_log_det(odd); the
     closed-form continuum asymptotic is
     -(pi t)^2/2 - (1/4) log(pi t) + (1/12) log 2 + 3 zeta'(-1).
     """
-    target = 2.0 * math.pi * t
-    if abs(alpha * n - target) > 1e-9 * max(1.0, target):
-        raise PreconditionViolated(
-            f"alpha * n = {alpha * n} does not match 2 pi t = {target}"
-        )
     if not (0.5 <= t <= 3.0):
         raise PreconditionViolated(f"t must lie in [0.5, 3], got {t}")
+    if not 1 <= n <= MAX_N:  # checked before n divides 2 pi t
+        raise PreconditionViolated(f"n must lie in [1, {MAX_N}], got {n}")
 
+    alpha = 2.0 * math.pi * t / n
     result = toeplitz_logdet(ArcSymbol(alpha), n)
     fredholm_total = fredholm_log_det(PARITY_EVEN, t, quad_order) + fredholm_log_det(
         PARITY_ODD, t, quad_order

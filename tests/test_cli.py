@@ -254,6 +254,8 @@ class TestExitCodes:
         [
             (("smatrix", "--well", "1,1", "--energy", "inf"), "energy must be finite, got inf"),
             (("smatrix", "--delta", "inf", "--energy", "1"), "alpha must be finite, got inf"),
+            # A finite but out-of-domain strength is refused the same way.
+            (("smatrix", "--delta", "0", "--energy", "1"), "delta strength must be positive, got 0.0"),
         ],
     )
     def test_non_finite_parameter_exits_three_naming_it(self, capsys, args, message):

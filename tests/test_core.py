@@ -11,7 +11,6 @@ from scatter1d.core import (
     AllMasked,
     AsymmetricPotential,
     ComplexWavefunction,
-    DeltaNotSamplable,
     EigenvalueAtOne,
     NodeCollision,
     NonFiniteSample,
@@ -65,8 +64,7 @@ def test_every_error_is_a_scatter_error():
         AsymmetricPotential,
         NonFiniteSample,
         NonUniformGrid,
-        DeltaNotSamplable,
-        Overflow,
+            Overflow,
         SingularSystem,
         ComplexWavefunction,
         AllMasked,

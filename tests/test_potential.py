@@ -5,19 +5,18 @@ import pytest
 
 from scatter1d.core import (
     AsymmetricPotential,
-    DeltaNotSamplable,
     NonFiniteSample,
     NonUniformGrid,
     PreconditionViolated,
 )
 from scatter1d.potential import (
-    Delta,
     Sampled,
     SquareWell,
     load_sampled_csv,
     sample_analytic,
     validate,
 )
+from scatter1d.smatrix import smatrix_via_transfer
 
 
 def good_sampled(n: int = 9, a: float = 1.0) -> Sampled:
@@ -55,32 +54,27 @@ class TestSquareWell:
             validate(SquareWell(v0=v0, a=a))
 
 
-class TestDelta:
-    def test_marker_properties(self):
-        pot = validate(Delta(alpha=2.0))
-        assert pot.is_delta
-        assert pot.alpha == 2.0
-        assert pot.a == 0.0
+    def test_is_a_read_only_three_node_table(self):
+        pot = validate(SquareWell(v0=37.5, a=0.3))
+        assert pot.x.tolist() == [-0.3, 0.0, 0.3]
+        assert pot.v.tolist() == [-37.5, -37.5, -37.5]
+        assert not pot.x.flags.writeable and not pot.v.flags.writeable
 
-    def test_refuses_pointwise_evaluation(self):
-        pot = validate(Delta(alpha=2.0))
-        with pytest.raises(DeltaNotSamplable):
-            pot(0.0)
-
-    def test_rejects_nonpositive_strength(self):
-        with pytest.raises(PreconditionViolated):
-            validate(Delta(alpha=0.0))
-
-    def test_rejects_non_finite_strength(self):
-        with pytest.raises(PreconditionViolated, match="alpha must be finite"):
-            validate(Delta(alpha=np.inf))
+    @pytest.mark.parametrize("v0, a", [(0.0, 1.0), (2.0, 1.0), (37.5, 0.3), (1e5, 0.5)])
+    def test_smatrix_equals_the_fine_table_bit_for_bit(self, v0, a):
+        # Linear interpolation of a constant table is exactly -v0 wherever
+        # it is read, so the node count cannot move a single bit.
+        energies = np.linspace(0.1, 50.0, 32)
+        coarse = smatrix_via_transfer(validate(SquareWell(v0=v0, a=a)), energies)
+        fine = smatrix_via_transfer(validate(sample_analytic(SquareWell(v0=v0, a=a), 257)), energies)
+        for s, t in zip(coarse, fine):
+            assert np.array_equal(s.as_matrix(), t.as_matrix())
 
 
 class TestSampled:
     def test_roundtrip_and_interpolation(self):
         spec = good_sampled(n=201)
         pot = validate(spec)
-        assert not pot.is_delta
         assert abs(pot(0.0) - 1.0) < 1e-12
         # Linear interpolation between nodes, zero outside the support.
         mid = 0.5 * (spec.x[3] + spec.x[4])
@@ -129,6 +123,18 @@ class TestSampled:
         with pytest.raises(NonUniformGrid):
             validate(Sampled(a=1.0, x=x, v=np.zeros(9)))
 
+    def test_table_is_a_read_only_copy(self):
+        x = np.linspace(-1.0, 1.0, 257)
+        spec = Sampled(a=1.0, x=x, v=-2.0 * np.ones_like(x))
+        pot = validate(spec)
+        spec.v[:128] = 0.0
+        spec.x[:] = 0.0
+        assert pot(-0.5) == pot(0.5) == -2.0
+        with pytest.raises(ValueError):
+            pot.v[0] = 1.0
+        with pytest.raises(ValueError):
+            pot.x[0] = 1.0
+
     def test_rejects_nonfinite_samples(self):
         spec = good_sampled()
         spec.v[2] = np.nan
@@ -152,9 +158,7 @@ class TestSampleAnalytic:
         assert np.all(spec.v == -3.0)
         validate(spec)
 
-    def test_rejects_delta_and_even_counts(self):
-        with pytest.raises(DeltaNotSamplable):
-            sample_analytic(Delta(alpha=1.0), n=11)
+    def test_rejects_even_counts(self):
         with pytest.raises(PreconditionViolated):
             sample_analytic(SquareWell(v0=1.0, a=1.0), n=10)
 

@@ -9,7 +9,7 @@ import pytest
 import scatter1d.propagate as propagate
 from helpers import flat_barrier, smooth_order_errors
 from scatter1d.core import NonPositiveEnergy, Overflow, PreconditionViolated
-from scatter1d.potential import Delta, Sampled, SquareWell, validate
+from scatter1d.potential import Sampled, SquareWell, validate
 from scatter1d.propagate import SCAN_STEPS, fundamental_pair, integrate
 
 FREE = validate(SquareWell(v0=0.0, a=1.0))
@@ -170,8 +170,6 @@ def test_guards():
         integrate(WELL, energy=0.0, psi0=1.0, dpsi0=0.0)
     with pytest.raises(NonPositiveEnergy):
         integrate(WELL, energy=-1.0, psi0=1.0, dpsi0=0.0)
-    with pytest.raises(PreconditionViolated):
-        integrate(validate(Delta(alpha=1.0)), energy=1.0, psi0=1.0, dpsi0=0.0)
 
 
 def test_steps_beyond_one_scan_are_refused():
