@@ -23,6 +23,7 @@ import numpy as np
 from .core import PreconditionViolated, ScatterError
 from .noninjective import build_counterexample, recover_potential
 from .potential import SquareWell, load_sampled_csv, load_trace_csv, validate
+from .propagate import check_steps
 from .smatrix import analytic_delta, smatrix_via_transfer
 from .spectral import QUAD_ORDER, fredholm_report, jost_forms, phase_shift
 from .szego import ArcSymbol, szego_limit_check, toeplitz_logdet
@@ -145,12 +146,14 @@ def _emit(
 
 
 def cmd_smatrix(args: argparse.Namespace) -> int:
-    # A sampled file is read before the energy grid is checked, so an
-    # unreadable file is the error reported when both are bad.
+    # A sampled file is read before the steps and the energy grid are
+    # checked, so an unreadable file is the error reported when both are
+    # bad.  Steps are checked for --delta too, whose closed form reads none.
     if args.well is not None:
         spec = SquareWell(v0=args.well[0], a=args.well[1])
     elif args.sampled is not None:
         spec = load_sampled_csv(args.sampled)
+    check_steps(args.steps)
 
     if args.energy is not None:
         energies = [args.energy]
@@ -206,8 +209,8 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         "separation": pair.separation,
         "boundary_residual": pair.boundary_residual,
         "odd_coefficient": pair.odd_coefficient,
-        "baseline_max_abs_v": float(np.max(np.abs(pair.baseline.values))),
-        "perturbed_v_at_zero": float(pair.perturbed.values[pair.perturbed.x.size // 2]),
+        "baseline_max_abs_v": float(np.max(np.abs(pair.baseline.v))),
+        "perturbed_v_at_zero": float(pair.perturbed.v[pair.perturbed.x.size // 2]),
         "comparison": {
             "energy": comparison.energy,
             "max_entry_diff": comparison.max_entry_diff,

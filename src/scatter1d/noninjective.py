@@ -5,8 +5,11 @@ through V(x) = E + psi''(x) / psi(x).  Starting from the node-free baseline
 psi0 = cos(q x) with q a < pi/2, adding the smooth bump
 f = eps (x^2 - a^2)^2, which vanishes to first order at both edges,
 produces a second wavefunction psi0 + f with identical boundary data whose
-recovered potential differs in the interior.  Both recovered potentials are
-symmetric, so each has a well-defined scattering matrix at E, and
+potential differs in the interior.  Every wave of the construction is a
+closed form, so both potentials are formed from the waves' exact second
+derivatives on the construction grid, with no numerical differentiation,
+and held as the validated tables that the forward solver reads.  Both are
+exactly even, so each has a well-defined scattering matrix at E, and
 ``verify_same_smatrix`` forward-solves both and compares.
 
 Identical boundary data of the even solution fixes the even reflection
@@ -23,6 +26,9 @@ once each, and the odd channels are checked to agree after the fact.
 ``single_bump=True`` keeps the one-bump deformation, which matches the
 even channel only; the comparison reports both channel gaps separately so
 either case is visible.
+
+``recover_potential`` reads V off an arbitrary sampled trace instead, with
+a fourth-order stencil for psi''; the ``recover`` subcommand is its caller.
 """
 
 import math
@@ -38,7 +44,7 @@ from .core import (
     OddChannelUnmatched,
     PreconditionViolated,
 )
-from .potential import MIN_TRACE_POINTS, Sampled, validate
+from .potential import MIN_TRACE_POINTS, EvaluatedPotential, Sampled, validate
 from .propagate import check_steps
 from .smatrix import SMatrix, smatrix_via_transfer
 
@@ -60,24 +66,26 @@ NEWTON_RTOL = 1e-12
 
 
 def bump_values(a: float, eps: float, x: np.ndarray):
-    """Values and derivative of the bump f = eps (x^2 - a^2)^2 on the grid.
+    """Values and first and second derivatives of the bump f = eps (x^2 - a^2)^2.
 
-    Even, twice differentiable everywhere, and flat at both edges, so it
-    leaves the boundary data of the wave it deforms unchanged.
+    Even, smooth, and flat at both edges, so it leaves the boundary data of
+    the wave it deforms unchanged.
     """
     f = eps * (x * x - a * a) ** 2
     fp = 4.0 * eps * x * (x * x - a * a)
-    return f, fp
+    fpp = 4.0 * eps * (3.0 * x * x - a * a)
+    return f, fp, fpp
 
 
 def tuning_bump_values(a: float, x: np.ndarray):
-    """Values and derivative of the unit tuning bump x^2 (x^2 - a^2)^2.
+    """Values and first and second derivatives of the unit tuning bump x^2 (x^2 - a^2)^2.
 
     Even and flat at both edges like the main bump, so any multiple of it
     leaves the boundary data unchanged.
     """
     w = x * x - a * a
-    return x * x * w * w, 2.0 * x * w * (3.0 * x * x - a * a)
+    gpp = (30.0 * x * x - 24.0 * a * a) * x * x + 2.0 * a**4
+    return x * x * w * w, 2.0 * x * w * (3.0 * x * x - a * a), gpp
 
 
 def _stencil_d2(values: np.ndarray, h: float) -> np.ndarray:
@@ -85,8 +93,9 @@ def _stencil_d2(values: np.ndarray, h: float) -> np.ndarray:
 
     The interior stencil sums mirror neighbours pairwise so that an exactly
     even input produces an exactly even output; a left-to-right evaluation
-    order would leak summation rounding into a spurious asymmetry that the
-    strict potential validation downstream does not tolerate.
+    order would leak summation rounding into a spurious asymmetry, and a
+    table recovered from an even trace would then fail the strict symmetry
+    check of ``validate`` when read back as a sampled potential.
     """
     if values.size < MIN_TRACE_POINTS:
         raise PreconditionViolated(f"need at least {MIN_TRACE_POINTS} grid points, got {values.size}")
@@ -160,7 +169,7 @@ def recover_potential(
 
 @dataclass
 class SMatrixComparison:
-    """Forward-solved scattering matrices of both recovered potentials.
+    """Forward-solved scattering matrices of the two potentials of a pair.
 
     even/odd channel entries are the parity reflection eigenvalues
     s11 + s12 and s11 - s12.  Equal boundary data fixes the even channel
@@ -178,7 +187,9 @@ class SMatrixComparison:
     odd_channel_diff: float
 
 
-def _compare(energy: float, sb: SMatrix, sp: SMatrix) -> SMatrixComparison:
+def _compare(base: EvaluatedPotential, pert: EvaluatedPotential, energy: float, steps: int) -> SMatrixComparison:
+    """Forward-solve both potentials at one energy and step count and compare."""
+    sb, sp = (smatrix_via_transfer(pot, energy, steps=steps) for pot in (base, pert))
     diff = float(np.max(np.abs(sb.as_matrix() - sp.as_matrix())))
     even = abs((sb.s11 + sb.s12) - (sp.s11 + sp.s12))
     odd = abs((sb.s11 - sb.s12) - (sp.s11 - sp.s12))
@@ -196,17 +207,18 @@ def _compare(energy: float, sb: SMatrix, sp: SMatrix) -> SMatrixComparison:
 class CounterexamplePair:
     """Two wavefunctions with identical boundary data, different potentials.
 
-    baseline and perturbed are the potentials recovered from cos(qx) and
-    from the deformed wave.  separation is the sup-norm distance between
-    them; it converges with the step count, because the bump is smooth.
+    baseline and perturbed are the validated potentials E + psi''/psi of
+    cos(qx) and of the deformed wave, tables on the construction grid.
+    separation is the sup-norm distance between them; it converges with
+    the step count, because the bump is smooth.
     odd_coefficient is the amplitude c of the tuning bump in the perturbed
     wave; it is 0 for a single-bump pair.  comparison holds the two
     forward-solved scattering matrices at the construction's energy and
     steps.
     """
 
-    baseline: RecoveredPotential
-    perturbed: RecoveredPotential
+    baseline: EvaluatedPotential
+    perturbed: EvaluatedPotential
     energy: float
     separation: float
     q: float
@@ -224,17 +236,6 @@ def _node_free(psi: np.ndarray) -> bool:
     signed: a sign change that falls between two nodes fails it as well.
     """
     return bool(np.min(psi) > DEFAULT_NODE_TOL * np.max(np.abs(psi)))
-
-
-def _recover_perturbed(grid, psi, energy: float) -> RecoveredPotential:
-    if not _node_free(psi):
-        raise NodeCollision("perturbed wavefunction develops a node; reduce |eps|")
-    return recover_potential(grid, psi, energy)
-
-
-def _forward_smatrix(rec: RecoveredPotential, a: float, energy: float, steps: int) -> SMatrix:
-    pot = validate(Sampled(a=a, x=rec.x, v=rec.values))
-    return smatrix_via_transfer(pot, energy, steps=steps)
 
 
 def _simpson(values: np.ndarray) -> float:
@@ -280,24 +281,25 @@ def build_counterexample(
     steps: int = 4096,
     single_bump: bool = False,
 ) -> CounterexamplePair:
-    """Construct the pair (cos(qx), deformed wave) and recover both potentials.
+    """Construct the pair (cos(qx), deformed wave) and both potentials.
 
     The deformed wave is cos(qx) + f + c g, with f the bump
     eps (x^2 - a^2)^2 and g the tuning bump x^2 (x^2 - a^2)^2, on a grid
     of steps + 1 nodes mirrored from [0, a], so every wave is exactly even.
     By default c matches the integrals of psi^-2 of the two waves (see
     _match_odd_channel), so both reflection eigenvalues of the two
-    recovered potentials agree at E; ``single_bump=True`` sets c = 0, which
-    matches the even channel only.  The construction energy is E = q^2,
-    making the recovered baseline potential identically zero.  Requires
-    q a < pi/2 so the baseline is node-free on [-a, a], and steps divisible
-    by 4, so the forward solves on [0, a] read the recovered potential at
-    its nodes.  Each potential is forward-solved once at ``steps``, and the
-    pair's comparison holds those matrices, so it equals
-    verify_same_smatrix(pair).  Raises NodeCollision if a deformed wave
-    develops a node, and OddChannelUnmatched if the search does not
-    converge or the forward-solved odd channels of a tuned pair differ by
-    more than ODD_CHANNEL_TOL.
+    potentials agree at E; ``single_bump=True`` sets c = 0, which matches
+    the even channel only.  Each potential is E + psi''/psi with psi'' in
+    closed form (psi0'' = -E psi0 and the bumps' own second derivatives).
+    The construction energy is E = q^2, making the baseline potential zero
+    up to rounding.  Requires q a < pi/2 so the baseline is node-free on
+    [-a, a], and steps divisible by 4, so the forward solves on [0, a]
+    read the potentials at their nodes.  Each potential is forward-solved
+    once at ``steps``, and the pair's comparison holds those matrices, so
+    it equals verify_same_smatrix(pair).  Raises NodeCollision if a
+    deformed wave develops a node, and OddChannelUnmatched if the search
+    does not converge or the forward-solved odd channels of a tuned pair
+    differ by more than ODD_CHANNEL_TOL.
     """
     if not (q > 0.0 and a > 0.0):
         raise PreconditionViolated("q and a must be positive")
@@ -311,22 +313,25 @@ def build_counterexample(
     grid = np.concatenate((-half[:0:-1], half))
     psi0 = np.cos(q * np.abs(grid))
     dpsi0 = -q * np.sin(q * grid)
-    f, fp = bump_values(a, eps, grid)
-    g, gp = tuning_bump_values(a, grid)
+    d2psi0 = -energy * psi0
+    f, fp, fpp = bump_values(a, eps, grid)
+    g, gp, gpp = tuning_bump_values(a, grid)
 
-    base = recover_potential(grid, psi0, energy)
     coefficient = 0.0 if single_bump else _match_odd_channel(psi0, psi0 + f, g)
     psi = psi0 + f + coefficient * g
     dpsi = dpsi0 + fp + coefficient * gp
-    pert = _recover_perturbed(grid, psi, energy)
-    comparison = _compare(energy, *(_forward_smatrix(rec, a, energy, steps) for rec in (base, pert)))
+    if not _node_free(psi):
+        raise NodeCollision("perturbed wavefunction develops a node; reduce |eps|")
+    base = validate(Sampled(a, grid, energy + d2psi0 / psi0))
+    pert = validate(Sampled(a, grid, energy + (d2psi0 + fpp + coefficient * gpp) / psi))
+    comparison = _compare(base, pert, energy, steps)
     if not (single_bump or comparison.odd_channel_diff <= ODD_CHANNEL_TOL):
         raise OddChannelUnmatched(
             f"the forward-solved odd channels differ by {comparison.odd_channel_diff:.3e} at c = {coefficient}"
         )
 
     boundary_residual = max(max(abs(psi0[i] - psi[i]), abs(dpsi0[i] - dpsi[i])) for i in (0, -1))
-    separation = float(np.max(np.abs(pert.values - base.values)))
+    separation = float(np.max(np.abs(pert.v - base.v)))
     return CounterexamplePair(
         baseline=base,
         perturbed=pert,
@@ -344,20 +349,16 @@ def build_counterexample(
 def verify_same_smatrix(
     pair: CounterexamplePair, steps: int | None = None, energy: float | None = None
 ) -> SMatrixComparison:
-    """Forward-solve both recovered potentials and compare scattering data.
+    """Forward-solve both potentials of the pair and compare scattering data.
 
     steps defaults to the pair's own step count, at which the solves read
-    the recovered potentials at their nodes; other step counts also read
-    their piecewise-linear interpolant between nodes, which adds an error
-    of its own.  energy defaults to the construction energy.  Both
-    wavefunctions are even and the recovery stencil preserves evenness
-    exactly, so both recovered potentials pass the strict symmetry
-    validation as they are.
+    the potentials at their nodes; other step counts also read their
+    piecewise-linear interpolant between nodes, which adds an error of its
+    own.  energy defaults to the construction energy.  The pair holds both
+    potentials already validated, so they go to the solver as they are.
     """
     if steps is None:
         steps = pair.baseline.x.size - 1
     if energy is None:
         energy = pair.energy
-    return _compare(
-        energy, *(_forward_smatrix(rec, pair.a, energy, steps) for rec in (pair.baseline, pair.perturbed))
-    )
+    return _compare(pair.baseline, pair.perturbed, energy, steps)

@@ -119,7 +119,7 @@ def validate(spec: PotentialSpec) -> EvaluatedPotential:
         raise NonFiniteSample("grid contains non-finite values")
     if not np.all(np.isfinite(v)):
         raise NonFiniteSample("potential samples contain non-finite values")
-    h = (x[-1] - x[0]) / (n - 1)
+    h = x[-1] / (n - 1) - x[0] / (n - 1)  # no overflow on supports near the float maximum
     if not h > 0.0:
         raise NonUniformGrid("grid must be strictly increasing")
     if np.max(np.abs(np.diff(x) - h)) > GRID_RTOL * h:

@@ -263,14 +263,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_steps_beyond_one_scan_exit_three(self, capsys):
-        args = ["smatrix", "--well", "1,1", "--energy", "1", "--steps", "131073"]
-        assert main(args) == 3
-        assert "steps must lie in [64, 131072]" in capsys.readouterr().err
+        # The closed-form delta reads no steps but refuses bad ones alike.
+        for source in (["--well", "1,1"], ["--delta", "2"]):
+            assert main(["smatrix", *source, "--energy", "1", "--steps", "131073"]) == 3
+            assert "steps must lie in [64, 131072]" in capsys.readouterr().err
 
     def test_odd_steps_exit_three(self, capsys):
-        args = ["smatrix", "--well", "1,1", "--energy", "1", "--steps", "4095"]
-        assert main(args) == 3
-        assert "be even, got 4095" in capsys.readouterr().err
+        for source in (["--well", "1,1"], ["--delta", "2"]):
+            assert main(["smatrix", *source, "--energy", "1", "--steps", "4095"]) == 3
+            assert "be even, got 4095" in capsys.readouterr().err
+
+    def test_support_near_the_float_maximum_exits_three_with_one_line(self):
+        # The grid spacing of [-1e308, 1e308] is formed without overflow, so
+        # the error line is all that reaches stderr.
+        proc = run_cli("smatrix", "--well", "1,1e308", "--energy", "1")
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error:")
 
     def test_energy_past_the_former_numerov_edge_matches_the_closed_form(self, capsys):
         # h^2 (E - min V) = 6.01 at 4096 steps, past the edge 6 where a
@@ -362,7 +371,7 @@ class TestCounterexample:
         "args, message",
         [
             # Not divisible by 4: the forward solves would read the
-            # recovered table between its nodes.
+            # potential table between its nodes.
             (("--steps", "4094"), "divisible by 4"),
             # The wave changes sign between grid points, where |psi| never
             # falls below the node tolerance.

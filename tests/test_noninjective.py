@@ -43,22 +43,26 @@ def make_trace(psi_func, n=257, a=1.0):
 class TestBump:
     def test_smooth_bump_vanishes_to_first_order_at_edges(self):
         x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        f, fp = bump_values(1.0, 0.01, x)
+        f, fp, fpp = bump_values(1.0, 0.01, x)
         assert f[0] == 0.0 and f[-1] == 0.0
         assert fp[0] == 0.0 and fp[-1] == 0.0
         assert np.all(f[1:-1] > 0.0)
+        # f'' = 4 eps (3 x^2 - a^2): 8 eps a^2 at the edges, -4 eps a^2 at 0.
+        assert np.allclose(fpp, [0.08, -0.01, -0.04, -0.01, 0.08], rtol=0.0, atol=1e-16)
 
     def test_tuning_bump_is_edge_flat_and_even(self):
         x = np.linspace(-1.0, 1.0, 9)
-        g, gp = tuning_bump_values(1.0, x)
+        g, gp, gpp = tuning_bump_values(1.0, x)
         assert g[0] == 0.0 and g[-1] == 0.0
         assert gp[0] == 0.0 and gp[-1] == 0.0
         assert np.array_equal(g, g[::-1])
         assert np.array_equal(gp, -gp[::-1])
-        # The derivative is the analytic one: compare with a difference.
+        assert np.array_equal(gpp, gpp[::-1])
+        # Both derivatives are the analytic ones: compare with differences.
         h = 1e-6
-        fd = (tuning_bump_values(1.0, x + h)[0] - tuning_bump_values(1.0, x - h)[0]) / (2 * h)
-        assert np.max(np.abs(fd - gp)) < 1e-8
+        up, down = tuning_bump_values(1.0, x + h), tuning_bump_values(1.0, x - h)
+        assert np.max(np.abs((up[0] - down[0]) / (2 * h) - gp)) < 1e-8
+        assert np.max(np.abs((up[1] - down[1]) / (2 * h) - gpp)) < 1e-7
 
 
 class TestRecoverPotential:
@@ -113,7 +117,8 @@ class TestBuildCounterexample:
         assert pair.energy == 1.0
 
     def test_baseline_recovers_the_zero_potential(self, pair):
-        assert np.max(np.abs(pair.baseline.values)) < 1e-7
+        # V0 = E + (-E psi0) / psi0, which is exactly 0 at E = 1.
+        assert np.max(np.abs(pair.baseline.v)) == 0.0
 
     def test_separation_matches_edge_closed_form(self, single_bump_pair):
         # The difference peaks at the edges where it equals
@@ -130,31 +135,40 @@ class TestBuildCounterexample:
         assert abs(pair.separation - abs(expect)) < 1e-4
 
     def test_recovered_potentials_are_exactly_symmetric(self, pair):
-        # The recovery stencil preserves evenness bitwise, so the strict
-        # symmetry validation accepts both potentials with no margin used.
-        for rec in (pair.baseline, pair.perturbed):
-            v = rec.values
+        # Every wave and second derivative is formed on a mirrored grid from
+        # even closed forms, so both tables are even bitwise and the strict
+        # symmetry validation passes with no margin used.
+        for pot in (pair.baseline, pair.perturbed):
+            v = pot.v
             assert np.max(np.abs(v - v[::-1])) == 0.0
-            validate(Sampled(a=pair.a, x=rec.x, v=v))
+            validate(Sampled(a=pair.a, x=pot.x, v=v))
 
     def test_forward_solve_reproduces_the_wavefunction(self, pair):
         # Integrating the recovered baseline potential from the original
         # initial data must return cos(q x) on the whole grid.
-        rec = pair.baseline
-        pot = validate(Sampled(a=pair.a, x=rec.x, v=rec.values))
+        pot = pair.baseline
         trace = integrate(
             pot,
             pair.energy,
             psi0=float(np.cos(-pair.q * pair.a)),
             dpsi0=float(-pair.q * np.sin(-pair.q * pair.a)),
-            steps=rec.x.size - 1,
+            steps=pot.x.size - 1,
         )
         assert np.max(np.abs(trace.psi - np.cos(pair.q * trace.grid))) < 1e-6
 
     def test_perturbed_value_at_origin(self, single_bump_pair):
+        # psi(0) = 1 + eps and psi''(0) = -1 - 4 eps at q = a = 1, so
+        # V(0) = 1 - 1.04 / 1.01 up to the rounding of forming it.
         mid = single_bump_pair.perturbed.x.size // 2
         expect = 1.0 - 1.04 / 1.01
-        assert abs(single_bump_pair.perturbed.values[mid] - expect) < 1e-6
+        assert abs(single_bump_pair.perturbed.v[mid] - expect) < 1e-14
+
+    @pytest.mark.parametrize("steps", [16384, 65536])
+    def test_refining_steps_does_not_lose_digits(self, steps):
+        # V is formed from the closed-form psi'', so no h^-2 rounding grows
+        # with the step count: the full matrices stay at rounding level.
+        pair = build_counterexample(q=1.0, eps=0.01, a=1.0, steps=steps)
+        assert pair.comparison.max_entry_diff <= 1e-12
 
     @pytest.mark.parametrize(
         "q, eps, a",
@@ -212,14 +226,14 @@ class TestBuildCounterexample:
             build_counterexample(q=1.0, eps=0.01, a=1.0)
 
     def test_forward_solved_odd_gap_is_checked_after_the_fact(self, monkeypatch):
-        # The default pair's odd channels agree to about 3e-12.
-        monkeypatch.setattr(noninjective, "ODD_CHANNEL_TOL", 1e-13)
+        # The default pair's odd channels agree to about 1.7e-13.
+        monkeypatch.setattr(noninjective, "ODD_CHANNEL_TOL", 1e-14)
         with pytest.raises(OddChannelUnmatched, match="forward-solved"):
             build_counterexample(q=1.0, eps=0.01, a=1.0)
 
     def test_nearly_nodal_tuned_wave_is_refused(self):
         # The integral match lands near c = 143, where the wave almost
-        # touches zero and the recovered table no longer carries the odd
+        # touches zero and the potential table no longer carries the odd
         # channel: the forward solves disagree by about 3e-2.
         with pytest.raises(OddChannelUnmatched, match="forward-solved"):
             build_counterexample(q=0.1413, eps=-0.06, a=2.0)
@@ -288,13 +302,18 @@ class TestVerifySameSMatrix:
         import scatter1d.noninjective as module
 
         solved = []
-        forward = module._forward_smatrix
+        forward = module.smatrix_via_transfer
 
-        def recording(rec, a, energy, steps):
-            solved.append(rec.values.tobytes())
-            return forward(rec, a, energy, steps)
+        def recording(pot, energy, steps):
+            solved.append(pot.v.tobytes())
+            return forward(pot, energy, steps=steps)
 
-        monkeypatch.setattr(module, "_forward_smatrix", recording)
+        def refused(*args, **kwargs):
+            raise AssertionError("the construction differentiates no wave numerically")
+
+        monkeypatch.setattr(module, "smatrix_via_transfer", recording)
+        monkeypatch.setattr(module, "recover_potential", refused)
+        monkeypatch.setattr(module, "_stencil_d2", refused)
         build_counterexample(q=1.0, eps=0.01, a=1.0, steps=1024, single_bump=single_bump)
         assert len(set(solved)) == len(solved)
         assert len(solved) == 2
