@@ -92,14 +92,25 @@ class NotPositiveDefinite(ScatterError):
     """Toeplitz section is not numerically positive definite."""
 
 
+def _check_finite(**params: float) -> None:
+    """Refuse the first non-finite keyword value with PreconditionViolated."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise PreconditionViolated(f"{name} must be finite, got {value}")
+
+
+def _check_positive(name: str, value: float, error=PreconditionViolated) -> None:
+    """Refuse a non-finite value with PreconditionViolated and a non-positive one with error."""
+    _check_finite(**{name: value})
+    if not value > 0.0:
+        raise error(f"{name} must be positive, got {value}")
+
+
 def wavenumber_from_energy(energy: float) -> float:
     """Exterior wavenumber k = sqrt(E) of a scattering state.
 
     Raises PreconditionViolated for a non-finite E and NonPositiveEnergy
     unless E > 0; bound states and threshold are out of scope.
     """
-    if not math.isfinite(energy):
-        raise PreconditionViolated(f"energy must be finite, got {energy}")
-    if not energy > 0.0:
-        raise NonPositiveEnergy(f"energy must be positive, got {energy}")
+    _check_positive("energy", energy, NonPositiveEnergy)
     return math.sqrt(energy)

@@ -43,6 +43,7 @@ from .core import (
     NonFiniteSample,
     OddChannelUnmatched,
     PreconditionViolated,
+    _check_positive,
 )
 from .potential import MIN_TRACE_POINTS, EvaluatedPotential, Sampled, validate
 from .propagate import check_steps
@@ -138,8 +139,11 @@ def recover_potential(
     """Recover V(x) = E + psi'' / psi from a real node-free-enough trace.
 
     grid is the uniform grid of the trace and psi its values there.
-    Raises NonFiniteSample when a value of psi is NaN or infinite.
+    Raises PreconditionViolated unless node_tol is finite and positive, and
+    NonFiniteSample when a value of psi is NaN or infinite.  Exact zeros of
+    psi are masked whatever node_tol * max|psi| rounds to.
     """
+    _check_positive("node_tol", node_tol)
     psi = np.asarray(psi)
     if not np.all(np.isfinite(psi)):
         raise NonFiniteSample("wavefunction trace holds a NaN or infinite value")
@@ -156,7 +160,7 @@ def recover_potential(
     h = (grid[-1] - grid[0]) / (grid.size - 1)
     d2 = _stencil_d2(psi, h)
 
-    mask = np.abs(psi) < node_tol * peak
+    mask = (np.abs(psi) < node_tol * peak) | (psi == 0)
     if mask.all():
         raise AllMasked("every grid point is within node_tol of a node")
     values = np.empty_like(psi)

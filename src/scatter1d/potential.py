@@ -23,6 +23,7 @@ from .core import (
     NonFiniteSample,
     NonUniformGrid,
     PreconditionViolated,
+    _check_finite,
 )
 
 #: Relative tolerance for the V(x) = V(-x) check on sampled values.
@@ -74,12 +75,6 @@ class EvaluatedPotential:
     def __call__(self, x):
         out = np.where(np.abs(x) <= self.a, np.interp(x, self.x, self.v), 0.0)
         return float(out) if np.isscalar(x) else out
-
-
-def _check_finite(**params: float) -> None:
-    for name, value in params.items():
-        if not np.isfinite(value):
-            raise PreconditionViolated(f"{name} must be finite, got {value}")
 
 
 def _read_only(values) -> np.ndarray:

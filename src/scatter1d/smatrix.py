@@ -30,8 +30,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import PreconditionViolated, SingularSystem, wavenumber_from_energy
-from .potential import EvaluatedPotential, _check_finite
+from .core import PreconditionViolated, SingularSystem, _check_finite, wavenumber_from_energy
+from .potential import EvaluatedPotential, SquareWell, validate
 from .propagate import BoundaryData, _endpoint_maps
 
 #: Relative threshold below which amplitude quads cannot be inverted.
@@ -225,8 +225,6 @@ def delta_as_well_limit(alpha: float, energy: float, eps: float, steps: int = 40
     The well SquareWell(alpha / (2 eps), eps) integrates to weight alpha; its
     scattering matrix converges to the point-interaction one at rate O(eps).
     """
-    from .potential import SquareWell, validate
-
     if not 0.0 < eps <= 0.1:
         raise PreconditionViolated(f"eps must lie in (0, 0.1], got {eps}")
     if not alpha > 0.0:

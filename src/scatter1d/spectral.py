@@ -16,6 +16,11 @@ Everything here derives from the eigenvalues of those two kernels:
 * ``marchenko_residual`` measures how far the determinant is from its
   large-tau factorized replacement (it must tend to zero).
 
+On a t grid one per-channel sweep of ``fredholm_log_det`` backs every
+column of ``fredholm_report`` and the potentials of
+``gelfand_levitan_potential``, and one large-tau (Widom) form backs both
+``asymptotic_log_det`` and the Marchenko replacement.
+
 Convention: the upper sign is the even channel throughout, i.e. F_plus and
 W_plus pair with the eigenvalues lambda_0, lambda_2, ... of K_plus.
 """
@@ -39,6 +44,7 @@ from .core import (
     ScatterError,
     TauTooSmall,
     TTooLarge,
+    _check_positive,
 )
 
 PARITY_EVEN = "even"
@@ -73,17 +79,6 @@ MIN_GRID_POINTS = 5
 PHASE_K_MIN = 1e-12
 
 _SINC_TAYLOR_CUTOFF = 1e-6
-
-# Additive constant in the factorized large-tau form of log F_pm.
-_ALPHA0 = math.log(2.0) / 24.0 + 1.5 * ZETA_PRIME_MINUS_ONE
-
-
-def _check_positive(name: str, value: float, error=PreconditionViolated) -> None:
-    """Refuse a non-finite value with PreconditionViolated and a non-positive one with error."""
-    if not math.isfinite(value):
-        raise PreconditionViolated(f"{name} must be finite, got {value}")
-    if not value > 0.0:
-        raise error(f"{name} must be positive, got {value}")
 
 
 def _parity_sign(parity: str) -> int:
@@ -192,6 +187,7 @@ class SineKernelSpectrum:
 
 
 def sine_kernel_spectrum(t: float, quad_order: int) -> SineKernelSpectrum:
+    """Even and odd spectra of the sine kernel at one t, and their merge."""
     even = sine_kernel_eigs(KernelSpec(PARITY_EVEN, t, quad_order))
     odd = sine_kernel_eigs(KernelSpec(PARITY_ODD, t, quad_order))
     merged = np.empty(even.size + odd.size)
@@ -217,18 +213,26 @@ def fredholm_log_det(parity: str, t: float, quad_order: int) -> float:
     return float(np.sum(np.log1p(-kept)))
 
 
-def asymptotic_log_det(parity: str, t: float) -> float:
-    """Large-interval closed form for log det(1 - K_pm) at tau = pi t."""
-    _check_positive("t", t)
-    sign = _parity_sign(parity)
-    tau = math.pi * t
+def _large_tau(sign: int, tau, log_term):
+    """Widom's large-tau form of log det(1 - K_pm), with log_term for log tau.
+
+    Takes floats or arrays.  The Marchenko replacement is the same form with
+    log|tau +- 1/2| in place of log tau.
+    """
     return (
         -tau * tau / 4.0
         - sign * tau / 2.0
-        - math.log(tau) / 8.0
+        - log_term / 8.0
         + (1.0 / 24.0 + sign / 4.0) * math.log(2.0)
         + 1.5 * ZETA_PRIME_MINUS_ONE
     )
+
+
+def asymptotic_log_det(parity: str, t: float) -> float:
+    """Large-interval closed form for log det(1 - K_pm) at tau = pi t."""
+    _check_positive("t", t)
+    tau = math.pi * t
+    return _large_tau(_parity_sign(parity), tau, math.log(tau))
 
 
 def _validated_grid(t_grid: np.ndarray) -> np.ndarray:
@@ -254,9 +258,23 @@ def _validated_grid(t_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _second_difference(values: np.ndarray, spacing: float) -> np.ndarray:
-    """Central second difference on a uniform grid; endpoints dropped."""
-    return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (spacing * spacing)
+def _channel(parity: str, grid: np.ndarray, quad_order: int) -> dict[str, np.ndarray]:
+    """One channel's report columns on a validated t grid, from one sweep.
+
+    w is NaN at both endpoints, lost to the central second difference, and
+    marchenko is NaN where the odd replacement needs tau > 1/2.
+    """
+    sign = _parity_sign(parity)
+    logf = np.array([fredholm_log_det(parity, t, quad_order) for t in grid])
+    h_tau = math.pi * float(grid[1] - grid[0])
+    w = np.full(grid.size, np.nan)
+    w[1:-1] = -2.0 * (logf[2:] - 2.0 * logf[1:-1] + logf[:-2]) / (h_tau * h_tau) - 1.0
+    defined = math.pi * grid + 0.5 * sign > 0.0
+    tau = math.pi * grid[defined]
+    marchenko = np.full(grid.size, np.nan)
+    marchenko[defined] = logf[defined] - _large_tau(sign, tau, np.log(tau + 0.5 * sign))
+    asym = np.array([asymptotic_log_det(parity, t) for t in grid])
+    return {"logf": logf, "asym_residual": logf - asym, "w": w, "marchenko": marchenko}
 
 
 def gelfand_levitan_potential(
@@ -269,11 +287,8 @@ def gelfand_levitan_potential(
     -1/(4 tau^2) for large tau.
     """
     grid = _validated_grid(t_grid)
-    logf = np.array([fredholm_log_det(parity, t, quad_order) for t in grid])
-    h_tau = math.pi * float(grid[1] - grid[0])
-    w = -2.0 * _second_difference(logf, h_tau) - 1.0
-    tau = math.pi * grid[1:-1]
-    return tau, w
+    w = _channel(parity, grid, quad_order)["w"]
+    return math.pi * grid[1:-1], w[1:-1]
 
 
 @dataclass(frozen=True)
@@ -290,6 +305,7 @@ class PhaseShift:
 
 
 def phase_shift(k: float) -> PhaseShift:
+    """Exact even and odd phase shifts at wavenumber k > 0, identity-checked."""
     _check_positive("k", k, NonPositiveK)
     if k < PHASE_K_MIN:
         raise PreconditionViolated(
@@ -321,6 +337,7 @@ class JostClosedForms:
 
 
 def jost_forms(k: float) -> JostClosedForms:
+    """Closed-form Jost data at wavenumber k > 0, modulus- and branch-checked."""
     _check_positive("k", k, NonPositiveK)
     a_odd = complex(k / (k + 1j)) ** 0.5
     exp_ieta_even = complex((k - 1j) / (k + 1j)) ** 0.25
@@ -334,18 +351,6 @@ def jost_forms(k: float) -> JostClosedForms:
     return forms
 
 
-def _marchenko_from_logf(parity: str, tau: float, logf: float) -> float:
-    sign = _parity_sign(parity)
-    return (
-        logf
-        + tau * tau / 4.0
-        + sign * tau / 2.0
-        + math.log(abs(tau + sign * 0.5)) / 8.0
-        - sign * math.log(2.0) / 4.0
-        - _ALPHA0
-    )
-
-
 def marchenko_residual(parity: str, t: float, quad_order: int) -> float:
     """log of the ratio between det(1 - K_pm) and its large-tau replacement.
 
@@ -357,9 +362,10 @@ def marchenko_residual(parity: str, t: float, quad_order: int) -> float:
         raise TauTooSmall(
             f"odd-channel residual needs tau > 1/2, got tau = {tau}"
         )
-    _parity_sign(parity)
+    sign = _parity_sign(parity)
     logf = fredholm_log_det(parity, t, quad_order)
-    return _marchenko_from_logf(parity, tau, logf)
+    # np.log, as in the sweep of fredholm_report, so both agree bit for bit.
+    return float(logf - _large_tau(sign, tau, np.log(tau + 0.5 * sign)))
 
 
 @dataclass
@@ -382,24 +388,10 @@ class FredholmReport:
 
 
 def fredholm_report(t_grid: np.ndarray, quad_order: int) -> FredholmReport:
+    """Both channels of the sweep on one uniform t grid; see FredholmReport."""
     grid = _validated_grid(t_grid)
-    h_tau = math.pi * float(grid[1] - grid[0])
-    tau = math.pi * grid
-
     columns: dict[str, np.ndarray] = {}
     for parity, tag in ((PARITY_EVEN, "plus"), (PARITY_ODD, "minus")):
-        logf = np.array([fredholm_log_det(parity, t, quad_order) for t in grid])
-        asym = np.array([asymptotic_log_det(parity, t) for t in grid])
-        w = np.full(grid.size, np.nan)
-        w[1:-1] = -2.0 * _second_difference(logf, h_tau) - 1.0
-        marchenko = np.full(grid.size, np.nan)
-        for i in range(grid.size):
-            if parity == PARITY_ODD and tau[i] <= 0.5:
-                continue
-            marchenko[i] = _marchenko_from_logf(parity, float(tau[i]), float(logf[i]))
-        columns[f"logf_{tag}"] = logf
-        columns[f"asym_residual_{tag}"] = logf - asym
-        columns[f"w_{tag}"] = w
-        columns[f"marchenko_{tag}"] = marchenko
-
+        for name, column in _channel(parity, grid, quad_order).items():
+            columns[f"{name}_{tag}"] = column
     return FredholmReport(t_grid=grid, **columns)

@@ -51,7 +51,7 @@ from .core import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .spectral import PARITY_EVEN, PARITY_ODD, QUAD_ORDER, fredholm_log_det
+from .spectral import PARITY_EVEN, PARITY_ODD, QUAD_ORDER, asymptotic_log_det, fredholm_log_det
 
 MAX_N = 512
 
@@ -208,9 +208,9 @@ def szego_limit_check(n: int, t: float, quad_order: int = QUAD_ORDER) -> SzegoCr
 
     The n x n section is taken at the coupling alpha = 2 pi t / n.
     The full-interval determinant factorizes over parity, so the continuum
-    reference is fredholm_log_det(even) + fredholm_log_det(odd); the
-    closed-form continuum asymptotic is
-    -(pi t)^2/2 - (1/4) log(pi t) + (1/12) log 2 + 3 zeta'(-1).
+    reference is fredholm_log_det(even) + fredholm_log_det(odd), and its
+    closed-form asymptotic is asymptotic_log_det(even) + asymptotic_log_det(odd)
+    = -(pi t)^2/2 - (1/4) log(pi t) + (1/12) log 2 + 3 zeta'(-1).
     """
     if not (0.5 <= t <= 3.0):
         raise PreconditionViolated(f"t must lie in [0.5, 3], got {t}")
@@ -222,13 +222,7 @@ def szego_limit_check(n: int, t: float, quad_order: int = QUAD_ORDER) -> SzegoCr
     fredholm_total = fredholm_log_det(PARITY_EVEN, t, quad_order) + fredholm_log_det(
         PARITY_ODD, t, quad_order
     )
-    tau = math.pi * t
-    continuum = (
-        -tau * tau / 2.0
-        - 0.25 * math.log(tau)
-        + math.log(2.0) / 12.0
-        + 3.0 * ZETA_PRIME_MINUS_ONE
-    )
+    continuum = asymptotic_log_det(PARITY_EVEN, t) + asymptotic_log_det(PARITY_ODD, t)
     return SzegoCrossCheck(
         alpha=alpha,
         n=n,

@@ -586,6 +586,19 @@ class TestRecover:
         assert "NaN or infinite" in proc.stderr
         assert "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize("node_tol", ["0", "-1"])
+    def test_non_positive_node_tol_exits_three(self, tmp_path, node_tol):
+        # The sin trace has an exact node at the origin; without a positive
+        # threshold it was divided by and printed as NaN with exit 0.
+        path = self.write_trace(tmp_path, lambda x: math.sin(math.pi * x), n=9)
+        proc = run_cli(
+            "recover", "--trace", str(path), "--energy", "1.0", f"--node-tol={node_tol}"
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "node_tol must be positive" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_malformed_trace_exits_three(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,psi\n0.0,oops\n")

@@ -105,6 +105,22 @@ class TestRecoverPotential:
         with pytest.raises(NonFiniteSample, match="NaN or infinite"):
             recover_potential(grid, psi, 1.0)
 
+    @pytest.mark.parametrize("node_tol", [0.0, -1.0, np.nan])
+    def test_node_tol_must_be_positive(self, node_tol):
+        # With no positive threshold the node of sin at the origin would be
+        # divided by and come back as NaN.
+        with pytest.raises(PreconditionViolated, match="node_tol must be"):
+            recover_potential(*make_trace(np.sin, n=9), 1.0, node_tol=node_tol)
+
+    def test_exact_zero_is_masked_when_the_threshold_underflows(self):
+        # node_tol * max|psi| rounds to 0 here, so only the exact-zero test
+        # keeps the node at the origin out of the division.
+        grid, psi = make_trace(lambda x: 1e-10 * np.sin(x))
+        assert 5e-324 * np.max(np.abs(psi)) == 0.0
+        rec = recover_potential(grid, psi, 2.0, node_tol=5e-324)
+        assert np.flatnonzero(rec.mask).tolist() == [grid.size // 2]
+        assert np.max(np.abs(rec.values - 1.0)) < 1e-6
+
     def test_needs_six_points(self):
         trace = make_trace(np.cos, n=5)
         with pytest.raises(PreconditionViolated):

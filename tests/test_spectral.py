@@ -369,9 +369,26 @@ class TestFredholmReport:
         np.testing.assert_array_equal(np.isnan(report.marchenko_minus), expect_nan)
         assert np.all(np.isfinite(report.marchenko_plus))
 
-    def test_report_matches_pointwise_calls(self):
-        grid = np.arange(1.0, 1.2 + 0.0125, 0.025)
+    # The second grid crosses tau = 1/2, where the odd replacement starts.
+    @pytest.mark.parametrize("start", [1.0, 0.1])
+    def test_report_matches_pointwise_calls(self, start):
+        # Every column comes from one sweep and must equal, bit for bit, what
+        # the public pointwise functions give on the same grid.
+        grid = np.arange(start, start + 0.2 + 0.0125, 0.025)
         report = fredholm_report(grid, 96)
-        for i, t in enumerate(grid):
-            assert report.logf_plus[i] == fredholm_log_det(PARITY_EVEN, float(t), 96)
-            assert report.logf_minus[i] == fredholm_log_det(PARITY_ODD, float(t), 96)
+        for parity, tag in ((PARITY_EVEN, "plus"), (PARITY_ODD, "minus")):
+            logf = getattr(report, f"logf_{tag}")
+            marchenko = getattr(report, f"marchenko_{tag}")
+            _, w = gelfand_levitan_potential(parity, grid, 96)
+            np.testing.assert_array_equal(getattr(report, f"w_{tag}")[1:-1], w)
+            for i, t in enumerate(grid.tolist()):
+                assert logf[i] == fredholm_log_det(parity, t, 96)
+                assert getattr(report, f"asym_residual_{tag}")[i] == (
+                    logf[i] - asymptotic_log_det(parity, t)
+                )
+                if parity == PARITY_ODD and math.pi * t <= 0.5:
+                    assert np.isnan(marchenko[i])
+                    with pytest.raises(TauTooSmall):
+                        marchenko_residual(parity, t, 96)
+                else:
+                    assert marchenko[i] == marchenko_residual(parity, t, 96)

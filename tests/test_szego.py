@@ -8,6 +8,7 @@ import pytest
 from helpers import arc_coefficient_quadrature, arc_toeplitz_logdet_lu
 from scatter1d import szego
 from scatter1d.core import NotPositiveDefinite, PreconditionViolated
+from scatter1d.spectral import PARITY_EVEN, PARITY_ODD, asymptotic_log_det
 from scatter1d.szego import (
     ArcSymbol,
     SzegoCrossCheck,
@@ -169,6 +170,11 @@ class TestSzegoLimitCheck:
         assert isinstance(chk, SzegoCrossCheck)
         assert chk.gap_fredholm == chk.log_det - chk.fredholm_total
         assert chk.gap_continuum == chk.log_det - chk.continuum_asymptotic
+        # The continuum closed form is the parity factorisation of the
+        # sine-kernel asymptotics, like fredholm_total.
+        assert chk.continuum_asymptotic == asymptotic_log_det(
+            PARITY_EVEN, t
+        ) + asymptotic_log_det(PARITY_ODD, t)
 
     def test_refining_alpha_quarters_the_gap(self):
         # At fixed t the discrete-to-continuum gap scales like alpha^2, so

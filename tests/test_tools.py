@@ -1,0 +1,47 @@
+"""The code-line counter in tools/code_lines.py."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+code_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(code_lines)
+
+SNIPPET = '''"""Module docstring,
+over two lines."""
+
+# A comment-only line.
+import math
+
+TEXT = """a string that is
+not a docstring"""
+
+
+def spread(x):
+    """Function docstring."""
+    return max(
+        x, math.pi
+    )
+'''
+
+
+def test_counts_what_the_module_docstring_promises(tmp_path):
+    # Code lines: the import, both lines of TEXT, the def, and the three
+    # lines of the call.  Docstrings, the comment and blank lines drop out.
+    path = tmp_path / "snippet.py"
+    path.write_text(SNIPPET, encoding="utf-8")
+    assert code_lines.code_lines(path.read_text(encoding="utf-8")) == 7
+    assert code_lines.docstring_lines(SNIPPET) == {1, 2, 12}
+
+
+def test_total_is_the_sum_of_the_modules(capsys):
+    package = ROOT / "src" / "scatter1d"
+    assert code_lines.main(["code_lines.py", str(package)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    counts = {name: int(count) for name, count in rows}
+    total = counts.pop("total")
+    assert sorted(counts) == sorted(path.name for path in package.glob("*.py"))
+    assert total == sum(counts.values())
+    assert counts["core.py"] == code_lines.code_lines((package / "core.py").read_text(encoding="utf-8"))
