@@ -369,9 +369,8 @@ class TestFredholmReport:
         np.testing.assert_array_equal(np.isnan(report.marchenko_minus), expect_nan)
         assert np.all(np.isfinite(report.marchenko_plus))
 
-    # The second grid crosses tau = 1/2, where the odd replacement starts.
-    @pytest.mark.parametrize("start", [1.0, 0.1])
-    def test_report_matches_pointwise_calls(self, start):
+    @staticmethod
+    def _assert_report_matches_pointwise_calls(start):
         # Every column comes from one sweep and must equal, bit for bit, what
         # the public pointwise functions give on the same grid.
         grid = np.arange(start, start + 0.2 + 0.0125, 0.025)
@@ -392,3 +391,10 @@ class TestFredholmReport:
                         marchenko_residual(parity, t, 96)
                 else:
                     assert marchenko[i] == marchenko_residual(parity, t, 96)
+
+    def test_report_matches_pointwise_calls(self):
+        self._assert_report_matches_pointwise_calls(1.0)
+
+    def test_report_matches_pointwise_calls_across_odd_threshold(self):
+        # This grid crosses tau = 1/2, where the odd replacement starts.
+        self._assert_report_matches_pointwise_calls(0.1)
