@@ -7,10 +7,13 @@ gap produces Toeplitz sections whose log-determinants follow a
 second-order asymptotic in n.  The sections become numerically singular
 very fast: the smallest eigenvalue decays at Slepian's rate,
 ((1 - sin(alpha/2)) / (1 + sin(alpha/2)))^n, far past what double
-precision can hold.  The log determinant therefore comes from a
-Levinson recursion in integer fixed point, with as many digits as the
-largest section needs, checked by a re-run at ten more digits.  One pass
-at the largest n yields the whole table below.
+precision can hold.  The log determinant therefore comes from the
+split Levinson recursion in integer fixed point, with as many digits as
+the largest section needs, checked by a re-run at ten more digits.  Its
+symmetric polynomials halve the products of the classical recursion, and
+the first column it reads is built once in integers, each sin(m alpha)
+rotated from the last.  One pass at the largest n yields the whole table
+below.
 
 The same determinant, through the discretization coupling alpha*n =
 2 pi t, approximates the product of both parity sine-kernel

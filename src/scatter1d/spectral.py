@@ -72,6 +72,10 @@ EIG_TRUNCATE = 1e-16
 EIG_ONE_TOL = 1e-13
 
 MAX_GRID_SPACING = 0.05
+#: Smallest t spacing.  w is a central second difference of log F, whose
+#: rounding error grows like eps |log F| / h_tau^2: at t = 1 the even w
+#: reads -0.018226 at this spacing and -0.018269, -0.015315 at 1e-5, 1e-6.
+MIN_GRID_SPACING = 1e-4
 MIN_GRID_POINTS = 5
 #: Smallest k that phase_shift accepts.  The tolerance of its identity
 #: check grows as 1e-12 / k near the pole of tan, and a flipped branch
@@ -250,6 +254,11 @@ def _validated_grid(t_grid: np.ndarray) -> np.ndarray:
     if h > MAX_GRID_SPACING * (1.0 + 1e-12):
         raise PreconditionViolated(
             f"t grid spacing {h} exceeds {MAX_GRID_SPACING}"
+        )
+    # The tolerance covers the rounding of a spacing formed at t up to T_MAX.
+    if h < MIN_GRID_SPACING * (1.0 - 1e-9):
+        raise PreconditionViolated(
+            f"t grid spacing {h} is below {MIN_GRID_SPACING}, where w is rounding noise"
         )
     if not (grid[0] > 0.0):
         raise PreconditionViolated("t grid must start above 0")

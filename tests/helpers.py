@@ -6,8 +6,11 @@ library, so the two spectra are computed along genuinely different routes
 before being compared.
 """
 
+import math
 import subprocess
 import sys
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -73,6 +76,37 @@ def arc_toeplitz_logdet_lu(alpha: float, n: int, digits: int):
             for j in range(n):
                 matrix[i, j] = col[abs(i - j)]
         return mp.log(mp.det(matrix))
+
+
+def levinson_durbin_logdets(alpha: float, sizes, digits: int) -> dict:
+    """log det T_m as an mpf for every m in sizes, by Levinson-Durbin.
+
+    The classical recursion (Levinson 1947; Durbin 1960) on Python ints
+    scaled by 2**bits, from a column of mpmath sines at that precision: an
+    oracle for the library's split recursion and its rotated column.  Step
+    k finds the reflection coefficient kappa of the order-k predictor; the
+    prediction error err_k = err_{k-1} (1 - kappa^2) is the k-th pivot, so
+    det T_m is the product of the first m pivots.
+    """
+    import mpmath as mp
+
+    n = max(sizes)
+    bits = math.ceil(digits * math.log2(10.0))
+    with mp.workprec(bits + 16):
+        a = mp.mpf(alpha)
+        coefficients = [1 - a / mp.pi] + [-mp.sin(m * a) / (mp.pi * m) for m in range(1, n)]
+        col = [int(mp.nint(mp.ldexp(c, bits))) for c in coefficients]
+    err, pred, pivots = col[0], [], [col[0]]
+    for k in range(1, n):
+        kappa = -((col[k] << bits) + sum(map(mul, pred, col[k - 1:0:-1]))) // err
+        pred = [p + (kappa * q >> bits) for p, q in zip(pred, reversed(pred))]
+        pred.append(kappa)
+        err -= err * kappa * kappa >> 2 * bits
+        assert err > 0, f"Levinson-Durbin lost positivity at step {k}"
+        pivots.append(err)
+    with mp.workdps(digits):
+        dets = list(accumulate(map(mp.mpf, pivots), mul))
+        return {m: mp.log(dets[m - 1]) - m * bits * mp.ln2 for m in set(sizes)}
 
 
 def analytic_square_barrier(height: float, a: float, energy: float) -> SMatrix:

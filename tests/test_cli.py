@@ -15,7 +15,7 @@ import pytest
 from helpers import analytic_square_barrier, run_cli
 from scatter1d.cli import MAX_GRID_POINTS, build_parser, main
 from scatter1d.smatrix import analytic_delta, analytic_square_well
-from scatter1d.spectral import QUAD_ORDER
+from scatter1d.spectral import MIN_GRID_SPACING, QUAD_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +217,13 @@ class TestExitCodes:
     def test_fredholm_t_too_large_exits_three(self):
         proc = run_cli("fredholm", "--t", "6.5:6.7:0.05", "--quad", "96")
         assert proc.returncode == 3
+
+    def test_fredholm_spacing_below_the_floor_exits_three(self):
+        # w at this spacing is rounding noise; it used to print with exit 0.
+        proc = run_cli("fredholm", "--t", "1:1.000004:0.000001")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert f"is below {MIN_GRID_SPACING}" in proc.stderr
 
     def test_energy_grid_too_long_exits_three_before_allocating(self, capsys):
         count = MAX_GRID_POINTS + 1

@@ -256,6 +256,18 @@ class TestGelfandLevitan:
                 PARITY_EVEN, np.arange(5.9, 6.2, 0.025), 150
             )
 
+    def test_spacing_below_the_rounding_floor_is_refused(self):
+        # At t = 1 the even w reads -0.018226 at h = 1e-4 but -0.018269 and
+        # -0.015315 at 1e-5 and 1e-6: below the floor it is rounding noise.
+        with pytest.raises(PreconditionViolated, match="below 0.0001"):
+            gelfand_levitan_potential(PARITY_EVEN, 1.0 + 1e-5 * np.arange(5), 64)
+        # The floor itself is accepted, also where t is large and the
+        # spacing formed from it rounds below 1e-4.
+        _, w = gelfand_levitan_potential(PARITY_EVEN, 1.0 + 1e-4 * np.arange(5), 64)
+        assert abs(w[1] + 0.018226) < 5e-6
+        _, w = gelfand_levitan_potential(PARITY_EVEN, 5.2 + 1e-4 * np.arange(5), 64)
+        assert np.all(np.isfinite(w))
+
 
 class TestPhaseShift:
     @pytest.mark.parametrize("k", [0.1, 1.0, 10.0, 100.0])

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import arc_coefficient_quadrature, arc_toeplitz_logdet_lu
+from helpers import arc_coefficient_quadrature, arc_toeplitz_logdet_lu, levinson_durbin_logdets
 from scatter1d import szego
 from scatter1d.core import NotPositiveDefinite, PreconditionViolated
 from scatter1d.spectral import PARITY_EVEN, PARITY_ODD, asymptotic_log_det
 from scatter1d.szego import (
     ArcSymbol,
     SzegoCrossCheck,
-    _levinson_logdets,
+    _arc_column,
+    _bits,
+    _condition_digits,
+    _split_levinson_logdets,
     arc_coefficient,
     szego_limit_check,
     toeplitz_logdet,
@@ -37,6 +40,39 @@ class TestArcCoefficient:
         with pytest.raises(PreconditionViolated):
             ArcSymbol(alpha=math.pi)
         ArcSymbol(alpha=0.0)
+
+
+def split_logdets(alpha, sizes, digits):
+    """The library's pass at ``digits``, on a column 32 bits finer."""
+    scale = _bits(digits) + 32
+    return _split_levinson_logdets(_arc_column(alpha, max(sizes), scale), scale, sizes, digits)
+
+
+class TestArcColumn:
+    @pytest.mark.parametrize("alpha", [1e-8, 0.3, 2.9, 3.1])
+    def test_rotated_column_matches_mpmath_sines(self, alpha):
+        # Both passes of a table at MAX_N round one rotated column; each
+        # entry must land within one unit of mpmath's own sine at the
+        # pass's bits.  Past the wall the digits are capped at the largest
+        # the recursion takes on.
+        import mpmath as mp
+
+        estimate = min(_condition_digits(alpha, szego.MAX_N), szego.MAX_CONDITION_DIGITS)
+        digits = math.ceil(estimate) + szego.EXTRA_DIGITS
+        scale = _bits(digits + szego.RECHECK_DIGITS) + 32
+        column = _arc_column(alpha, szego.MAX_N, scale)
+        assert len(column) == szego.MAX_N
+        for bits in (_bits(digits), _bits(digits + szego.RECHECK_DIGITS)):
+            shift = scale - bits
+            with mp.workprec(bits + 16):
+                a = mp.mpf(alpha)
+                exact = [1 - a / mp.pi] + [
+                    -mp.sin(m * a) / (mp.pi * m) for m in range(1, szego.MAX_N)
+                ]
+                reference = [int(mp.nint(mp.ldexp(c, bits))) for c in exact]
+            rounded = [(c + (1 << (shift - 1))) >> shift for c in column]
+            worst = max(abs(r - c) for r, c in zip(reference, rounded))
+            assert worst <= 1, f"column off by {worst} units at {bits} bits"
 
 
 class TestToeplitzLogDet:
@@ -100,13 +136,42 @@ class TestToeplitzLogDet:
 
     @pytest.mark.parametrize(
         "alpha, n",
-        [(0.7, 12), (math.pi / 2, 16), (2.0, 20), (0.5, 16), (1e-8, 64)],
+        [
+            (0.7, 12), (math.pi / 2, 16), (2.0, 20), (0.5, 16), (1e-8, 64),
+            # The split recursion's start: p_0 = 2 and p_1 = 1 + z.
+            (0.7, 1), (2.0, 2), (math.pi / 2, 3),
+        ],
     )
     def test_levinson_recursion_matches_dense_determinant(self, alpha, n):
         # At 60 digits both sides keep more than 30 digits past lambda_min.
-        levinson = _levinson_logdets(alpha, [n], 60)[n]
+        levinson = split_logdets(alpha, [n], 60)[n]
         dense = arc_toeplitz_logdet_lu(alpha, n, 60)
         assert abs(levinson - dense) < 1e-25
+
+    @pytest.mark.parametrize(
+        "alpha, sizes",
+        [(0.3, [256, 512]), (1.0, [256, 512]), (math.pi / 2, [256, 512]), (2.0, [256])],
+    )
+    def test_split_recursion_matches_levinson_durbin(self, alpha, sizes):
+        # The classical recursion on a column of mpmath sines is an
+        # independent route to the same pivots; at the library's digits
+        # for the largest n both keep 25 digits past lambda_min.
+        digits = math.ceil(_condition_digits(alpha, max(sizes))) + szego.EXTRA_DIGITS
+        split = split_logdets(alpha, sizes, digits)
+        classical = levinson_durbin_logdets(alpha, sizes, digits)
+        for n in sizes:
+            assert abs(split[n] - classical[n]) < 1e-20
+
+    def test_lost_positivity_is_refused_before_any_division(self):
+        # c_0 + c_1 = 0 makes tau_1 = 0, the divisor of the next step: the
+        # recursion must refuse, not divide by zero.
+        scale = _bits(30) + 32
+        for c_1 in (-1.0, -1.5):
+            column = [1 << scale, int(c_1 * (1 << scale)), 0, 0]
+            with pytest.raises(NotPositiveDefinite, match="lost positivity at step 1"):
+                _split_levinson_logdets(column, scale, [4], 30)
+        with pytest.raises(NotPositiveDefinite, match="lost positivity at step 0"):
+            _split_levinson_logdets([0, 0, 0], scale, [3], 30)
 
     @pytest.mark.parametrize("alpha", [0.2, 1.0, math.pi / 2, 2.2])
     def test_table_equals_single_calls(self, alpha):
@@ -137,6 +202,14 @@ class TestToeplitzLogDet:
         monkeypatch.setattr(szego, "EXTRA_DIGITS", extra)
         with pytest.raises(NotPositiveDefinite, match=message):
             toeplitz_logdet(ArcSymbol(math.pi / 2), [8, 64])
+
+    def test_alpha_next_to_pi_is_answered_or_refused(self):
+        # sin(alpha/2) rounds to 1 here, and the lambda_min estimate used to
+        # divide by 1 - sin(alpha/2) = 0.  Reference: mpmath at 50 digits.
+        alpha = math.nextafter(math.pi, 0.0)
+        assert abs(toeplitz_logdet(ArcSymbol(alpha), 1).log_det + 36.251689356234869) < 1e-12
+        with pytest.raises(NotPositiveDefinite, match="beyond supported precision"):
+            toeplitz_logdet(ArcSymbol(alpha), 64)
 
     def test_table_past_the_wall_raises(self):
         with pytest.raises(NotPositiveDefinite):
