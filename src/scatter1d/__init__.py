@@ -13,7 +13,6 @@ Units: hbar = 1, 2m = 1, so psi'' = (V - E) psi and k = sqrt(E).
 """
 
 from .core import (
-    PI,
     ZETA_PRIME_MINUS_ONE,
     AllMasked,
     AsymmetricPotential,
@@ -50,7 +49,6 @@ from .potential import (
     SquareWell,
     load_sampled_csv,
     load_trace_csv,
-    sample_analytic,
     validate,
 )
 from .propagate import BoundaryData, WaveTrace, fundamental_pair, integrate
@@ -91,7 +89,6 @@ from .szego import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PI",
     "ZETA_PRIME_MINUS_ONE",
     "AllMasked",
     "AmplitudeQuad",
@@ -147,7 +144,6 @@ __all__ = [
     "marchenko_residual",
     "phase_shift",
     "recover_potential",
-    "sample_analytic",
     "sine_kernel_eigs",
     "sine_kernel_spectrum",
     "smatrix_from_amplitudes",

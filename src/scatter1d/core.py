@@ -17,8 +17,6 @@ import math
 #: independent high-precision evaluations (see tests) before freezing.
 ZETA_PRIME_MINUS_ONE = -0.16542114370045094
 
-PI = math.pi
-
 
 class ScatterError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -37,11 +35,11 @@ class AsymmetricPotential(ScatterError):
 
 
 class NonFiniteSample(ScatterError):
-    """A potential sample is NaN or infinite."""
+    """A potential sample, trace value or grid node is NaN or infinite."""
 
 
 class NonUniformGrid(ScatterError):
-    """Sampled potential grid is not uniform over [-a, a]."""
+    """A grid (of a potential, a trace or t values) is not strictly increasing and uniform."""
 
 
 class Overflow(ScatterError):

@@ -27,8 +27,9 @@ once each, and the odd channels are checked to agree after the fact.
 even channel only; the comparison reports both channel gaps separately so
 either case is visible.
 
-``recover_potential`` reads V off an arbitrary sampled trace instead, with
-a fourth-order stencil for psi''; the ``recover`` subcommand is its caller.
+``recover_potential`` reads V off a sampled trace on a uniform grid
+instead, with a fourth-order stencil for psi''; the ``recover`` subcommand
+is its caller.
 """
 
 import math
@@ -43,9 +44,10 @@ from .core import (
     NonFiniteSample,
     OddChannelUnmatched,
     PreconditionViolated,
+    _check_finite,
     _check_positive,
 )
-from .potential import MIN_TRACE_POINTS, EvaluatedPotential, Sampled, validate
+from .potential import MIN_TRACE_POINTS, EvaluatedPotential, Sampled, _uniform_step, validate
 from .propagate import check_steps
 from .smatrix import SMatrix, smatrix_via_transfer
 
@@ -90,7 +92,10 @@ def tuning_bump_values(a: float, x: np.ndarray):
 
 
 def _stencil_d2(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order second derivative, one-sided at the edges.
+    """Fourth-order second derivative on a uniform grid of spacing h, one-sided at the edges.
+
+    values needs at least MIN_TRACE_POINTS entries, which the edge stencils
+    read; ``recover_potential``, its caller, checks that with the grid.
 
     The interior stencil sums mirror neighbours pairwise so that an exactly
     even input produces an exactly even output; a left-to-right evaluation
@@ -98,8 +103,6 @@ def _stencil_d2(values: np.ndarray, h: float) -> np.ndarray:
     table recovered from an even trace would then fail the strict symmetry
     check of ``validate`` when read back as a sampled potential.
     """
-    if values.size < MIN_TRACE_POINTS:
-        raise PreconditionViolated(f"need at least {MIN_TRACE_POINTS} grid points, got {values.size}")
     # Reductions below must see one memory layout: numpy picks the dot
     # accumulation order by stride, and a layout mismatch between the two
     # edges breaks the exact mirror symmetry of the output.
@@ -139,12 +142,20 @@ def recover_potential(
     """Recover V(x) = E + psi'' / psi from a real node-free-enough trace.
 
     grid is the uniform grid of the trace and psi its values there.
-    Raises PreconditionViolated unless node_tol is finite and positive, and
-    NonFiniteSample when a value of psi is NaN or infinite.  Exact zeros of
-    psi are masked whatever node_tol * max|psi| rounds to.
+    Raises PreconditionViolated unless node_tol is finite and positive and
+    grid and psi are 1d arrays of equal length with at least
+    MIN_TRACE_POINTS points; NonUniformGrid unless the grid strictly
+    increases with spacing uniform to GRID_RTOL relative; and
+    NonFiniteSample when a node or a value of psi is NaN or infinite.  Exact
+    zeros of psi are masked whatever node_tol * max|psi| rounds to.
     """
     _check_positive("node_tol", node_tol)
-    psi = np.asarray(psi)
+    grid, psi = np.asarray(grid, dtype=float), np.asarray(psi)
+    if grid.ndim != 1 or grid.shape != psi.shape:
+        raise PreconditionViolated("grid and psi must be 1d arrays of equal length")
+    if grid.size < MIN_TRACE_POINTS:
+        raise PreconditionViolated(f"a trace needs at least {MIN_TRACE_POINTS} rows, got {grid.size}")
+    h = _uniform_step(grid, "trace grid")
     if not np.all(np.isfinite(psi)):
         raise NonFiniteSample("wavefunction trace holds a NaN or infinite value")
     peak = float(np.max(np.abs(psi)))
@@ -156,8 +167,6 @@ def recover_potential(
                 "potential recovery needs a real trace; imaginary part exceeds 1e-12 relative"
             )
         psi = psi.real
-    grid = np.asarray(grid, dtype=float)
-    h = (grid[-1] - grid[0]) / (grid.size - 1)
     d2 = _stencil_d2(psi, h)
 
     mask = (np.abs(psi) < node_tol * peak) | (psi == 0)
@@ -303,10 +312,12 @@ def build_counterexample(
     it equals verify_same_smatrix(pair).  Raises NodeCollision if a
     deformed wave develops a node, and OddChannelUnmatched if the search
     does not converge or the forward-solved odd channels of a tuned pair
-    differ by more than ODD_CHANNEL_TOL.
+    differ by more than ODD_CHANNEL_TOL.  Non-finite q, eps or a are
+    refused with PreconditionViolated before any arithmetic.
     """
-    if not (q > 0.0 and a > 0.0):
-        raise PreconditionViolated("q and a must be positive")
+    _check_positive("q", q)
+    _check_positive("a", a)
+    _check_finite(eps=eps)
     if not q * a < math.pi / 2:
         raise PreconditionViolated(f"need q*a < pi/2 for a node-free baseline, got q*a = {q * a}")
     check_steps(steps)

@@ -83,6 +83,25 @@ def _read_only(values) -> np.ndarray:
     return table
 
 
+def _uniform_step(x: np.ndarray, what: str) -> float:
+    """Spacing h of a finite, strictly increasing grid uniform to GRID_RTOL * h.
+
+    Raises NonFiniteSample for a NaN or infinite node and NonUniformGrid
+    for a grid that does not strictly increase or whose steps stray from
+    h; ``what`` names the grid in the messages.  h is formed without
+    overflow on spans near the float maximum.
+    """
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteSample(f"{what} contains non-finite values")
+    steps = np.diff(x)
+    if not np.all(steps > 0.0):
+        raise NonUniformGrid(f"{what} must be strictly increasing")
+    h = x[-1] / (x.size - 1) - x[0] / (x.size - 1)
+    if np.max(np.abs(steps - h)) > GRID_RTOL * h:
+        raise NonUniformGrid(f"{what} spacing is not uniform to 1e-9 relative")
+    return float(h)
+
+
 def validate(spec: PotentialSpec) -> EvaluatedPotential:
     """Check a potential spec and return its evaluator.
 
@@ -92,9 +111,7 @@ def validate(spec: PotentialSpec) -> EvaluatedPotential:
     spec's arrays do not reach it.
     """
     if isinstance(spec, SquareWell):
-        _check_finite(v0=spec.v0, a=spec.a)
-        if not spec.a > 0.0:
-            raise PreconditionViolated(f"half-width a must be positive, got {spec.a}")
+        _check_finite(v0=spec.v0)
         if spec.v0 < 0.0:
             raise PreconditionViolated(f"well depth v0 must be >= 0, got {spec.v0}")
         spec = Sampled(spec.a, np.array([-spec.a, 0.0, spec.a]), np.full(3, -float(spec.v0)))
@@ -110,15 +127,9 @@ def validate(spec: PotentialSpec) -> EvaluatedPotential:
     _check_finite(a=spec.a)
     if not spec.a > 0.0:
         raise PreconditionViolated(f"half-width a must be positive, got {spec.a}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteSample("grid contains non-finite values")
+    _uniform_step(x, "grid")
     if not np.all(np.isfinite(v)):
         raise NonFiniteSample("potential samples contain non-finite values")
-    h = x[-1] / (n - 1) - x[0] / (n - 1)  # no overflow on supports near the float maximum
-    if not h > 0.0:
-        raise NonUniformGrid("grid must be strictly increasing")
-    if np.max(np.abs(np.diff(x) - h)) > GRID_RTOL * h:
-        raise NonUniformGrid("grid spacing is not uniform to 1e-9 relative")
     tol_a = GRID_RTOL * max(1.0, spec.a)
     if abs(x[0] + spec.a) > tol_a or abs(x[-1] - spec.a) > tol_a:
         raise NonUniformGrid(
@@ -131,17 +142,6 @@ def validate(spec: PotentialSpec) -> EvaluatedPotential:
             f"sampled values break V(x) = V(-x): max deviation {asym:.3e}"
         )
     return EvaluatedPotential(float(spec.a), x, v)
-
-
-def sample_analytic(spec: PotentialSpec, n: int) -> Sampled:
-    """Tabulate a square well on an odd uniform grid over [-a, a]."""
-    if not isinstance(spec, SquareWell):
-        raise PreconditionViolated("only analytic (square well) specs can be sampled")
-    if n < 3 or n % 2 == 0:
-        raise PreconditionViolated(f"need an odd sample count >= 3, got {n}")
-    x = np.linspace(-spec.a, spec.a, n)
-    v = np.full(n, -float(spec.v0))
-    return Sampled(a=spec.a, x=x, v=v)
 
 
 def _read_two_columns(path, header: str) -> tuple[np.ndarray, np.ndarray]:
@@ -163,24 +163,13 @@ def _read_two_columns(path, header: str) -> tuple[np.ndarray, np.ndarray]:
 def load_sampled_csv(path) -> Sampled:
     """Read a sampled potential from a two-column CSV with header ``x,V``."""
     x, v = _read_two_columns(path, "x,V")
-    if abs(x[0] + x[-1]) > GRID_RTOL * max(1.0, abs(x[-1])):
-        raise NonUniformGrid("grid endpoints are not symmetric about the origin")
     return Sampled(a=float(x[-1]), x=x, v=v)
 
 
 def load_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a wavefunction trace (x, psi) from a CSV with header ``x,psi``.
 
-    The grid needs at least MIN_TRACE_POINTS points, strictly increasing,
-    with spacing uniform to 1e-9 relative (absolute below unit spacing).
+    Only the file's format is checked here; ``recover_potential`` checks the
+    grid where it differentiates on it.
     """
-    x, psi = _read_two_columns(path, "x,psi")
-    if x.size < MIN_TRACE_POINTS:
-        raise PreconditionViolated(f"a trace needs at least {MIN_TRACE_POINTS} rows, got {x.size}")
-    steps = np.diff(x)
-    if not np.all(steps > 0.0):
-        raise NonUniformGrid("trace grid must be strictly increasing")
-    h = float(steps[0])
-    if np.max(np.abs(steps - h)) > GRID_RTOL * max(1.0, h):
-        raise NonUniformGrid("trace grid spacing varies beyond 1e-9")
-    return x, psi
+    return _read_two_columns(path, "x,psi")

@@ -24,6 +24,7 @@ the closed single-solution formula is usable.
 """
 
 import cmath
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -119,9 +120,8 @@ def smatrix_via_transfer(
     order; each equals the one for its energy alone.
     """
     energies = [energy] if np.ndim(energy) == 0 else energy
-    ks = [wavenumber_from_energy(e) for e in energies]
-    maps = _endpoint_maps(pot, energies, steps)
-    matrices = [_from_channels(m, k, pot.a) for m, k in zip(maps.tolist(), ks)]
+    maps = _endpoint_maps(pot, energies, steps)  # refuses every energy that is not finite and positive
+    matrices = [_from_channels(m, math.sqrt(e), pot.a) for m, e in zip(maps.tolist(), energies)]
     return matrices[0] if np.ndim(energy) == 0 else matrices
 
 

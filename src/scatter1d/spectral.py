@@ -38,7 +38,6 @@ from .core import (
     ZETA_PRIME_MINUS_ONE,
     EigenvalueAtOne,
     NonPositiveK,
-    NonUniformGrid,
     PreconditionViolated,
     QuadOrderTooSmall,
     ScatterError,
@@ -46,6 +45,7 @@ from .core import (
     TTooLarge,
     _check_positive,
 )
+from .potential import _uniform_step
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
@@ -245,12 +245,7 @@ def _validated_grid(t_grid: np.ndarray) -> np.ndarray:
         raise PreconditionViolated(
             f"t grid needs at least {MIN_GRID_POINTS} points in one dimension"
         )
-    steps = np.diff(grid)
-    if not np.all(steps > 0.0):
-        raise PreconditionViolated("t grid must be strictly increasing")
-    h = float(steps[0])
-    if np.max(np.abs(steps - h)) > 1e-9 * max(1.0, h):
-        raise NonUniformGrid("t grid spacing varies beyond 1e-9")
+    h = _uniform_step(grid, "t grid")
     if h > MAX_GRID_SPACING * (1.0 + 1e-12):
         raise PreconditionViolated(
             f"t grid spacing {h} exceeds {MAX_GRID_SPACING}"

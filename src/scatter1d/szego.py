@@ -87,13 +87,6 @@ class ArcSymbol:
             )
 
 
-def arc_coefficient(alpha: float, m: int) -> float:
-    """Fourier coefficient c_m of the arc-indicator symbol."""
-    if m == 0:
-        return 1.0 - alpha / math.pi
-    return -math.sin(m * alpha) / (math.pi * m)
-
-
 @dataclass(frozen=True)
 class ToeplitzResult:
     n: int

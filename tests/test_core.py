@@ -6,7 +6,6 @@ import mpmath
 import pytest
 
 from scatter1d.core import (
-    PI,
     ZETA_PRIME_MINUS_ONE,
     AllMasked,
     AsymmetricPotential,
@@ -45,10 +44,6 @@ def test_wavenumber_rejects_nonpositive_energy(bad):
 def test_wavenumber_rejects_non_finite_energy(bad):
     with pytest.raises(PreconditionViolated, match="energy must be finite"):
         wavenumber_from_energy(bad)
-
-
-def test_pi_matches_math():
-    assert PI == math.pi
 
 
 def test_zeta_prime_at_minus_one():

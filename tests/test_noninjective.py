@@ -1,6 +1,7 @@
 """Potential recovery and the equal-boundary-data counterexample."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scatter1d.core import (
     ComplexWavefunction,
     NodeCollision,
     NonFiniteSample,
+    NonUniformGrid,
     OddChannelUnmatched,
     PreconditionViolated,
 )
@@ -123,8 +125,40 @@ class TestRecoverPotential:
 
     def test_needs_six_points(self):
         trace = make_trace(np.cos, n=5)
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="at least 6 rows, got 5"):
             recover_potential(*trace, 1.0)
+
+    def test_non_uniform_grid_is_refused(self):
+        # The stencil assumes one spacing; on this grid it read V(0) = 20.75
+        # for a cos trace at E = 1, where V = 0 is exact.
+        grid = np.array([0.0, 0.1, 0.2, 0.35, 0.4, 0.5, 0.6])
+        with pytest.raises(NonUniformGrid, match="spacing is not uniform"):
+            recover_potential(grid, np.cos(grid), 1.0)
+
+    def test_spacing_tolerance_is_relative(self):
+        # A step error of 1e-11 at h = 1e-3 is 1e-8 of the spacing: the
+        # stencil divides it by h^2, so it is refused although it lies
+        # below 1e-9 in absolute terms.
+        grid = np.linspace(0.0, 1.0, 1001)
+        grid[500] += 1e-11
+        with pytest.raises(NonUniformGrid):
+            recover_potential(grid, np.cos(grid), 1.0)
+
+    def test_grid_and_trace_lengths_must_agree(self):
+        grid = np.linspace(-1.0, 1.0, 9)
+        with pytest.raises(PreconditionViolated, match="equal length"):
+            recover_potential(grid, np.cos(np.linspace(-1.0, 1.0, 11)), 1.0)
+
+    def test_non_finite_grid_node_is_refused(self):
+        grid, psi = make_trace(np.cos)
+        grid[100] = np.nan
+        with pytest.raises(NonFiniteSample, match="trace grid"):
+            recover_potential(grid, psi, 1.0)
+
+    def test_decreasing_grid_is_refused(self):
+        grid, psi = make_trace(np.cos)
+        with pytest.raises(NonUniformGrid, match="strictly increasing"):
+            recover_potential(grid[::-1], psi, 1.0)
 
 
 class TestBuildCounterexample:
@@ -253,6 +287,15 @@ class TestBuildCounterexample:
         # channel: the forward solves disagree by about 3e-2.
         with pytest.raises(OddChannelUnmatched, match="forward-solved"):
             build_counterexample(q=0.1413, eps=-0.06, a=2.0)
+
+    @pytest.mark.parametrize(
+        "q, eps", [(1.0, np.nan), (1.0, np.inf), (1.0, -np.inf), (np.nan, 0.01)]
+    )
+    def test_non_finite_parameters_are_refused_before_any_arithmetic(self, q, eps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionViolated, match="must be finite"):
+                build_counterexample(q=q, eps=eps, a=1.0)
 
     def test_parameter_guards(self):
         with pytest.raises(PreconditionViolated):

@@ -13,7 +13,6 @@ from scatter1d.potential import (
     Sampled,
     SquareWell,
     load_sampled_csv,
-    sample_analytic,
     validate,
 )
 from scatter1d.smatrix import smatrix_via_transfer
@@ -66,7 +65,8 @@ class TestSquareWell:
         # it is read, so the node count cannot move a single bit.
         energies = np.linspace(0.1, 50.0, 32)
         coarse = smatrix_via_transfer(validate(SquareWell(v0=v0, a=a)), energies)
-        fine = smatrix_via_transfer(validate(sample_analytic(SquareWell(v0=v0, a=a), 257)), energies)
+        table = Sampled(a=a, x=np.linspace(-a, a, 257), v=np.full(257, -v0))
+        fine = smatrix_via_transfer(validate(table), energies)
         for s, t in zip(coarse, fine):
             assert np.array_equal(s.as_matrix(), t.as_matrix())
 
@@ -151,18 +151,6 @@ class TestSampled:
             validate(Sampled(a=np.inf, x=spec.x, v=spec.v))
 
 
-class TestSampleAnalytic:
-    def test_square_well_tabulation(self):
-        spec = sample_analytic(SquareWell(v0=3.0, a=2.0), n=11)
-        assert spec.x[0] == -2.0 and spec.x[-1] == 2.0
-        assert np.all(spec.v == -3.0)
-        validate(spec)
-
-    def test_rejects_even_counts(self):
-        with pytest.raises(PreconditionViolated):
-            sample_analytic(SquareWell(v0=1.0, a=1.0), n=10)
-
-
 class TestLoadSampledCsv:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "pot.csv"
@@ -192,4 +180,4 @@ class TestLoadSampledCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x,V\n-1.0,0.0\n0.0,0.0\n2.0,0.0\n")
         with pytest.raises(NonUniformGrid):
-            load_sampled_csv(path)
+            validate(load_sampled_csv(path))

@@ -9,6 +9,7 @@ import scatter1d.spectral as spectral
 from helpers import full_interval_sine_eigs
 from scatter1d.core import (
     EigenvalueAtOne,
+    NonFiniteSample,
     NonPositiveK,
     NonUniformGrid,
     PreconditionViolated,
@@ -251,6 +252,10 @@ class TestGelfandLevitan:
         bad = np.array([1.0, 1.02, 1.05, 1.07, 1.1])
         with pytest.raises(NonUniformGrid):
             gelfand_levitan_potential(PARITY_EVEN, bad, 150)
+        with pytest.raises(NonUniformGrid, match="strictly increasing"):
+            gelfand_levitan_potential(PARITY_EVEN, np.linspace(1.1, 1.0, 5), 150)
+        with pytest.raises(NonFiniteSample, match="t grid"):
+            gelfand_levitan_potential(PARITY_EVEN, np.array([1.0, 1.025, np.nan, 1.075, 1.1]), 150)
         with pytest.raises(TTooLarge):
             gelfand_levitan_potential(
                 PARITY_EVEN, np.arange(5.9, 6.2, 0.025), 150
