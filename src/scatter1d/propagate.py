@@ -274,7 +274,7 @@ def _endpoint_maps(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
     for start in range(0, energies.size, block):
         m = _cell_matrices(cells, energies[start : start + block])
         maps[start : start + block] = _product(m).T.reshape(-1, 2, 2)
-    _refuse_overflow(np.max(np.abs(maps[:, 0])) if np.all(np.isfinite(maps)) else np.inf)
+    _refuse_overflow(np.max(np.abs(maps[:, 0]), initial=0.0) if np.all(np.isfinite(maps)) else np.inf)
     return maps
 
 

@@ -273,6 +273,10 @@ class TestEnergyBatch:
         batch = smatrix_via_transfer(gaussian_pot, np.array(self.ENERGIES), steps=512)
         assert [s.k for s in batch] == [np.sqrt(e) for e in self.ENERGIES]
 
+    @pytest.mark.parametrize("empty", [[], (), np.array([])], ids=["list", "tuple", "array"])
+    def test_empty_energy_list_gives_empty_list(self, gaussian_pot, empty):
+        assert smatrix_via_transfer(gaussian_pot, empty, steps=512) == []
+
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_nonpositive_energy_in_batch(self, bad):
         pot = validate(SquareWell(v0=2.0, a=1.0))
