@@ -267,8 +267,9 @@ def _match_odd_channel(psi0: np.ndarray, p: np.ndarray, g: np.ndarray) -> float:
     so the root is unique and Newton's method, J'(c) = -2 S[g (p + c g)^-3],
     finds it from c = 0.  An iterate that gives the wave a node is pulled
     back halfway toward the last c without one.  Raises NodeCollision when
-    p itself has a node and OddChannelUnmatched when MAX_NEWTON_STEPS
-    iterations do not converge.
+    p itself has a node, and OddChannelUnmatched when MAX_NEWTON_STEPS
+    iterations do not converge or when J'(c) underflows to 0 (a tuning bump
+    below about 1e-320 on every node, as at a <= 1e-54), before dividing by it.
     """
     target = _simpson(psi0**-2.0)
     c = good = 0.0
@@ -280,7 +281,10 @@ def _match_odd_channel(psi0: np.ndarray, p: np.ndarray, g: np.ndarray) -> float:
             c = 0.5 * (c + good)
             continue
         good = c
-        step = (_simpson(psi**-2.0) - target) / (-2.0 * _simpson(g * psi**-3.0))
+        slope = -2.0 * _simpson(g * psi**-3.0)
+        if slope == 0.0:
+            raise OddChannelUnmatched(f"g psi^-3 underflows to 0 at c = {c}, so the tuning bump cannot move the odd channel")
+        step = (_simpson(psi**-2.0) - target) / slope
         c -= step
         if abs(step) <= NEWTON_RTOL * (1.0 + abs(c)):
             return c
@@ -313,11 +317,15 @@ def build_counterexample(
     deformed wave develops a node, and OddChannelUnmatched if the search
     does not converge or the forward-solved odd channels of a tuned pair
     differ by more than ODD_CHANNEL_TOL.  Non-finite q, eps or a are
-    refused with PreconditionViolated before any arithmetic.
+    refused with PreconditionViolated before any arithmetic, and so is an a
+    whose sixth power, the scale of the tuning bump, overflows (a above
+    about 2.3e51).
     """
     _check_positive("q", q)
     _check_positive("a", a)
     _check_finite(eps=eps)
+    if not math.isfinite(a * a * a * a * a * a):  # products overflow to inf where a**6 would raise
+        raise PreconditionViolated(f"a = {a} is too large: the tuning bump x^2 (x^2 - a^2)^2 overflows")
     if not q * a < math.pi / 2:
         raise PreconditionViolated(f"need q*a < pi/2 for a node-free baseline, got q*a = {q * a}")
     check_steps(steps)

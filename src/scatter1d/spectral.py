@@ -16,9 +16,15 @@ Everything here derives from the eigenvalues of those two kernels:
 * ``marchenko_residual`` measures how far the determinant is from its
   large-tau factorized replacement (it must tend to zero).
 
-On a t grid one per-channel sweep of ``fredholm_log_det`` backs every
-column of ``fredholm_report`` and the potentials of
-``gelfand_levitan_potential``, and one large-tau (Widom) form backs both
+Every eigenvalue comes from one Nystrom table per t: the Gauss-Legendre
+nodes x_i and weights w_i on [0, pi t], sqrt(w_i), and the matrices
+sinc(x_i - x_j) and sinc(x_i + x_j).  Both channels' kernels are formed
+from the same table, so ``sine_kernel_spectrum`` and ``fredholm_report``
+(at each t of its grid) and szego's cross-check build one table per t for
+the two channels, while ``fredholm_log_det``, and through it
+``gelfand_levitan_potential`` and ``marchenko_residual``, build one for the
+channel they ask for.  The log det of a channel is sum log1p(-lambda) over
+its eigenvalues, and one large-tau (Widom) form backs both
 ``asymptotic_log_det`` and the Marchenko replacement.
 
 Convention: the upper sign is the even channel throughout, i.e. F_plus and
@@ -93,32 +99,6 @@ def _parity_sign(parity: str) -> int:
     raise PreconditionViolated(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """One parity channel of the sine kernel on [0, pi t]."""
-
-    parity: str
-    t: float
-    quad_order: int
-
-    def __post_init__(self) -> None:
-        _parity_sign(self.parity)
-        _check_positive("t", self.t)
-        if self.t > T_MAX:
-            raise TTooLarge(
-                f"t = {self.t} exceeds {T_MAX}; eigenvalues too close to 1 "
-                "for double precision"
-            )
-        if self.quad_order < MIN_QUAD_ORDER:
-            raise QuadOrderTooSmall(
-                f"quad_order must be >= {MIN_QUAD_ORDER}, got {self.quad_order}"
-            )
-        if self.quad_order > MAX_QUAD_ORDER:
-            raise PreconditionViolated(
-                f"quad_order must be <= {MAX_QUAD_ORDER}, got {self.quad_order}"
-            )
-
-
 def _sinc(u: np.ndarray) -> np.ndarray:
     """sin(u)/u with the removable singularity filled by its Taylor series."""
     u = np.asarray(u, dtype=float)
@@ -143,37 +123,61 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def sine_kernel_eigs(spec: KernelSpec) -> np.ndarray:
-    """Eigenvalues of one parity kernel, descending, clipped to [0, 1].
+def _nystrom_table(t: float, quad_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sqrt(w), sinc(x - y) and sinc(x + y) on the Gauss-Legendre nodes of [0, pi t].
 
-    Nystrom discretization: Gauss-Legendre nodes x_i, weights w_i on
-    [0, pi t], symmetric matrix sqrt(w_i) K(x_i, x_j) sqrt(w_j).  Raw
-    eigenvalues may stray outside [0, 1] by quadrature rounding only; any
-    excursion beyond EIG_CLIP_TOL is an error, smaller ones are clipped.
+    Both parity kernels are (sinc(x - y) +- sinc(x + y)) / pi on these
+    nodes, so one table serves both channels at t.
     """
-    length = math.pi * spec.t
-    nodes, weights = _gauss_legendre(spec.quad_order)
-    x = 0.5 * length * (nodes + 1.0)
-    w = 0.5 * length * weights
+    _check_positive("t", t)
+    if t > T_MAX:
+        raise TTooLarge(f"t = {t} exceeds {T_MAX}; eigenvalues too close to 1 for double precision")
+    if quad_order < MIN_QUAD_ORDER:
+        raise QuadOrderTooSmall(f"quad_order must be >= {MIN_QUAD_ORDER}, got {quad_order}")
+    if quad_order > MAX_QUAD_ORDER:
+        raise PreconditionViolated(f"quad_order must be <= {MAX_QUAD_ORDER}, got {quad_order}")
+    half_length = 0.5 * (math.pi * t)
+    nodes, weights = _gauss_legendre(quad_order)
+    x = half_length * (nodes + 1.0)
+    return np.sqrt(half_length * weights), _sinc(x[:, None] - x[None, :]), _sinc(x[:, None] + x[None, :])
 
-    diff = x[:, None] - x[None, :]
-    summ = x[:, None] + x[None, :]
-    sign = _parity_sign(spec.parity)
-    kernel = (_sinc(diff) + sign * _sinc(summ)) / math.pi
 
-    root_w = np.sqrt(w)
+def _channel_eigs(table: tuple[np.ndarray, np.ndarray, np.ndarray], parity: str, t: float) -> np.ndarray:
+    """Eigenvalues of one parity kernel from the table at t, descending, clipped to [0, 1].
+
+    Nystrom discretization: the symmetric matrix sqrt(w_i) K(x_i, x_j)
+    sqrt(w_j).  Raw eigenvalues may stray outside [0, 1] by quadrature
+    rounding only; any excursion beyond EIG_CLIP_TOL is an error, smaller
+    ones are clipped.
+    """
+    root_w, sinc_diff, sinc_sum = table
+    kernel = (sinc_diff + _parity_sign(parity) * sinc_sum) / math.pi
     sym = root_w[:, None] * kernel * root_w[None, :]
     sym = 0.5 * (sym + sym.T)
 
     eigs = np.linalg.eigvalsh(sym)[::-1]
-    low, high = eigs[-1], eigs[0]
-    if low < -EIG_CLIP_TOL or high > 1.0 + EIG_CLIP_TOL:
+    if eigs[-1] < -EIG_CLIP_TOL or eigs[0] > 1.0 + EIG_CLIP_TOL:
         raise ScatterError(
-            f"eigenvalues escape [0, 1] beyond tolerance: min {low:.3e}, "
-            f"max {high:.3e} (parity {spec.parity}, t {spec.t}, "
-            f"quad_order {spec.quad_order})"
+            f"eigenvalues escape [0, 1] beyond tolerance: min {eigs[-1]:.3e}, "
+            f"max {eigs[0]:.3e} (parity {parity}, t {t}, quad_order {root_w.size})"
         )
     return np.clip(eigs, 0.0, 1.0)
+
+
+def _log_det(eigs: np.ndarray, t: float) -> float:
+    """sum log(1 - lambda) over one channel's eigenvalues at t.
+
+    Terms with lambda < EIG_TRUNCATE contribute nothing at double precision
+    and are dropped.  log1p keeps full accuracy across the whole range of
+    retained eigenvalues.
+    """
+    if eigs.size and eigs[0] >= 1.0 - EIG_ONE_TOL:
+        raise EigenvalueAtOne(
+            f"top eigenvalue {float(eigs[0])!r} is within {EIG_ONE_TOL} of 1 at "
+            f"t = {t}; the determinant underflows double precision"
+        )
+    kept = eigs[eigs >= EIG_TRUNCATE]
+    return float(np.sum(np.log1p(-kept)))
 
 
 @dataclass
@@ -192,8 +196,9 @@ class SineKernelSpectrum:
 
 def sine_kernel_spectrum(t: float, quad_order: int) -> SineKernelSpectrum:
     """Even and odd spectra of the sine kernel at one t, and their merge."""
-    even = sine_kernel_eigs(KernelSpec(PARITY_EVEN, t, quad_order))
-    odd = sine_kernel_eigs(KernelSpec(PARITY_ODD, t, quad_order))
+    table = _nystrom_table(t, quad_order)
+    even = _channel_eigs(table, PARITY_EVEN, t)
+    odd = _channel_eigs(table, PARITY_ODD, t)
     merged = np.empty(even.size + odd.size)
     merged[0::2] = even
     merged[1::2] = odd
@@ -203,18 +208,11 @@ def sine_kernel_spectrum(t: float, quad_order: int) -> SineKernelSpectrum:
 def fredholm_log_det(parity: str, t: float, quad_order: int) -> float:
     """log of the Fredholm determinant det(1 - K) for one parity channel.
 
-    Terms with lambda < 1e-16 contribute nothing at double precision and
-    are dropped.  log1p keeps full accuracy across the whole range of
-    retained eigenvalues.
+    Builds the Nystrom table at t for this channel alone; see _log_det for
+    how the eigenvalues are summed.
     """
-    eigs = sine_kernel_eigs(KernelSpec(parity, t, quad_order))
-    if eigs.size and eigs[0] >= 1.0 - EIG_ONE_TOL:
-        raise EigenvalueAtOne(
-            f"top eigenvalue {float(eigs[0])!r} is within {EIG_ONE_TOL} of 1 at "
-            f"t = {t}; the determinant underflows double precision"
-        )
-    kept = eigs[eigs >= EIG_TRUNCATE]
-    return float(np.sum(np.log1p(-kept)))
+    _parity_sign(parity)  # refused before t and the order
+    return _log_det(_channel_eigs(_nystrom_table(t, quad_order), parity, t), t)
 
 
 def _large_tau(sign: int, tau, log_term):
@@ -262,14 +260,13 @@ def _validated_grid(t_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _channel(parity: str, grid: np.ndarray, quad_order: int) -> dict[str, np.ndarray]:
-    """One channel's report columns on a validated t grid, from one sweep.
+def _channel(parity: str, grid: np.ndarray, logf: np.ndarray) -> dict[str, np.ndarray]:
+    """One channel's report columns from its log dets on a validated t grid.
 
     w is NaN at both endpoints, lost to the central second difference, and
     marchenko is NaN where the odd replacement needs tau > 1/2.
     """
     sign = _parity_sign(parity)
-    logf = np.array([fredholm_log_det(parity, t, quad_order) for t in grid])
     h_tau = math.pi * float(grid[1] - grid[0])
     w = np.full(grid.size, np.nan)
     w[1:-1] = -2.0 * (logf[2:] - 2.0 * logf[1:-1] + logf[:-2]) / (h_tau * h_tau) - 1.0
@@ -291,7 +288,8 @@ def gelfand_levitan_potential(
     -1/(4 tau^2) for large tau.
     """
     grid = _validated_grid(t_grid)
-    w = _channel(parity, grid, quad_order)["w"]
+    logf = np.array([fredholm_log_det(parity, t, quad_order) for t in grid])
+    w = _channel(parity, grid, logf)["w"]
     return math.pi * grid[1:-1], w[1:-1]
 
 
@@ -392,10 +390,18 @@ class FredholmReport:
 
 
 def fredholm_report(t_grid: np.ndarray, quad_order: int) -> FredholmReport:
-    """Both channels of the sweep on one uniform t grid; see FredholmReport."""
+    """Both channels of the sweep on one uniform t grid; see FredholmReport.
+
+    One table per t serves both channels, the even one first.
+    """
     grid = _validated_grid(t_grid)
+    channels = ((PARITY_EVEN, "plus"), (PARITY_ODD, "minus"))
+    logf = np.empty((len(channels), grid.size))
+    for i, t in enumerate(grid):
+        table = _nystrom_table(t, quad_order)
+        logf[:, i] = [_log_det(_channel_eigs(table, parity, t), t) for parity, _ in channels]
     columns: dict[str, np.ndarray] = {}
-    for parity, tag in ((PARITY_EVEN, "plus"), (PARITY_ODD, "minus")):
-        for name, column in _channel(parity, grid, quad_order).items():
+    for (parity, tag), row in zip(channels, logf):
+        for name, column in _channel(parity, grid, row).items():
             columns[f"{name}_{tag}"] = column
     return FredholmReport(t_grid=grid, **columns)

@@ -58,7 +58,7 @@ from .core import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .spectral import PARITY_EVEN, PARITY_ODD, QUAD_ORDER, asymptotic_log_det, fredholm_log_det
+from .spectral import PARITY_EVEN, PARITY_ODD, QUAD_ORDER, _log_det, asymptotic_log_det, sine_kernel_spectrum
 
 MAX_N = 512
 
@@ -260,7 +260,8 @@ def szego_limit_check(n: int, t: float, quad_order: int = QUAD_ORDER) -> SzegoCr
 
     The n x n section is taken at the coupling alpha = 2 pi t / n.
     The full-interval determinant factorizes over parity, so the continuum
-    reference is fredholm_log_det(even) + fredholm_log_det(odd), and its
+    reference is the even plus the odd log det of one sine_kernel_spectrum
+    (each equal to fredholm_log_det of its channel), and its
     closed-form asymptotic is asymptotic_log_det(even) + asymptotic_log_det(odd)
     = -(pi t)^2/2 - (1/4) log(pi t) + (1/12) log 2 + 3 zeta'(-1).
     """
@@ -271,9 +272,8 @@ def szego_limit_check(n: int, t: float, quad_order: int = QUAD_ORDER) -> SzegoCr
 
     alpha = 2.0 * math.pi * t / n
     result = toeplitz_logdet(ArcSymbol(alpha), n)
-    fredholm_total = fredholm_log_det(PARITY_EVEN, t, quad_order) + fredholm_log_det(
-        PARITY_ODD, t, quad_order
-    )
+    spectrum = sine_kernel_spectrum(t, quad_order)
+    fredholm_total = _log_det(spectrum.even_eigs, t) + _log_det(spectrum.odd_eigs, t)
     continuum = asymptotic_log_det(PARITY_EVEN, t) + asymptotic_log_det(PARITY_ODD, t)
     return SzegoCrossCheck(
         alpha=alpha,

@@ -391,6 +391,26 @@ class TestCounterexample:
         assert proc.stdout == ""
         assert message in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # The tuning bump underflows to 0 on every node, so the Newton
+            # slope of the odd-channel match is 0.
+            (("--a", "1e-60"), "underflows"),
+            # The tuning bump overflows: numpy warned, then 2.0 * a**4
+            # raised OverflowError, or a NodeCollision followed the warnings.
+            (("--a", "1e80", "--q", "1e-80"), "too large"),
+            (("--a", "1e300", "--q", "1e-300"), "too large"),
+            (("--a", "1e77", "--q", "1e-77"), "too large"),
+        ],
+    )
+    def test_extreme_scales_are_refused_without_warnings(self, args, message):
+        proc = run_cli("counterexample", *args)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert message in proc.stderr
+        assert "Warning" not in proc.stderr
+
 
 class TestCsvJsonMirror:
     @pytest.mark.parametrize(

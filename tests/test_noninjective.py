@@ -297,6 +297,35 @@ class TestBuildCounterexample:
             with pytest.raises(PreconditionViolated, match="must be finite"):
                 build_counterexample(q=q, eps=eps, a=1.0)
 
+    @pytest.mark.parametrize("a", [1e-60, 1e-54])
+    def test_vanishing_tuning_slope_is_refused(self, a):
+        # The tuning bump x^2 (x^2 - a^2)^2 underflows to 0 on every node, so
+        # the Newton slope J'(0) is 0 and dividing by it would raise
+        # ZeroDivisionError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OddChannelUnmatched, match="underflows"):
+                build_counterexample(q=1.0, eps=0.01, a=a)
+
+    def test_tiny_supports_still_answer_where_the_slope_survives(self):
+        # At a = 1e-53 the bump is subnormal, not 0, so the tuned pair
+        # answers; a single-bump pair never takes the slope.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build_counterexample(q=1.0, eps=0.01, a=1e-53).odd_coefficient == 0.0
+            single = build_counterexample(q=1.0, eps=0.01, a=1e-60, single_bump=True)
+        assert single.odd_coefficient == 0.0
+
+    @pytest.mark.parametrize("a", [1e52, 1e80, 1e300])
+    def test_overflowing_tuning_bump_is_refused_before_any_arithmetic(self, a):
+        # a^6, the scale of the tuning bump, overflows from a = 2.3e51 on;
+        # unguarded, numpy warns of the overflow, and 2.0 * a**4 raises
+        # OverflowError from a = 1.2e77 on.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionViolated, match="too large"):
+                build_counterexample(q=1.0 / a, eps=0.01, a=a)
+
     def test_parameter_guards(self):
         with pytest.raises(PreconditionViolated):
             build_counterexample(q=1.6, eps=0.01, a=1.0)

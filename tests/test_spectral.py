@@ -22,7 +22,6 @@ from scatter1d.core import (
 from scatter1d.spectral import (
     PARITY_EVEN,
     PARITY_ODD,
-    KernelSpec,
     _sinc,
     asymptotic_log_det,
     fredholm_log_det,
@@ -31,28 +30,37 @@ from scatter1d.spectral import (
     jost_forms,
     marchenko_residual,
     phase_shift,
-    sine_kernel_eigs,
     sine_kernel_spectrum,
 )
+from scatter1d.szego import szego_limit_check
 
 
 class TestKernelSpec:
     def test_guards(self):
-        with pytest.raises(PreconditionViolated):
-            KernelSpec("both", 1.0, 128)
-        with pytest.raises(PreconditionViolated):
-            KernelSpec(PARITY_EVEN, 0.0, 128)
-        with pytest.raises(TTooLarge):
-            KernelSpec(PARITY_EVEN, 7.0, 128)
-        with pytest.raises(QuadOrderTooSmall):
-            KernelSpec(PARITY_EVEN, 1.0, 32)
+        with pytest.raises(PreconditionViolated, match="parity"):
+            fredholm_log_det("both", 1.0, 128)
+        # The parity is refused before t and the order are looked at.
+        with pytest.raises(PreconditionViolated, match="parity"):
+            fredholm_log_det("both", 7.0, 32)
+        for call in (sine_kernel_spectrum, lambda t, order: fredholm_log_det(PARITY_EVEN, t, order)):
+            with pytest.raises(PreconditionViolated):
+                call(0.0, 128)
+            with pytest.raises(TTooLarge):
+                call(7.0, 128)
+            with pytest.raises(QuadOrderTooSmall):
+                call(1.0, 32)
 
-    def test_quadrature_order_is_capped(self):
-        # Only the refusal is exercised: memory grows with the order squared.
-        KernelSpec(PARITY_EVEN, 1.0, spectral.MAX_QUAD_ORDER)
-        with pytest.raises(PreconditionViolated, match=str(spectral.MAX_QUAD_ORDER)) as info:
-            KernelSpec(PARITY_EVEN, 1.0, spectral.MAX_QUAD_ORDER + 1)
-        assert not isinstance(info.value, QuadOrderTooSmall)
+    def test_quadrature_order_is_capped(self, monkeypatch):
+        # Only the refusal is exercised at full size: memory grows with the
+        # order squared, so the accepted cap runs on order-64 nodes.
+        nodes = spectral._gauss_legendre(64)
+        monkeypatch.setattr(spectral, "_gauss_legendre", lambda order: nodes)
+        sine_kernel_spectrum(1.0, spectral.MAX_QUAD_ORDER)
+        fredholm_log_det(PARITY_EVEN, 1.0, spectral.MAX_QUAD_ORDER)
+        for call in (sine_kernel_spectrum, lambda t, order: fredholm_log_det(PARITY_EVEN, t, order)):
+            with pytest.raises(PreconditionViolated, match=str(spectral.MAX_QUAD_ORDER)) as info:
+                call(1.0, spectral.MAX_QUAD_ORDER + 1)
+            assert not isinstance(info.value, QuadOrderTooSmall)
 
 
 class TestSinc:
@@ -96,9 +104,42 @@ class TestSpectrum:
         # As t -> 0 the top even eigenvalue approaches 2t and everything
         # else is negligible.
         t = 0.005
-        eigs = sine_kernel_eigs(KernelSpec(PARITY_EVEN, t, 64))
+        eigs = sine_kernel_spectrum(t, 64).even_eigs
         assert abs(eigs[0] / (2.0 * t) - 1.0) < 0.01
         assert eigs[1] < 1e-6
+
+
+class TestOneTablePerT:
+    """Both channels at one t come from one Nystrom table: two sinc calls."""
+
+    @pytest.fixture
+    def sinc_calls(self, monkeypatch):
+        calls = []
+
+        def counting_sinc(u):
+            calls.append(u.shape)
+            return _sinc(u)
+
+        monkeypatch.setattr(spectral, "_sinc", counting_sinc)
+        return calls
+
+    def test_report_builds_one_table_per_t(self, sinc_calls):
+        grid = np.arange(1.0, 1.1 + 0.0125, 0.025)
+        fredholm_report(grid, 64)
+        assert grid.size == 5
+        assert sinc_calls == [(64, 64)] * (2 * grid.size)
+
+    def test_spectrum_builds_one_table(self, sinc_calls):
+        sine_kernel_spectrum(1.0, 64)
+        assert sinc_calls == [(64, 64)] * 2
+
+    def test_szego_cross_check_builds_one_table(self, sinc_calls):
+        szego_limit_check(8, 1.0, quad_order=64)
+        assert sinc_calls == [(64, 64)] * 2
+
+    def test_pointwise_log_det_builds_its_own_table(self, sinc_calls):
+        fredholm_log_det(PARITY_ODD, 1.0, 64)
+        assert len(sinc_calls) == 2
 
 
 class TestGaussLegendreNodes:
@@ -111,9 +152,10 @@ class TestGaussLegendreNodes:
 
         monkeypatch.setattr(spectral, "leggauss", counting_leggauss)
         spectral._gauss_legendre.cache_clear()
-        first = sine_kernel_eigs(KernelSpec(PARITY_EVEN, 1.0, 97))
-        again = sine_kernel_eigs(KernelSpec(PARITY_EVEN, 1.0, 97))
-        sine_kernel_eigs(KernelSpec(PARITY_ODD, 2.0, 97))
+        first = sine_kernel_spectrum(1.0, 97).even_eigs
+        again = sine_kernel_spectrum(1.0, 97).even_eigs
+        sine_kernel_spectrum(2.0, 97)
+        fredholm_log_det(PARITY_ODD, 2.0, 97)
         assert calls == [97]
         assert np.array_equal(first, again)
 

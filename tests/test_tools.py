@@ -1,6 +1,10 @@
-"""The code-line counter in tools/code_lines.py."""
+"""The code-line counter in tools/code_lines.py and the per-operation stats of tools/opstats.py."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,3 +49,22 @@ def test_total_is_the_sum_of_the_modules(capsys):
     assert sorted(counts) == sorted(path.name for path in package.glob("*.py"))
     assert total == sum(counts.values())
     assert counts["core.py"] == code_lines.code_lines((package / "core.py").read_text(encoding="utf-8"))
+
+
+def test_opstats_prints_one_json_line_per_run():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "opstats.py"), "fredholm_sweep", "--seed", "2", "--rounds", "1"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    stats = json.loads(lines[0])
+    assert sorted(stats) == sorted(
+        ["workload", "seed", "operations", "rounds", "median_op_ms", "minflt_per_op", "failed"]
+    )
+    assert (stats["workload"], stats["seed"], stats["rounds"]) == ("fredholm_sweep", 2, 1)
+    assert stats["operations"] == 8
+    assert stats["failed"] == 0
+    assert stats["median_op_ms"] > 0.0
+    assert stats["minflt_per_op"] >= 0.0
