@@ -15,13 +15,12 @@ import math
 from scatter1d.spectral import (
     PARITY_EVEN,
     PARITY_ODD,
-    QUAD_ORDER,
     asymptotic_log_det,
     fredholm_log_det,
     sine_kernel_spectrum,
 )
 
-spec = sine_kernel_spectrum(1.0, quad_order=QUAD_ORDER)
+spec = sine_kernel_spectrum(1.0)
 print("top sine-kernel eigenvalues at t=1 (even/odd interleaved):")
 for j in range(6):
     print(f"  lambda_{j} = {spec.merged[j]:.12f}")
@@ -31,7 +30,7 @@ print(f"\n{'t':>4} {'logF_even':>12} {'asym_even':>12} {'resid':>10}"
 for t in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
     rows = []
     for parity in (PARITY_EVEN, PARITY_ODD):
-        logf = fredholm_log_det(parity, t, QUAD_ORDER)
+        logf = fredholm_log_det(parity, t)
         asym = asymptotic_log_det(parity, t)
         rows.extend([logf, asym, abs(logf - asym)])
     print(f"{t:4.1f} {rows[0]:12.6f} {rows[1]:12.6f} {rows[2]:10.2e}"
@@ -44,7 +43,6 @@ print("\nparity gap against -pi t + log(2)/2:")
 for t in (1.0, 2.0, 3.0):
     exact = -math.pi * t + 0.5 * math.log(2.0)
     asym_gap = asymptotic_log_det(PARITY_EVEN, t) - asymptotic_log_det(PARITY_ODD, t)
-    true_gap = (fredholm_log_det(PARITY_EVEN, t, QUAD_ORDER)
-                - fredholm_log_det(PARITY_ODD, t, QUAD_ORDER))
+    true_gap = fredholm_log_det(PARITY_EVEN, t) - fredholm_log_det(PARITY_ODD, t)
     print(f"  t={t}: closed-form gap off by {abs(asym_gap - exact):.1e},"
           f" determinant gap off by {abs(true_gap - exact):.2e}")

@@ -17,7 +17,6 @@ from scatter1d.core import TauTooSmall
 from scatter1d.spectral import (
     PARITY_EVEN,
     PARITY_ODD,
-    QUAD_ORDER,
     gelfand_levitan_potential,
     marchenko_residual,
 )
@@ -25,21 +24,21 @@ from scatter1d.spectral import (
 grid = np.arange(2.2, 2.9 + 0.0125, 0.025)
 print("scaled reconstructed potential W * 4 tau^2 (target -1):")
 print(f"{'tau':>7} {'even':>10} {'odd':>10}")
-tau_e, w_even = gelfand_levitan_potential(PARITY_EVEN, grid, QUAD_ORDER)
-tau_o, w_odd = gelfand_levitan_potential(PARITY_ODD, grid, QUAD_ORDER)
+tau_e, w_even = gelfand_levitan_potential(PARITY_EVEN, grid)
+tau_o, w_odd = gelfand_levitan_potential(PARITY_ODD, grid)
 for i in range(0, tau_e.size, 5):
     print(f"{tau_e[i]:7.3f} {w_even[i] * 4 * tau_e[i]**2:10.4f}"
           f" {w_odd[i] * 4 * tau_o[i]**2:10.4f}")
 
 print(f"\n{'t':>5} {'|even residual|':>16} {'|odd residual|':>16}")
 for t in (1.0, 1.5, 2.0, 2.5, 3.0):
-    even = abs(marchenko_residual(PARITY_EVEN, t, QUAD_ORDER))
-    odd = abs(marchenko_residual(PARITY_ODD, t, QUAD_ORDER))
+    even = abs(marchenko_residual(PARITY_EVEN, t))
+    odd = abs(marchenko_residual(PARITY_ODD, t))
     print(f"{t:5.1f} {even:16.3e} {odd:16.3e}")
 
 # Below tau = 1/2 the odd-channel replacement takes the log of a
 # non-positive number and the library refuses it outright.
 try:
-    marchenko_residual(PARITY_ODD, 0.15, 64)
+    marchenko_residual(PARITY_ODD, 0.15)
 except TauTooSmall as exc:
     print(f"\nodd channel at t=0.15: rejected ({exc})")

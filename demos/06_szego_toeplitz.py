@@ -24,7 +24,6 @@ at fixed t.
 
 import math
 
-from scatter1d.spectral import QUAD_ORDER
 from scatter1d.szego import ArcSymbol, szego_limit_check, toeplitz_logdet
 
 alpha = math.pi / 2
@@ -37,6 +36,6 @@ for result in toeplitz_logdet(ArcSymbol(alpha), [4, 8, 16, 32, 64, 128]):
 print("\ndeterminant vs parity-split Fredholm product at fixed t=2:")
 print(f"{'n':>5} {'alpha':>9} {'log det':>12} {'fredholm total':>15} {'gap':>10}")
 for n in (64, 128, 256):
-    check = szego_limit_check(n=n, t=2.0, quad_order=QUAD_ORDER)
+    check = szego_limit_check(n=n, t=2.0)
     print(f"{n:5d} {check.alpha:9.5f} {check.log_det:12.6f}"
           f" {check.fredholm_total:15.6f} {check.gap_fredholm:10.5f}")

@@ -29,10 +29,14 @@ from .spectral import QUAD_ORDER, fredholm_report, jost_forms, phase_shift
 from .szego import ArcSymbol, szego_limit_check, toeplitz_logdet
 
 #: Most points a fredholm t grid or an smatrix energy grid may have.  A t
-#: point costs two determinants, about a millisecond together at the
-#: default order, so this bounds a fredholm run to about two minutes there;
-#: an energy grid stays far below that.
+#: point costs two determinants, about a millisecond together, so this
+#: bounds a fredholm run to about two minutes; an energy grid stays far
+#: below that.
 MAX_GRID_POINTS = 100_000
+
+# --quad is kept, and echoed under "config", so that scripts and JSON
+# reports written for it stay valid; it accepts the one order there is.
+_QUAD_HELP = f"Gauss-Legendre order of the sine kernel, fixed at the converged {QUAD_ORDER} (default {QUAD_ORDER})"
 
 
 def _finite(text: str) -> float:
@@ -229,7 +233,7 @@ def cmd_fredholm(args: argparse.Namespace) -> int:
     # The tolerance keeps stop when the span is a whole number of steps.
     count = math.floor(span + 1e-9) + 1
     grid = start + step * np.arange(count)
-    columns = asdict(fredholm_report(grid, args.quad))
+    columns = asdict(fredholm_report(grid))
     columns = {"t": columns.pop("t_grid"), **columns}
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     return _emit(args, args.format, rows, columns)
@@ -240,7 +244,7 @@ def cmd_szego(args: argparse.Namespace) -> int:
         results = toeplitz_logdet(ArcSymbol(args.alpha), args.n)
         fmt = args.format or "csv"
     else:
-        results = [szego_limit_check(n, args.t, quad_order=args.quad) for n in args.n]
+        results = [szego_limit_check(n, args.t) for n in args.n]
         fmt = args.format or "json"
     return _emit(args, fmt, [asdict(r) for r in results])
 
@@ -307,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ce = sub.add_parser("counterexample", help="two potentials sharing boundary data at one energy")
     ce.add_argument("--q", type=_finite, default=1.0, help="construction wavenumber (default 1)")
-    ce.add_argument("--eps", type=_finite, default=0.01, help="bump amplitude (default 0.01)")
+    ce.add_argument("--eps", type=_finite, default=0.01,
+                    help="bump amplitude (default 0.01); write a negative one in exponent form as --eps=-1e-3")
     ce.add_argument("--a", type=_finite, default=1.0, help="support half width (default 1)")
     ce.add_argument("--steps", type=int, default=4096, help="integration steps, a multiple of 4 (default 4096)")
     ce.add_argument(
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fr = sub.add_parser("fredholm", help="sine-kernel determinant sweep over t")
     fr.add_argument("--t", type=_range_spec, required=True, metavar="START:STOP:STEP", help="uniform t grid")
-    fr.add_argument("--quad", type=int, default=QUAD_ORDER, help=f"quadrature order (default {QUAD_ORDER})")
+    fr.add_argument("--quad", type=int, choices=(QUAD_ORDER,), default=QUAD_ORDER, help=_QUAD_HELP)
     fr.add_argument("--format", choices=("json", "csv"), default="csv")
     fr.add_argument("--out", default=None, help="output path (default standard output)")
     fr.set_defaults(func=cmd_fredholm)
@@ -330,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--alpha", type=float, help="arc parameter in [0, pi): determinant table over --n")
     mode.add_argument("--t", type=float, help="continuum cross-check at alpha = 2 pi t / n for each n")
     szg.add_argument("--n", type=_list_of(int), required=True, metavar="N1,N2,...", help="matrix sizes")
-    szg.add_argument("--quad", type=int, default=QUAD_ORDER,
-                     help=f"quadrature order for the cross-check (default {QUAD_ORDER})")
+    szg.add_argument("--quad", type=int, choices=(QUAD_ORDER,), default=QUAD_ORDER, help=_QUAD_HELP)
     szg.add_argument("--format", choices=("json", "csv"), default=None,
                      help="default: csv for the table, json for the cross-check")
     szg.add_argument("--out", default=None, help="output path (default standard output)")

@@ -70,10 +70,6 @@ class TTooLarge(PreconditionViolated):
     """Interval parameter t beyond the double-precision ceiling."""
 
 
-class QuadOrderTooSmall(PreconditionViolated):
-    """Quadrature order below the supported minimum."""
-
-
 class EigenvalueAtOne(ScatterError):
     """A kernel eigenvalue reached 1 within double precision."""
 

@@ -317,15 +317,21 @@ def build_counterexample(
     deformed wave develops a node, and OddChannelUnmatched if the search
     does not converge or the forward-solved odd channels of a tuned pair
     differ by more than ODD_CHANNEL_TOL.  Non-finite q, eps or a are
-    refused with PreconditionViolated before any arithmetic, and so is an a
-    whose sixth power, the scale of the tuning bump, overflows (a above
-    about 2.3e51).
+    refused with PreconditionViolated before any arithmetic, and so are an
+    a whose sixth power, the scale of the tuning bump, overflows (a above
+    about 2.3e51), an eps whose bump overflows (its largest terms are 4 eps,
+    f'' = 8 eps a^2 at the edges and f = eps a^4 at 0), and a q whose
+    energy q^2 overflows.
     """
     _check_positive("q", q)
     _check_positive("a", a)
     _check_finite(eps=eps)
     if not math.isfinite(a * a * a * a * a * a):  # products overflow to inf where a**6 would raise
         raise PreconditionViolated(f"a = {a} is too large: the tuning bump x^2 (x^2 - a^2)^2 overflows")
+    if not math.isfinite(4.0 * eps * max(1.0, 2.0 * a * a, a**4 / 4.0)):
+        raise PreconditionViolated(f"eps = {eps} is too large for a = {a}: the bump eps (x^2 - a^2)^2 overflows")
+    if not math.isfinite(q * q):
+        raise PreconditionViolated(f"q = {q} is too large: the energy q^2 overflows")
     if not q * a < math.pi / 2:
         raise PreconditionViolated(f"need q*a < pi/2 for a node-free baseline, got q*a = {q * a}")
     check_steps(steps)

@@ -16,16 +16,18 @@ Everything here derives from the eigenvalues of those two kernels:
 * ``marchenko_residual`` measures how far the determinant is from its
   large-tau factorized replacement (it must tend to zero).
 
-Every eigenvalue comes from one Nystrom table per t: the Gauss-Legendre
-nodes x_i and weights w_i on [0, pi t], sqrt(w_i), and the matrices
-sinc(x_i - x_j) and sinc(x_i + x_j).  Both channels' kernels are formed
-from the same table, so ``sine_kernel_spectrum`` and ``fredholm_report``
-(at each t of its grid) and szego's cross-check build one table per t for
-the two channels, while ``fredholm_log_det``, and through it
-``gelfand_levitan_potential`` and ``marchenko_residual``, build one for the
-channel they ask for.  The log det of a channel is sum log1p(-lambda) over
-its eigenvalues, and one large-tau (Widom) form backs both
-``asymptotic_log_det`` and the Marchenko replacement.
+Every eigenvalue comes from one Nystrom table per t: the QUAD_ORDER
+Gauss-Legendre nodes x_i and weights w_i on [0, pi t], sqrt(w_i), and the
+matrices sinc(x_i - x_j) and sinc(x_i + x_j).  The order is fixed: it has
+converged for every t up to T_MAX, and a higher one only adds rounding.
+Both channels' kernels are formed from the same table, so
+``sine_kernel_spectrum`` and ``fredholm_report`` (at each t of its grid)
+and szego's cross-check build one table per t for the two channels, while
+``fredholm_log_det``, and through it ``gelfand_levitan_potential`` and
+``marchenko_residual``, build one for the channel they ask for.  The log
+det of a channel is sum log1p(-lambda) over its eigenvalues, and one
+large-tau (Widom) form backs both ``asymptotic_log_det`` and the Marchenko
+replacement.
 
 Convention: the upper sign is the even channel throughout, i.e. F_plus and
 W_plus pair with the eigenvalues lambda_0, lambda_2, ... of K_plus.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,7 +47,6 @@ from .core import (
     EigenvalueAtOne,
     NonPositiveK,
     PreconditionViolated,
-    QuadOrderTooSmall,
     ScatterError,
     TauTooSmall,
     TTooLarge,
@@ -59,18 +60,14 @@ PARITY_ODD = "odd"
 # Beyond t = 6 the top eigenvalues sit within double-precision distance of 1
 # and log(1 - lambda) has no digits left.
 T_MAX = 6.0
-MIN_QUAD_ORDER = 64
-#: Kernel assembly and the eigensolver hold about 64 bytes times the order
-#: squared at once (peak RSS of a fredholm run: 31 MB at order 64, 97 MB at
-#: 1024, 292 MB at 2048), and their time grows with the cube of the order.
-MAX_QUAD_ORDER = 1024
 
-#: Default Gauss-Legendre order.  Against an mpmath Nystrom reference,
-#: measured up to t = 2.9 (and at t = 4.5 in ROADMAP), the quadrature has
-#: converged here and the remaining error is rounding from forming I - K,
-#: which grows with the order: the even-channel error at t = 2.9 is 2.8e-9
-#: at this order and about eight times that at five times the order.  The
-#: top eigenvalue reaches EIG_ONE_TOL of 1 from t = 5.3 on at this order.
+#: The one Gauss-Legendre order of every Nystrom table.  An mpmath Nystrom
+#: rule of this order agrees with order 80 to 5e-36 for t <= 6, so the
+#: quadrature has converged, and what remains is rounding from forming
+#: I - K, which only grows with the order: against that reference the even
+#: channel at t = 2.9 is off by 2.7e-9 here, 9.0e-9 at order 96, 2.1e-8 at
+#: 300 and 5.5e-8 at 600.  The top eigenvalue reaches EIG_ONE_TOL of 1 from
+#: t = 5.3 on.
 QUAD_ORDER = 64
 
 EIG_CLIP_TOL = 1e-10
@@ -110,20 +107,20 @@ def _sinc(u: np.ndarray) -> np.ndarray:
     return np.where(small, taylor, direct)
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], kept per order.
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights of order QUAD_ORDER on [-1, 1].
 
-    numpy's leggauss solves an order x order eigenproblem of its own, which
-    costs as much as the kernel's; the nodes depend on the order only.
+    Formed on first use and kept: numpy's leggauss solves an eigenproblem as
+    large as the kernel's, and importing this module should not pay for it.
     """
-    nodes, weights = leggauss(order)
+    nodes, weights = leggauss(QUAD_ORDER)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
-def _nystrom_table(t: float, quad_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nystrom_table(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sqrt(w), sinc(x - y) and sinc(x + y) on the Gauss-Legendre nodes of [0, pi t].
 
     Both parity kernels are (sinc(x - y) +- sinc(x + y)) / pi on these
@@ -132,12 +129,8 @@ def _nystrom_table(t: float, quad_order: int) -> tuple[np.ndarray, np.ndarray, n
     _check_positive("t", t)
     if t > T_MAX:
         raise TTooLarge(f"t = {t} exceeds {T_MAX}; eigenvalues too close to 1 for double precision")
-    if quad_order < MIN_QUAD_ORDER:
-        raise QuadOrderTooSmall(f"quad_order must be >= {MIN_QUAD_ORDER}, got {quad_order}")
-    if quad_order > MAX_QUAD_ORDER:
-        raise PreconditionViolated(f"quad_order must be <= {MAX_QUAD_ORDER}, got {quad_order}")
     half_length = 0.5 * (math.pi * t)
-    nodes, weights = _gauss_legendre(quad_order)
+    nodes, weights = _gauss_legendre()
     x = half_length * (nodes + 1.0)
     return np.sqrt(half_length * weights), _sinc(x[:, None] - x[None, :]), _sinc(x[:, None] + x[None, :])
 
@@ -194,9 +187,9 @@ class SineKernelSpectrum:
     merged: np.ndarray
 
 
-def sine_kernel_spectrum(t: float, quad_order: int) -> SineKernelSpectrum:
+def sine_kernel_spectrum(t: float) -> SineKernelSpectrum:
     """Even and odd spectra of the sine kernel at one t, and their merge."""
-    table = _nystrom_table(t, quad_order)
+    table = _nystrom_table(t)
     even = _channel_eigs(table, PARITY_EVEN, t)
     odd = _channel_eigs(table, PARITY_ODD, t)
     merged = np.empty(even.size + odd.size)
@@ -205,14 +198,14 @@ def sine_kernel_spectrum(t: float, quad_order: int) -> SineKernelSpectrum:
     return SineKernelSpectrum(t=t, even_eigs=even, odd_eigs=odd, merged=merged)
 
 
-def fredholm_log_det(parity: str, t: float, quad_order: int) -> float:
+def fredholm_log_det(parity: str, t: float) -> float:
     """log of the Fredholm determinant det(1 - K) for one parity channel.
 
     Builds the Nystrom table at t for this channel alone; see _log_det for
     how the eigenvalues are summed.
     """
-    _parity_sign(parity)  # refused before t and the order
-    return _log_det(_channel_eigs(_nystrom_table(t, quad_order), parity, t), t)
+    _parity_sign(parity)  # refused before t
+    return _log_det(_channel_eigs(_nystrom_table(t), parity, t), t)
 
 
 def _large_tau(sign: int, tau, log_term):
@@ -278,9 +271,7 @@ def _channel(parity: str, grid: np.ndarray, logf: np.ndarray) -> dict[str, np.nd
     return {"logf": logf, "asym_residual": logf - asym, "w": w, "marchenko": marchenko}
 
 
-def gelfand_levitan_potential(
-    parity: str, t_grid: np.ndarray, quad_order: int
-) -> tuple[np.ndarray, np.ndarray]:
+def gelfand_levitan_potential(parity: str, t_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct W_pm(tau) = -2 (d/dtau)^2 log F_pm - 1 on tau = pi t.
 
     Returns (tau, w) on the interior of the grid; both endpoints are lost
@@ -288,7 +279,7 @@ def gelfand_levitan_potential(
     -1/(4 tau^2) for large tau.
     """
     grid = _validated_grid(t_grid)
-    logf = np.array([fredholm_log_det(parity, t, quad_order) for t in grid])
+    logf = np.array([fredholm_log_det(parity, t) for t in grid])
     w = _channel(parity, grid, logf)["w"]
     return math.pi * grid[1:-1], w[1:-1]
 
@@ -353,7 +344,7 @@ def jost_forms(k: float) -> JostClosedForms:
     return forms
 
 
-def marchenko_residual(parity: str, t: float, quad_order: int) -> float:
+def marchenko_residual(parity: str, t: float) -> float:
     """log of the ratio between det(1 - K_pm) and its large-tau replacement.
 
     Tends to 0 as tau grows.  The odd-channel replacement involves
@@ -365,7 +356,7 @@ def marchenko_residual(parity: str, t: float, quad_order: int) -> float:
             f"odd-channel residual needs tau > 1/2, got tau = {tau}"
         )
     sign = _parity_sign(parity)
-    logf = fredholm_log_det(parity, t, quad_order)
+    logf = fredholm_log_det(parity, t)
     # np.log, as in the sweep of fredholm_report, so both agree bit for bit.
     return float(logf - _large_tau(sign, tau, np.log(tau + 0.5 * sign)))
 
@@ -389,7 +380,7 @@ class FredholmReport:
     marchenko_minus: np.ndarray
 
 
-def fredholm_report(t_grid: np.ndarray, quad_order: int) -> FredholmReport:
+def fredholm_report(t_grid: np.ndarray) -> FredholmReport:
     """Both channels of the sweep on one uniform t grid; see FredholmReport.
 
     One table per t serves both channels, the even one first.
@@ -398,7 +389,7 @@ def fredholm_report(t_grid: np.ndarray, quad_order: int) -> FredholmReport:
     channels = ((PARITY_EVEN, "plus"), (PARITY_ODD, "minus"))
     logf = np.empty((len(channels), grid.size))
     for i, t in enumerate(grid):
-        table = _nystrom_table(t, quad_order)
+        table = _nystrom_table(t)
         logf[:, i] = [_log_det(_channel_eigs(table, parity, t), t) for parity, _ in channels]
     columns: dict[str, np.ndarray] = {}
     for (parity, tag), row in zip(channels, logf):

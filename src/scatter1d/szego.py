@@ -242,7 +242,11 @@ def toeplitz_logdet(
 
 @dataclass(frozen=True)
 class SzegoCrossCheck:
-    """Discrete-vs-continuum comparison at the coupling alpha n = 2 pi t."""
+    """Discrete-vs-continuum comparison at the coupling alpha n = 2 pi t.
+
+    quad_order records the Gauss-Legendre order of the sine-kernel side,
+    which is always spectral.QUAD_ORDER.
+    """
 
     alpha: float
     n: int
@@ -255,7 +259,7 @@ class SzegoCrossCheck:
     gap_continuum: float
 
 
-def szego_limit_check(n: int, t: float, quad_order: int = QUAD_ORDER) -> SzegoCrossCheck:
+def szego_limit_check(n: int, t: float) -> SzegoCrossCheck:
     """Compare the Toeplitz log determinant with the sine-kernel route.
 
     The n x n section is taken at the coupling alpha = 2 pi t / n.
@@ -272,14 +276,14 @@ def szego_limit_check(n: int, t: float, quad_order: int = QUAD_ORDER) -> SzegoCr
 
     alpha = 2.0 * math.pi * t / n
     result = toeplitz_logdet(ArcSymbol(alpha), n)
-    spectrum = sine_kernel_spectrum(t, quad_order)
+    spectrum = sine_kernel_spectrum(t)
     fredholm_total = _log_det(spectrum.even_eigs, t) + _log_det(spectrum.odd_eigs, t)
     continuum = asymptotic_log_det(PARITY_EVEN, t) + asymptotic_log_det(PARITY_ODD, t)
     return SzegoCrossCheck(
         alpha=alpha,
         n=n,
         t=t,
-        quad_order=quad_order,
+        quad_order=QUAD_ORDER,
         log_det=result.log_det,
         fredholm_total=fredholm_total,
         continuum_asymptotic=continuum,

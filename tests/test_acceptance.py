@@ -187,7 +187,7 @@ def test_criterion_06_sine_kernel_spectrum():
     descending = True
     worst_union = 0.0
     for t in (0.5, 1.0, 2.0):
-        spec = sine_kernel_spectrum(t, 300)
+        spec = sine_kernel_spectrum(t)
         for eigs in (spec.even_eigs, spec.odd_eigs):
             in_range &= bool(np.all(eigs >= 0.0) and np.all(eigs <= 1.0))
         descending &= bool(np.all(np.diff(spec.merged) <= 1e-10))
@@ -210,7 +210,7 @@ def test_criterion_07_widom_asymptotics():
     start = time.perf_counter()
     residual = {
         parity: [
-            abs(fredholm_log_det(parity, t, 400) - asymptotic_log_det(parity, t))
+            abs(fredholm_log_det(parity, t) - asymptotic_log_det(parity, t))
             for t in (1.0, 1.5, 2.0, 2.5, 3.0)
         ]
         for parity in (PARITY_EVEN, PARITY_ODD)
@@ -234,7 +234,7 @@ def test_criterion_08_reconstructed_potential_asymptote():
     grid = np.arange(2.2, 2.9 + 0.0125, 0.025)
     scaled = {}
     for parity in (PARITY_EVEN, PARITY_ODD):
-        tau, w = gelfand_levitan_potential(parity, grid, 300)
+        tau, w = gelfand_levitan_potential(parity, grid)
         i = int(np.argmin(np.abs(tau - 8.0)))
         scaled[parity] = w[i] * 4.0 * tau[i] ** 2
     tail_ok = all(abs(val + 1.0) <= 0.2 for val in scaled.values())
@@ -281,13 +281,13 @@ def test_criterion_09_phase_shift_identities():
 
 
 def test_criterion_10_marchenko_rearrangement():
-    even = [marchenko_residual(PARITY_EVEN, t, 400) for t in (1.5, 2.0, 2.5, 3.0)]
-    odd = [marchenko_residual(PARITY_ODD, t, 400) for t in (1.5, 2.0, 2.5, 3.0)]
+    even = [marchenko_residual(PARITY_EVEN, t) for t in (1.5, 2.0, 2.5, 3.0)]
+    odd = [marchenko_residual(PARITY_ODD, t) for t in (1.5, 2.0, 2.5, 3.0)]
     monotone = all(
         abs(b) < abs(a) for vals in (even, odd) for a, b in zip(vals, vals[1:])
     )
     try:
-        marchenko_residual(PARITY_ODD, 0.15, 64)
+        marchenko_residual(PARITY_ODD, 0.15)
         rejects = False
     except TauTooSmall:
         rejects = True

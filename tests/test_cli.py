@@ -215,7 +215,7 @@ class TestExitCodes:
         assert "unrecognized arguments: --bump smooth" in proc.stderr
 
     def test_fredholm_t_too_large_exits_three(self):
-        proc = run_cli("fredholm", "--t", "6.5:6.7:0.05", "--quad", "96")
+        proc = run_cli("fredholm", "--t", "6.5:6.7:0.05")
         assert proc.returncode == 3
 
     def test_fredholm_spacing_below_the_floor_exits_three(self):
@@ -298,10 +298,6 @@ class TestExitCodes:
         assert abs(complex(*row["s11"]) - ref.s11) < 1e-12
         assert abs(complex(*row["s12"]) - ref.s12) < 1e-12
 
-    def test_quadrature_order_above_the_cap_exits_three(self, capsys):
-        assert main(["fredholm", "--t", "1:1.1:0.025", "--quad", "1025"]) == 3
-        assert "quad_order must be <= 1024, got 1025" in capsys.readouterr().err
-
 
 class TestParser:
     def test_quadrature_default_is_the_converged_order(self, capsys):
@@ -312,7 +308,30 @@ class TestParser:
         assert outputs[0] == outputs[1]
         for command in ("fredholm", "szego"):
             assert main([command, "--help"]) == 0
-            assert f"(default {QUAD_ORDER})" in capsys.readouterr().out
+            text = " ".join(capsys.readouterr().out.split())
+            assert f"(default {QUAD_ORDER})" in text
+            assert f"fixed at the converged {QUAD_ORDER}" in text
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("fredholm", "--t", "0.1:0.3:0.025", "--format", "json"),
+            ("szego", "--t", "2", "--n", "16,32"),
+        ],
+    )
+    def test_quadrature_order_is_fixed(self, capsys, args):
+        # --quad takes the one order there is and changes no byte of the
+        # output, the echoed JSON config included; any other order is a
+        # usage error.
+        assert main(list(args)) == 0
+        default = capsys.readouterr()
+        assert main([*args, "--quad", str(QUAD_ORDER)]) == 0
+        assert capsys.readouterr() == default
+        for order in ("65", "32"):
+            assert main([*args, "--quad", order]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument --quad: invalid choice: {order}" in captured.err
 
     def test_built_once_per_process(self):
         assert build_parser() is build_parser()
@@ -337,7 +356,7 @@ class TestDeterminism:
         [
             ("smatrix", "--well", "2,1", "--energy-grid", "0.5,2,4", "--format", "json"),
             ("smatrix", "--well", "2,1", "--energy-grid", "0.5,2,4", "--format", "csv"),
-            ("fredholm", "--t", "0.2:0.4:0.05", "--quad", "96"),
+            ("fredholm", "--t", "0.2:0.4:0.05"),
             ("phaseshift", "--k", "0.5,1,2", "--format", "json"),
         ],
     )
@@ -374,6 +393,16 @@ class TestCounterexample:
         assert cmp["odd_channel_diff"] < 1e-8
         assert cmp["max_entry_diff"] < 1e-8
 
+    def test_negative_eps_in_exponent_form_is_written_with_equals(self, capsys):
+        # argparse takes "-1e-3" for an option, not a value, so the --eps help
+        # says to write it as --eps=-1e-3, which reads like --eps -0.001.
+        assert main(["counterexample", "--eps=-1e-3"]) == 0
+        written = capsys.readouterr()
+        assert main(["counterexample", "--eps", "-0.001"]) == 0
+        assert capsys.readouterr() == written
+        assert main(["counterexample", "--eps", "-1e-3"]) == 2
+        assert "argument --eps: expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -402,6 +431,14 @@ class TestCounterexample:
             (("--a", "1e80", "--q", "1e-80"), "too large"),
             (("--a", "1e300", "--q", "1e-300"), "too large"),
             (("--a", "1e77", "--q", "1e-77"), "too large"),
+            # E = q^2 overflows: numpy warned of inf - inf before validate
+            # refused the NaN potential.
+            (("--q", "1.4e154", "--a", "1e-154", "--single-bump"), "q^2 overflows"),
+            # The bump overflows: numpy warned of 4 eps = inf and inf * 0
+            # before the NodeCollision refusal.
+            (("--eps", "1e308"), "bump eps (x^2 - a^2)^2 overflows"),
+            (("--eps", "4.5e307"), "bump eps (x^2 - a^2)^2 overflows"),
+            (("--eps", "1e300", "--a", "1e3", "--q", "1e-3"), "bump eps (x^2 - a^2)^2 overflows"),
         ],
     )
     def test_extreme_scales_are_refused_without_warnings(self, args, message):
@@ -419,7 +456,7 @@ class TestCsvJsonMirror:
             ("smatrix", "--well", "2,1", "--energy-grid", "0.5,2,3"),
             ("smatrix", "--delta", "2", "--energy", "1"),
             ("szego", "--alpha", "0.5", "--n", "4,8"),
-            ("szego", "--t", "1.0", "--n", "16,32", "--quad", "150"),
+            ("szego", "--t", "1.0", "--n", "16,32"),
             ("phaseshift", "--k", "0.5,1,2"),
         ],
     )
@@ -429,7 +466,7 @@ class TestCsvJsonMirror:
         assert_csv_mirrors_json(text, report["results"])
 
     def test_fredholm_columns(self):
-        args = ("fredholm", "--t", "0.1:0.3:0.025", "--quad", "96")
+        args = ("fredholm", "--t", "0.1:0.3:0.025")
         text = run_cli(*args, "--format", "csv").stdout
         report = json.loads(run_cli(*args, "--format", "json").stdout)
         header, _ = parse_csv(text)
@@ -449,7 +486,7 @@ class TestCsvJsonMirror:
 
 class TestFredholm:
     def test_csv_columns_and_nan_cells(self):
-        proc = run_cli("fredholm", "--t", "0.1:0.3:0.025", "--quad", "96")
+        proc = run_cli("fredholm", "--t", "0.1:0.3:0.025")
         assert proc.returncode == 0
         header, rows = parse_csv(proc.stdout)
         assert header == [
@@ -469,7 +506,7 @@ class TestFredholm:
     @pytest.mark.parametrize("span", ["0.1:0.3:0.035", "1:1.2:0.03"])
     def test_range_stops_at_or_before_stop(self, span):
         start, stop, step = (float(p) for p in span.split(":"))
-        proc = run_cli("fredholm", "--t", span, "--quad", "96")
+        proc = run_cli("fredholm", "--t", span)
         assert proc.returncode == 0
         _, rows = parse_csv(proc.stdout)
         t = [float(r[0]) for r in rows]
@@ -477,12 +514,10 @@ class TestFredholm:
         assert t[-1] <= stop
 
     def test_json_mirror_is_schema_valid(self, validator):
-        proc = run_cli(
-            "fredholm", "--t", "0.1:0.3:0.025", "--quad", "96", "--format", "json"
-        )
+        proc = run_cli("fredholm", "--t", "0.1:0.3:0.025", "--format", "json")
         assert proc.returncode == 0
         report = check_json(validator, proc.stdout)
-        assert report["config"]["quad"] == 96
+        assert report["config"]["quad"] == QUAD_ORDER
         assert len(report["t"]) == 9
         assert report["w_plus"][0] is None
 
@@ -503,7 +538,7 @@ class TestSzego:
         assert [r["n"] for r in report["results"]] == [4, 8]
 
     def test_crosscheck_mode_json(self, validator):
-        proc = run_cli("szego", "--t", "1.0", "--n", "16,32", "--quad", "150")
+        proc = run_cli("szego", "--t", "1.0", "--n", "16,32")
         assert proc.returncode == 0
         report = check_json(validator, proc.stdout)
         gaps = [abs(r["gap_fredholm"]) for r in report["results"]]

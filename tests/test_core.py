@@ -19,7 +19,6 @@ from scatter1d.core import (
     NotPositiveDefinite,
     Overflow,
     PreconditionViolated,
-    QuadOrderTooSmall,
     ScatterError,
     SingularSystem,
     TauTooSmall,
@@ -65,7 +64,6 @@ def test_every_error_is_a_scatter_error():
         AllMasked,
         NodeCollision,
         TTooLarge,
-        QuadOrderTooSmall,
         EigenvalueAtOne,
         NonPositiveK,
         TauTooSmall,
@@ -80,7 +78,6 @@ def test_precondition_errors_are_value_errors():
         PreconditionViolated,
         NonPositiveEnergy,
         TTooLarge,
-        QuadOrderTooSmall,
         NonPositiveK,
         TauTooSmall,
     ):

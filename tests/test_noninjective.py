@@ -326,6 +326,45 @@ class TestBuildCounterexample:
             with pytest.raises(PreconditionViolated, match="too large"):
                 build_counterexample(q=1.0 / a, eps=0.01, a=a)
 
+    @pytest.mark.parametrize(
+        "eps, a, q",
+        [
+            (1e308, 1.0, 1.0),  # 4 eps overflows
+            (-4.5e307, 1.0, 1.0),
+            (2.3e307, 1.0, 1.0),  # f'' = 8 eps a^2 at the edges overflows
+            (1e300, 1e3, 1e-3),  # f = eps a^4 at 0 overflows
+        ],
+    )
+    def test_overflowing_bump_is_refused_before_any_arithmetic(self, eps, a, q):
+        # Unguarded, numpy warned of the overflow (and of inf * 0 = NaN)
+        # before a NodeCollision refusal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for single_bump in (True, False):
+                with pytest.raises(PreconditionViolated, match="bump eps"):
+                    build_counterexample(q=q, eps=eps, a=a, single_bump=single_bump)
+
+    def test_largest_bumps_short_of_overflow_are_not_refused_for_it(self):
+        # At a = 1e-155 the bump underflows, so an eps whose 4 eps is finite
+        # still answers; at a = 1, 2.2e307 (8 eps finite) goes on to the
+        # node check.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = build_counterexample(q=1e152, eps=4.4e307, a=1e-155, single_bump=True)
+            with pytest.raises(NodeCollision):
+                build_counterexample(q=1.0, eps=2.2e307, a=1.0, single_bump=True)
+        assert pair.comparison.max_entry_diff == 0.0
+
+    @pytest.mark.parametrize("q", [1.4e154, 1e155, 1e200])
+    def test_overflowing_energy_is_refused_before_any_arithmetic(self, q):
+        # E = q^2 = inf made energy + d2psi0 / psi0 = inf - inf, which numpy
+        # warned of before validate refused the NaN.  q = 1e154 answers.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionViolated, match="q\\^2 overflows"):
+                build_counterexample(q=q, eps=0.01, a=1.0 / q, single_bump=True)
+            assert build_counterexample(q=1e154, eps=0.01, a=1e-154, single_bump=True).energy == 1e308
+
     def test_parameter_guards(self):
         with pytest.raises(PreconditionViolated):
             build_counterexample(q=1.6, eps=0.01, a=1.0)

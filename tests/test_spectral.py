@@ -13,7 +13,6 @@ from scatter1d.core import (
     NonPositiveK,
     NonUniformGrid,
     PreconditionViolated,
-    QuadOrderTooSmall,
     ScatterError,
     TauTooSmall,
     TTooLarge,
@@ -38,29 +37,15 @@ from scatter1d.szego import szego_limit_check
 class TestKernelSpec:
     def test_guards(self):
         with pytest.raises(PreconditionViolated, match="parity"):
-            fredholm_log_det("both", 1.0, 128)
-        # The parity is refused before t and the order are looked at.
+            fredholm_log_det("both", 1.0)
+        # The parity is refused before t is looked at.
         with pytest.raises(PreconditionViolated, match="parity"):
-            fredholm_log_det("both", 7.0, 32)
-        for call in (sine_kernel_spectrum, lambda t, order: fredholm_log_det(PARITY_EVEN, t, order)):
+            fredholm_log_det("both", 7.0)
+        for call in (sine_kernel_spectrum, lambda t: fredholm_log_det(PARITY_EVEN, t)):
             with pytest.raises(PreconditionViolated):
-                call(0.0, 128)
+                call(0.0)
             with pytest.raises(TTooLarge):
-                call(7.0, 128)
-            with pytest.raises(QuadOrderTooSmall):
-                call(1.0, 32)
-
-    def test_quadrature_order_is_capped(self, monkeypatch):
-        # Only the refusal is exercised at full size: memory grows with the
-        # order squared, so the accepted cap runs on order-64 nodes.
-        nodes = spectral._gauss_legendre(64)
-        monkeypatch.setattr(spectral, "_gauss_legendre", lambda order: nodes)
-        sine_kernel_spectrum(1.0, spectral.MAX_QUAD_ORDER)
-        fredholm_log_det(PARITY_EVEN, 1.0, spectral.MAX_QUAD_ORDER)
-        for call in (sine_kernel_spectrum, lambda t, order: fredholm_log_det(PARITY_EVEN, t, order)):
-            with pytest.raises(PreconditionViolated, match=str(spectral.MAX_QUAD_ORDER)) as info:
-                call(1.0, spectral.MAX_QUAD_ORDER + 1)
-            assert not isinstance(info.value, QuadOrderTooSmall)
+                call(7.0)
 
 
 class TestSinc:
@@ -78,14 +63,14 @@ class TestSinc:
 class TestSpectrum:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_eigenvalues_live_in_the_unit_interval(self, t):
-        spec = sine_kernel_spectrum(t, 200)
+        spec = sine_kernel_spectrum(t)
         for eigs in (spec.even_eigs, spec.odd_eigs):
             assert np.all(eigs >= 0.0)
             assert np.all(eigs <= 1.0)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_merged_spectrum_is_descending(self, t):
-        spec = sine_kernel_spectrum(t, 200)
+        spec = sine_kernel_spectrum(t)
         assert np.all(np.diff(spec.merged) <= 1e-10)
         np.testing.assert_array_equal(spec.merged[0::2], spec.even_eigs)
         np.testing.assert_array_equal(spec.merged[1::2], spec.odd_eigs)
@@ -94,7 +79,7 @@ class TestSpectrum:
     def test_parity_union_matches_full_interval_oracle(self, t):
         # The library splits the kernel by parity on [0, pi t]; the oracle
         # diagonalizes the untouched kernel on [-pi t, pi t].
-        spec = sine_kernel_spectrum(t, 200)
+        spec = sine_kernel_spectrum(t)
         oracle = full_interval_sine_eigs(t, 400)
         keep = 40
         diff = np.max(np.abs(spec.merged[:keep] - oracle[:keep]))
@@ -104,7 +89,7 @@ class TestSpectrum:
         # As t -> 0 the top even eigenvalue approaches 2t and everything
         # else is negligible.
         t = 0.005
-        eigs = sine_kernel_spectrum(t, 64).even_eigs
+        eigs = sine_kernel_spectrum(t).even_eigs
         assert abs(eigs[0] / (2.0 * t) - 1.0) < 0.01
         assert eigs[1] < 1e-6
 
@@ -125,20 +110,20 @@ class TestOneTablePerT:
 
     def test_report_builds_one_table_per_t(self, sinc_calls):
         grid = np.arange(1.0, 1.1 + 0.0125, 0.025)
-        fredholm_report(grid, 64)
+        fredholm_report(grid)
         assert grid.size == 5
         assert sinc_calls == [(64, 64)] * (2 * grid.size)
 
     def test_spectrum_builds_one_table(self, sinc_calls):
-        sine_kernel_spectrum(1.0, 64)
+        sine_kernel_spectrum(1.0)
         assert sinc_calls == [(64, 64)] * 2
 
     def test_szego_cross_check_builds_one_table(self, sinc_calls):
-        szego_limit_check(8, 1.0, quad_order=64)
+        szego_limit_check(8, 1.0)
         assert sinc_calls == [(64, 64)] * 2
 
     def test_pointwise_log_det_builds_its_own_table(self, sinc_calls):
-        fredholm_log_det(PARITY_ODD, 1.0, 64)
+        fredholm_log_det(PARITY_ODD, 1.0)
         assert len(sinc_calls) == 2
 
 
@@ -152,15 +137,16 @@ class TestGaussLegendreNodes:
 
         monkeypatch.setattr(spectral, "leggauss", counting_leggauss)
         spectral._gauss_legendre.cache_clear()
-        first = sine_kernel_spectrum(1.0, 97).even_eigs
-        again = sine_kernel_spectrum(1.0, 97).even_eigs
-        sine_kernel_spectrum(2.0, 97)
-        fredholm_log_det(PARITY_ODD, 2.0, 97)
-        assert calls == [97]
+        first = sine_kernel_spectrum(1.0).even_eigs
+        again = sine_kernel_spectrum(1.0).even_eigs
+        sine_kernel_spectrum(2.0)
+        fredholm_log_det(PARITY_ODD, 2.0)
+        fredholm_report(np.arange(1.0, 1.1 + 0.0125, 0.025))
+        assert calls == [spectral.QUAD_ORDER]
         assert np.array_equal(first, again)
 
     def test_cached_nodes_are_read_only(self):
-        nodes, weights = spectral._gauss_legendre(64)
+        nodes, weights = spectral._gauss_legendre()
         with pytest.raises(ValueError):
             nodes[0] = 0.0
         with pytest.raises(ValueError):
@@ -183,42 +169,30 @@ MPMATH_LOG_DETS = {
 class TestFredholmLogDet:
     @pytest.mark.parametrize("t, parity", sorted(MPMATH_LOG_DETS))
     def test_default_order_matches_mpmath_reference(self, t, parity):
-        # The error is rounding in forming I - K, which grows with t and
-        # with the order; at t = 2.9 the default order gives 2.8e-9.
+        # The error is rounding in forming I - K, which grows with t; at
+        # t = 2.9 it is 2.7e-9.
         tolerance = 1e-10 if t <= 2.0 else 1e-8
-        value = fredholm_log_det(parity, t, spectral.QUAD_ORDER)
+        value = fredholm_log_det(parity, t)
         assert abs(value - MPMATH_LOG_DETS[t, parity]) < tolerance
-
-    def test_quadrature_doubling_is_converged(self):
-        for parity in (PARITY_EVEN, PARITY_ODD):
-            a = fredholm_log_det(parity, 1.0, 150)
-            b = fredholm_log_det(parity, 1.0, 300)
-            assert abs(a - b) < 1e-9
 
     def test_split_product_equals_full_determinant(self):
         t = 1.0
-        split = fredholm_log_det(PARITY_EVEN, t, 200) + fredholm_log_det(
-            PARITY_ODD, t, 200
-        )
+        split = fredholm_log_det(PARITY_EVEN, t) + fredholm_log_det(PARITY_ODD, t)
         oracle = full_interval_sine_eigs(t, 400)
         full = float(np.sum(np.log1p(-oracle[oracle >= 1e-16])))
         assert abs(split - full) < 1e-8
 
     def test_small_t_limit_is_weakly_attenuating(self):
-        val = fredholm_log_det(PARITY_EVEN, 0.001, 64)
+        val = fredholm_log_det(PARITY_EVEN, 0.001)
         assert -0.01 < val < 0.0
 
     def test_eigenvalue_at_one_raises_when_t_is_deep(self):
         # The message prints the eigenvalue as a plain float.
         with pytest.raises(EigenvalueAtOne, match=r"top eigenvalue 0\.9999"):
-            fredholm_log_det(PARITY_EVEN, 5.5, 300)
-
-    def test_deepest_supported_t_still_works(self):
-        val = fredholm_log_det(PARITY_EVEN, 5.0, 300)
-        assert math.isfinite(val)
+            fredholm_log_det(PARITY_EVEN, 5.5)
 
     def test_deepest_supported_t_works_at_the_default_order(self):
-        val = fredholm_log_det(PARITY_EVEN, 5.0, spectral.QUAD_ORDER)
+        val = fredholm_log_det(PARITY_EVEN, 5.0)
         assert math.isfinite(val)
 
 
@@ -248,7 +222,7 @@ class TestAsymptoticLogDet:
     def test_residual_against_quadrature_shrinks_with_t(self):
         for parity in (PARITY_EVEN, PARITY_ODD):
             res = [
-                abs(fredholm_log_det(parity, t, 200) - asymptotic_log_det(parity, t))
+                abs(fredholm_log_det(parity, t) - asymptotic_log_det(parity, t))
                 for t in (1.0, 2.0)
             ]
             assert res[1] < res[0]
@@ -260,10 +234,11 @@ class TestGelfandLevitan:
 
     def test_reconstructed_potential_tail(self):
         # W(tau) ~ -1/(4 tau^2): the scaled combination W * 4 tau^2 sits
-        # near -1 at tau ~ 8.  Values frozen at quad_order=200.
+        # near -1 at tau ~ 8.  Values frozen at quadrature order 200, checked
+        # at QUAD_ORDER, which gives -0.88426 and -1.14103.
         frozen = {PARITY_EVEN: -0.884311, PARITY_ODD: -1.141033}
         for parity, ref in frozen.items():
-            tau, w = gelfand_levitan_potential(parity, self.GRID, 200)
+            tau, w = gelfand_levitan_potential(parity, self.GRID)
             i = int(np.argmin(np.abs(tau - 8.0)))
             scaled = w[i] * 4.0 * tau[i] ** 2
             assert abs(scaled + 1.0) <= 0.2
@@ -281,38 +256,36 @@ class TestGelfandLevitan:
             assert np.max(np.abs(w + 0.25 / tau**2)) < 1e-6
 
     def test_interior_alignment(self):
-        tau, w = gelfand_levitan_potential(PARITY_EVEN, self.GRID, 150)
+        tau, w = gelfand_levitan_potential(PARITY_EVEN, self.GRID)
         assert tau.size == self.GRID.size - 2
         assert w.size == tau.size
         np.testing.assert_allclose(tau, math.pi * self.GRID[1:-1], rtol=1e-15)
 
     def test_grid_guards(self):
         with pytest.raises(PreconditionViolated):
-            gelfand_levitan_potential(PARITY_EVEN, np.array([1.0, 1.1, 1.2]), 150)
+            gelfand_levitan_potential(PARITY_EVEN, np.array([1.0, 1.1, 1.2]))
         with pytest.raises(PreconditionViolated):
-            gelfand_levitan_potential(PARITY_EVEN, np.arange(1.0, 2.0, 0.1), 150)
+            gelfand_levitan_potential(PARITY_EVEN, np.arange(1.0, 2.0, 0.1))
         bad = np.array([1.0, 1.02, 1.05, 1.07, 1.1])
         with pytest.raises(NonUniformGrid):
-            gelfand_levitan_potential(PARITY_EVEN, bad, 150)
+            gelfand_levitan_potential(PARITY_EVEN, bad)
         with pytest.raises(NonUniformGrid, match="strictly increasing"):
-            gelfand_levitan_potential(PARITY_EVEN, np.linspace(1.1, 1.0, 5), 150)
+            gelfand_levitan_potential(PARITY_EVEN, np.linspace(1.1, 1.0, 5))
         with pytest.raises(NonFiniteSample, match="t grid"):
-            gelfand_levitan_potential(PARITY_EVEN, np.array([1.0, 1.025, np.nan, 1.075, 1.1]), 150)
+            gelfand_levitan_potential(PARITY_EVEN, np.array([1.0, 1.025, np.nan, 1.075, 1.1]))
         with pytest.raises(TTooLarge):
-            gelfand_levitan_potential(
-                PARITY_EVEN, np.arange(5.9, 6.2, 0.025), 150
-            )
+            gelfand_levitan_potential(PARITY_EVEN, np.arange(5.9, 6.2, 0.025))
 
     def test_spacing_below_the_rounding_floor_is_refused(self):
         # At t = 1 the even w reads -0.018226 at h = 1e-4 but -0.018269 and
         # -0.015315 at 1e-5 and 1e-6: below the floor it is rounding noise.
         with pytest.raises(PreconditionViolated, match="below 0.0001"):
-            gelfand_levitan_potential(PARITY_EVEN, 1.0 + 1e-5 * np.arange(5), 64)
+            gelfand_levitan_potential(PARITY_EVEN, 1.0 + 1e-5 * np.arange(5))
         # The floor itself is accepted, also where t is large and the
         # spacing formed from it rounds below 1e-4.
-        _, w = gelfand_levitan_potential(PARITY_EVEN, 1.0 + 1e-4 * np.arange(5), 64)
+        _, w = gelfand_levitan_potential(PARITY_EVEN, 1.0 + 1e-4 * np.arange(5))
         assert abs(w[1] + 0.018226) < 5e-6
-        _, w = gelfand_levitan_potential(PARITY_EVEN, 5.2 + 1e-4 * np.arange(5), 64)
+        _, w = gelfand_levitan_potential(PARITY_EVEN, 5.2 + 1e-4 * np.arange(5))
         assert np.all(np.isfinite(w))
 
 
@@ -387,27 +360,27 @@ def test_closed_forms_refuse_non_finite_input(bad):
 
 class TestMarchenko:
     def test_even_residual_is_small_and_decreasing(self):
-        vals = [marchenko_residual(PARITY_EVEN, t, 300) for t in (1.5, 2.0, 2.5, 3.0)]
+        vals = [marchenko_residual(PARITY_EVEN, t) for t in (1.5, 2.0, 2.5, 3.0)]
         assert abs(vals[-1]) <= 0.02
         for a, b in zip(vals, vals[1:]):
             assert abs(b) < abs(a)
 
     def test_odd_residual_decreases_too(self):
-        vals = [marchenko_residual(PARITY_ODD, t, 300) for t in (1.5, 2.0, 2.5, 3.0)]
+        vals = [marchenko_residual(PARITY_ODD, t) for t in (1.5, 2.0, 2.5, 3.0)]
         for a, b in zip(vals, vals[1:]):
             assert abs(b) < abs(a)
 
     def test_odd_channel_rejects_small_tau(self):
         with pytest.raises(TauTooSmall):
-            marchenko_residual(PARITY_ODD, 0.15, 128)
+            marchenko_residual(PARITY_ODD, 0.15)
         # The even channel has no such restriction.
-        assert math.isfinite(marchenko_residual(PARITY_EVEN, 0.15, 128))
+        assert math.isfinite(marchenko_residual(PARITY_EVEN, 0.15))
 
 
 class TestFredholmReport:
     def test_shapes_and_nan_policy(self):
         grid = np.arange(0.1, 0.5 + 0.0125, 0.025)
-        report = fredholm_report(grid, 96)
+        report = fredholm_report(grid)
         n = grid.size
         for arr in (
             report.logf_plus,
@@ -433,23 +406,23 @@ class TestFredholmReport:
         # Every column comes from one sweep and must equal, bit for bit, what
         # the public pointwise functions give on the same grid.
         grid = np.arange(start, start + 0.2 + 0.0125, 0.025)
-        report = fredholm_report(grid, 96)
+        report = fredholm_report(grid)
         for parity, tag in ((PARITY_EVEN, "plus"), (PARITY_ODD, "minus")):
             logf = getattr(report, f"logf_{tag}")
             marchenko = getattr(report, f"marchenko_{tag}")
-            _, w = gelfand_levitan_potential(parity, grid, 96)
+            _, w = gelfand_levitan_potential(parity, grid)
             np.testing.assert_array_equal(getattr(report, f"w_{tag}")[1:-1], w)
             for i, t in enumerate(grid.tolist()):
-                assert logf[i] == fredholm_log_det(parity, t, 96)
+                assert logf[i] == fredholm_log_det(parity, t)
                 assert getattr(report, f"asym_residual_{tag}")[i] == (
                     logf[i] - asymptotic_log_det(parity, t)
                 )
                 if parity == PARITY_ODD and math.pi * t <= 0.5:
                     assert np.isnan(marchenko[i])
                     with pytest.raises(TauTooSmall):
-                        marchenko_residual(parity, t, 96)
+                        marchenko_residual(parity, t)
                 else:
-                    assert marchenko[i] == marchenko_residual(parity, t, 96)
+                    assert marchenko[i] == marchenko_residual(parity, t)
 
     def test_report_matches_pointwise_calls(self):
         self._assert_report_matches_pointwise_calls(1.0)

@@ -8,7 +8,7 @@ import pytest
 from helpers import arc_coefficient_quadrature, arc_toeplitz_logdet_lu, levinson_durbin_logdets
 from scatter1d import szego
 from scatter1d.core import NotPositiveDefinite, PreconditionViolated
-from scatter1d.spectral import PARITY_EVEN, PARITY_ODD, asymptotic_log_det
+from scatter1d.spectral import PARITY_EVEN, PARITY_ODD, QUAD_ORDER, asymptotic_log_det
 from scatter1d.szego import (
     ArcSymbol,
     SzegoCrossCheck,
@@ -226,17 +226,18 @@ class TestSzegoLimitCheck:
     def test_t_range_guard(self):
         n, t = 16, 0.25
         with pytest.raises(PreconditionViolated):
-            szego_limit_check(n=n, t=t, quad_order=96)
+            szego_limit_check(n=n, t=t)
 
     @pytest.mark.parametrize("n", [0, -4, 513])
     def test_n_range_guard(self, n):
         with pytest.raises(PreconditionViolated, match="n must lie in"):
-            szego_limit_check(n=n, t=1.0, quad_order=96)
+            szego_limit_check(n=n, t=1.0)
 
     def test_gap_fields_are_consistent(self):
         t, n = 1.0, 16
-        chk = szego_limit_check(n=n, t=t, quad_order=150)
+        chk = szego_limit_check(n=n, t=t)
         assert isinstance(chk, SzegoCrossCheck)
+        assert chk.quad_order == QUAD_ORDER
         assert chk.gap_fredholm == chk.log_det - chk.fredholm_total
         assert chk.gap_continuum == chk.log_det - chk.continuum_asymptotic
         # The continuum closed form is the parity factorisation of the
@@ -249,21 +250,21 @@ class TestSzegoLimitCheck:
         # At fixed t the discrete-to-continuum gap scales like alpha^2, so
         # doubling n (halving alpha) divides it by about four.
         t = 2.0
-        coarse = szego_limit_check(64, t, quad_order=200)
-        fine = szego_limit_check(128, t, quad_order=200)
+        coarse = szego_limit_check(64, t)
+        fine = szego_limit_check(128, t)
         ratio = abs(coarse.gap_fredholm) / abs(fine.gap_fredholm)
         assert 3.3 <= ratio <= 4.7, f"gap ratio {ratio}"
 
     def test_gap_grows_with_t_at_fixed_alpha(self):
         # Walking up the coupling at fixed alpha = pi/8 makes the gap
         # larger, not smaller: refinement happens in alpha, not in t.
-        low = szego_limit_check(16, 1.0, quad_order=200)
-        high = szego_limit_check(32, 2.0, quad_order=200)
+        low = szego_limit_check(16, 1.0)
+        high = szego_limit_check(32, 2.0)
         assert abs(high.gap_fredholm) > abs(low.gap_fredholm)
         assert abs(low.gap_fredholm + 0.030595) < 1e-3
         assert abs(high.gap_fredholm + 0.126583) < 1e-3
 
     def test_fredholm_total_tracks_continuum_asymptotic(self):
         t, n = 3.0, 48
-        chk = szego_limit_check(n=n, t=t, quad_order=300)
+        chk = szego_limit_check(n=n, t=t)
         assert abs(chk.fredholm_total - chk.continuum_asymptotic) < 0.02
