@@ -2,7 +2,9 @@
 
 Every computation in the package is exposed as a subcommand with
 machine-readable output: JSON (one report object, flags echoed under
-"config") or CSV (header row plus data rows).  All state lives in the
+"config") or CSV (header row plus data rows).  JSON comes from one
+recursive writer, ``_json``, in exactly the form of
+``json.dumps(report, sort_keys=True, indent=2)``.  All state lives in the
 flags, so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 bad usage, 3 computation failure or unreadable
@@ -13,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .core import PreconditionViolated, ScatterError
 from .noninjective import build_counterexample, recover_potential
 from .potential import SquareWell, load_sampled_csv, load_trace_csv, validate
 from .propagate import check_steps
-from .smatrix import analytic_delta, smatrix_via_transfer
+from .smatrix import analytic_delta, smatrix_via_transfer, unitarity_residuals
 from .spectral import QUAD_ORDER, fredholm_report, jost_forms, phase_shift
 from .szego import ArcSymbol, szego_limit_check, toeplitz_logdet
 
@@ -85,29 +87,45 @@ def _list_of(convert):
     return parse
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, complex):
-        return [_jsonable(value.real), _jsonable(value.imag)]
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        out = float(value)
-        return out if math.isfinite(out) else None
-    if value is None or isinstance(value, str):
-        return value
-    raise TypeError(f"cannot serialize {type(value)!r}")
+def _json(value, pad: str = "") -> str:
+    """JSON text of value, byte for byte what json.dumps(..., sort_keys=True, indent=2) writes.
 
-
-def _json_text(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    One recursive pass with no intermediate copy: json.dumps takes its C
+    encoder only without an indent, so an indented report would otherwise
+    walk the pure-Python one.  Scalars are dispatched on their exact type;
+    a non-finite float is written as null, a complex value as [re, im],
+    and numpy arrays and scalars as their tolist().  pad is the indent of
+    the line value starts on; any other type raises TypeError.
+    """
+    kind = type(value)
+    if kind is float:
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if kind is complex:
+        inner = pad + "  "
+        return f"[\n{inner}{_json(value.real)},\n{inner}{_json(value.imag)}\n{pad}]"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_json(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _json(value.tolist(), pad)
+    raise TypeError(f"cannot serialize {kind!r}")
 
 
 def _csv_fields(row: dict) -> dict:
@@ -136,7 +154,7 @@ def _emit(
     if fmt == "json":
         config = {key: value for key, value in vars(args).items() if key != "func"}
         body = {"results": rows} if report is None else report
-        text = _json_text({"config": config, **body})
+        text = _json({"config": config, **body}) + "\n"
     else:
         table = [_csv_fields(row) for row in rows]
         lines = [",".join(table[0])] + [",".join(fields.values()) for fields in table]
@@ -183,9 +201,9 @@ def cmd_smatrix(args: argparse.Namespace) -> int:
             "s22": s.s22,
             "abs_s11_sq": abs(s.s11) ** 2,
             "abs_s21_sq": abs(s.s21) ** 2,
-            "unitarity_residual": s.unitarity_residual(),
+            "unitarity_residual": residual,
         }
-        for e, s in zip(energies, matrices)
+        for e, s, residual in zip(energies, matrices, unitarity_residuals(matrices).tolist())
     ]
     return _emit(args, args.format, rows)
 

@@ -66,6 +66,10 @@ class OddChannelUnmatched(ScatterError):
     """No tuning-bump amplitude gives the counterexample's odd channel."""
 
 
+class IdenticalPotentials(ScatterError):
+    """The two potentials of a counterexample pair are the same table."""
+
+
 class TTooLarge(PreconditionViolated):
     """Interval parameter t beyond the double-precision ceiling."""
 

@@ -40,6 +40,7 @@ import numpy as np
 from .core import (
     AllMasked,
     ComplexWavefunction,
+    IdenticalPotentials,
     NodeCollision,
     NonFiniteSample,
     OddChannelUnmatched,
@@ -314,9 +315,12 @@ def build_counterexample(
     read the potentials at their nodes.  Each potential is forward-solved
     once at ``steps``, and the pair's comparison holds those matrices, so
     it equals verify_same_smatrix(pair).  Raises NodeCollision if a
-    deformed wave develops a node, and OddChannelUnmatched if the search
-    does not converge or the forward-solved odd channels of a tuned pair
-    differ by more than ODD_CHANNEL_TOL.  Non-finite q, eps or a are
+    deformed wave develops a node; IdenticalPotentials, before the forward
+    solves, if the two potential tables are equal on every node (eps = 0,
+    or a bump below the rounding of E + psi''/psi, as at eps = 1e-20 with
+    the default q and a); and OddChannelUnmatched if the search does not
+    converge or the forward-solved odd channels of a tuned pair differ by
+    more than ODD_CHANNEL_TOL.  Non-finite q, eps or a are
     refused with PreconditionViolated before any arithmetic, and so are an
     a whose sixth power, the scale of the tuning bump, overflows (a above
     about 2.3e51), an eps whose bump overflows (its largest terms are 4 eps,
@@ -351,6 +355,11 @@ def build_counterexample(
         raise NodeCollision("perturbed wavefunction develops a node; reduce |eps|")
     base = validate(Sampled(a, grid, energy + d2psi0 / psi0))
     pert = validate(Sampled(a, grid, energy + (d2psi0 + fpp + coefficient * gpp) / psi))
+    separation = float(np.max(np.abs(pert.v - base.v)))
+    if separation == 0.0:
+        raise IdenticalPotentials(
+            f"the bump at eps = {eps}, a = {a} leaves the potential unchanged on every node: the two tables are the same"
+        )
     comparison = _compare(base, pert, energy, steps)
     if not (single_bump or comparison.odd_channel_diff <= ODD_CHANNEL_TOL):
         raise OddChannelUnmatched(
@@ -358,7 +367,6 @@ def build_counterexample(
         )
 
     boundary_residual = max(max(abs(f[i] + coefficient * g[i]), abs(fp[i] + coefficient * gp[i])) for i in (0, -1))
-    separation = float(np.max(np.abs(pert.v - base.v)))
     return CounterexamplePair(
         baseline=base,
         perturbed=pert,

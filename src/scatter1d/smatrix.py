@@ -69,8 +69,13 @@ class SMatrix:
         return np.array([[self.s11, self.s12], [self.s21, self.s22]])
 
     def unitarity_residual(self) -> float:
-        s = self.as_matrix()
-        return float(np.max(np.abs(s.conj().T @ s - np.eye(2))))
+        return float(unitarity_residuals([self])[0])
+
+
+def unitarity_residuals(matrices: Sequence[SMatrix]) -> np.ndarray:
+    """max |S^H S - I| of each matrix, from one stacked product; empty for no matrices."""
+    s = np.array([[[m.s11, m.s12], [m.s21, m.s22]] for m in matrices], dtype=complex).reshape(-1, 2, 2)
+    return np.max(np.abs(np.conj(np.swapaxes(s, 1, 2)) @ s - np.eye(2)), axis=(1, 2))
 
 
 def amplitudes_from_boundary(bd: BoundaryData, k: float, a: float) -> AmplitudeQuad:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import analytic_square_barrier, run_cli
-from scatter1d.cli import MAX_GRID_POINTS, build_parser, main
+from scatter1d.cli import MAX_GRID_POINTS, _json, build_parser, main
 from scatter1d.smatrix import analytic_delta, analytic_square_well
 from scatter1d.spectral import MIN_GRID_SPACING, QUAD_ORDER
 
@@ -447,6 +447,94 @@ class TestCounterexample:
         assert proc.stdout == ""
         assert message in proc.stderr
         assert "Warning" not in proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--eps", "0"),
+            ("--eps", "1e-300"),
+            ("--eps", "1e-20"),
+            ("--a", "1e-155", "--q", "1e152", "--single-bump"),
+        ],
+    )
+    def test_pair_of_identical_tables_exits_three_with_one_line(self, capsys, args):
+        # These printed a report with separation 0 and exit 0.
+        assert main(["counterexample", *args]) == 3
+        written = capsys.readouterr()
+        assert written.out == ""
+        assert written.err.startswith("error: ")
+        assert "the two tables are the same" in written.err
+        assert written.err.count("\n") == 1
+
+
+def _jsonable(value):
+    """The JSON form the CLI wrote through json.dumps before its own writer: the writer's oracle."""
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, complex):
+        return [_jsonable(value.real), _jsonable(value.imag)]
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        out = float(value)
+        return out if math.isfinite(out) else None
+    if value is None or isinstance(value, str):
+        return value
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+class TestJsonWriter:
+    REPORT = {
+        "config": {"subcommand": "smatrix", "energy": None, "flag": True, "off": False, "pair": (2.0, 1.0)},
+        "empty_dict": {},
+        "empty_list": [],
+        "empty_tuple": (),
+        "nested": {"b": [{"z": 1, "a": [[], {}]}], "a": {"inner": {"deep": [1, [2, [3]]]}}},
+        "complex": [1.5 - 2.0j, complex(0.0, -0.0), np.complex128(3.0 + 4.0j)],
+        "non_finite": [math.nan, math.inf, -math.inf, complex(math.nan, math.inf), np.float64(np.nan)],
+        "numpy": [np.bool_(True), np.bool_(False), np.int64(-7), np.float32(0.1), np.float64(1e-300)],
+        "array": np.arange(6.0).reshape(2, 3) / 3.0,
+        "int_array": np.array([1, 2, 3]),
+        "text": "caf\u00e9 \"quoted\" \\ tab\t newline\n bell\x07 \u2603 \U0001f600",
+        "big": [10**30, -(2**63), 5e-324, 1.7976931348623157e308, 0.1 + 0.2, -0.0],
+    }
+
+    def test_writes_what_json_dumps_wrote(self):
+        expected = json.dumps(_jsonable(self.REPORT), sort_keys=True, indent=2, allow_nan=False)
+        assert _json(self.REPORT) == expected
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes", {"key": [1.0, object()]}])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("smatrix", "--well", "2,1", "--energy-grid", "0.5,2,3"),
+            ("smatrix", "--delta", "2", "--energy", "1"),
+            ("counterexample", "--steps", "1024"),
+            ("fredholm", "--t", "0.1:0.3:0.025", "--format", "json"),
+            ("szego", "--t", "1.0", "--n", "16,32"),
+            ("szego", "--alpha", "0.5", "--n", "4,8", "--format", "json"),
+            ("phaseshift", "--k", "0.5,1,2", "--format", "json"),
+            ("recover", "--energy", "2.0", "--format", "json"),
+        ],
+    )
+    def test_subcommand_output_is_json_dumps_form(self, capsys, tmp_path, args):
+        if args[0] == "recover":
+            x = np.linspace(-1.0, 1.0, 257)
+            args = (*args, "--trace", str(write_trace(tmp_path / "trace.csv", x, np.sin(x))))
+        assert main(list(args)) == 0
+        out = capsys.readouterr().out
+        assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
 
 
 class TestCsvJsonMirror:

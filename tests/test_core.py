@@ -11,6 +11,7 @@ from scatter1d.core import (
     AsymmetricPotential,
     ComplexWavefunction,
     EigenvalueAtOne,
+    IdenticalPotentials,
     NodeCollision,
     NonFiniteSample,
     NonPositiveEnergy,
@@ -63,6 +64,7 @@ def test_every_error_is_a_scatter_error():
         ComplexWavefunction,
         AllMasked,
         NodeCollision,
+        IdenticalPotentials,
         TTooLarge,
         EigenvalueAtOne,
         NonPositiveK,

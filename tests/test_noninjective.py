@@ -10,6 +10,7 @@ import scatter1d.noninjective as noninjective
 from scatter1d.core import (
     AllMasked,
     ComplexWavefunction,
+    IdenticalPotentials,
     NodeCollision,
     NonFiniteSample,
     NonUniformGrid,
@@ -309,12 +310,16 @@ class TestBuildCounterexample:
 
     def test_tiny_supports_still_answer_where_the_slope_survives(self):
         # At a = 1e-53 the bump is subnormal, not 0, so the tuned pair
-        # answers; a single-bump pair never takes the slope.
+        # answers; a single-bump pair never takes the slope.  q = 1e-60
+        # keeps E below the bump's second derivative, so the two tables
+        # differ; at q = 1 they are equal and the pair is refused (see
+        # test_pair_of_identical_tables_is_refused).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert build_counterexample(q=1.0, eps=0.01, a=1e-53).odd_coefficient == 0.0
-            single = build_counterexample(q=1.0, eps=0.01, a=1e-60, single_bump=True)
-        assert single.odd_coefficient == 0.0
+            tuned = build_counterexample(q=1e-60, eps=0.01, a=1e-53)
+            single = build_counterexample(q=1e-60, eps=0.01, a=1e-60, single_bump=True)
+        assert tuned.odd_coefficient == 0.0 and tuned.separation > 0.0
+        assert single.odd_coefficient == 0.0 and single.separation > 0.0
 
     @pytest.mark.parametrize("a", [1e52, 1e80, 1e300])
     def test_overflowing_tuning_bump_is_refused_before_any_arithmetic(self, a):
@@ -346,24 +351,53 @@ class TestBuildCounterexample:
 
     def test_largest_bumps_short_of_overflow_are_not_refused_for_it(self):
         # At a = 1e-155 the bump underflows, so an eps whose 4 eps is finite
-        # still answers; at a = 1, 2.2e307 (8 eps finite) goes on to the
-        # node check.
+        # goes on to the end of the construction, where the bump is below
+        # the rounding of E = 1e304 and the two tables are equal; at a = 1,
+        # 2.2e307 (8 eps finite) goes on to the node check.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pair = build_counterexample(q=1e152, eps=4.4e307, a=1e-155, single_bump=True)
+            with pytest.raises(IdenticalPotentials):
+                build_counterexample(q=1e152, eps=4.4e307, a=1e-155, single_bump=True)
             with pytest.raises(NodeCollision):
                 build_counterexample(q=1.0, eps=2.2e307, a=1.0, single_bump=True)
-        assert pair.comparison.max_entry_diff == 0.0
 
     @pytest.mark.parametrize("q", [1.4e154, 1e155, 1e200])
     def test_overflowing_energy_is_refused_before_any_arithmetic(self, q):
         # E = q^2 = inf made energy + d2psi0 / psi0 = inf - inf, which numpy
-        # warned of before validate refused the NaN.  q = 1e154 answers.
+        # warned of before validate refused the NaN.  q = 1e154 passes the
+        # guard; its bump is below the rounding of E = 1e308, so the pair is
+        # refused at the end of the construction, for equal tables.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PreconditionViolated, match="q\\^2 overflows"):
                 build_counterexample(q=q, eps=0.01, a=1.0 / q, single_bump=True)
-            assert build_counterexample(q=1e154, eps=0.01, a=1e-154, single_bump=True).energy == 1e308
+            with pytest.raises(IdenticalPotentials, match="the two tables are the same"):
+                build_counterexample(q=1e154, eps=0.01, a=1e-154, single_bump=True)
+
+    @pytest.mark.parametrize(
+        "q, eps, a, single_bump",
+        [
+            (1.0, 0.0, 1.0, False),
+            (1.0, 0.0, 1.0, True),
+            (1.0, 1e-300, 1.0, False),
+            # The bump is nonzero, but below the rounding of E + psi''/psi.
+            (1.0, 1e-20, 1.0, False),
+            (1.0, 0.01, 1e-53, False),
+            (1e152, 0.01, 1e-155, True),
+        ],
+    )
+    def test_pair_of_identical_tables_is_refused(self, q, eps, a, single_bump):
+        # These pairs answered with separation 0 and max_entry_diff 0: one
+        # potential twice, which shows nothing about the S-matrix map.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IdenticalPotentials, match="the two tables are the same"):
+                build_counterexample(q=q, eps=eps, a=a, single_bump=single_bump)
+
+    def test_smallest_separations_still_answer(self):
+        # One rounding step of V at eps = 1e-17 is a pair, and it answers.
+        pair = build_counterexample(q=1.0, eps=1e-17, a=1.0)
+        assert pair.separation > 0.0
 
     def test_parameter_guards(self):
         with pytest.raises(PreconditionViolated):

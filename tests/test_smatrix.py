@@ -18,6 +18,7 @@ from scatter1d.smatrix import (
     delta_as_well_limit,
     smatrix_from_amplitudes,
     smatrix_via_transfer,
+    unitarity_residuals,
 )
 
 FREE_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -290,3 +291,25 @@ class TestEnergyBatch:
             warnings.simplefilter("error")
             with pytest.raises(Overflow, match="too deep in a classically forbidden region"):
                 smatrix_via_transfer(barrier, [1.0, 2.0])
+
+
+class TestUnitarityResiduals:
+    def test_stacked_residuals_equal_the_per_matrix_ones_bit_for_bit(self, gaussian_pot):
+        energies = [0.25, 1.0, 3.7, 40.0]
+        batch = [
+            *smatrix_via_transfer(validate(SquareWell(v0=2.0, a=1.0)), energies),
+            *smatrix_via_transfer(gaussian_pot, energies),
+            *smatrix_via_transfer(validate(flat_barrier(30.0)), energies),
+            *(analytic_delta(alpha, e) for alpha in (0.5, 7.0) for e in energies),
+        ]
+        residuals = unitarity_residuals(batch)
+        assert residuals.shape == (len(batch),)
+        for s, residual in zip(batch, residuals):
+            m = s.as_matrix()  # the per-matrix product the stacked one replaced
+            assert residual == np.max(np.abs(m.conj().T @ m - np.eye(2)))
+            assert residual == s.unitarity_residual()
+        assert np.any(residuals > 0.0)
+
+    def test_no_matrices_give_an_empty_array(self):
+        residuals = unitarity_residuals([])
+        assert isinstance(residuals, np.ndarray) and residuals.shape == (0,)

@@ -7,9 +7,11 @@ builds the seeded operation list of WORKLOAD from perfbench/workloads.py
 warm-up operation once, then R rounds of the list through
 ``scatter1d.cli.main`` with stdout captured.  It prints one JSON line: the
 workload, seed, operation count and rounds, the median time of one
-operation in ms, the minor page faults (``ru_minflt``) per operation over
-the timed rounds, and how many operations exited non-zero.  Faults count
-what glibc's heap trimming costs, which the times alone do not show.
+operation in ms, the median time of one operation spent in the output
+layer, ``scatter1d.cli._emit`` (wrapped here, so the package needs no
+hook), the minor page faults (``ru_minflt``) per operation over the timed
+rounds, and how many operations exited non-zero.  Faults count what
+glibc's heap trimming costs, which the times alone do not show.
 """
 
 import argparse
@@ -24,7 +26,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from scatter1d.cli import main as cli_main
+import scatter1d.cli
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -38,7 +40,22 @@ def load_workloads():
 
 def run(argv: list[str]) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
-        return cli_main(argv)
+        return scatter1d.cli.main(argv)
+
+
+class TimedEmit:
+    """Stands in for scatter1d.cli._emit and adds up the time spent in it."""
+
+    def __init__(self, emit):
+        self.emit = emit
+        self.seconds = 0.0
+
+    def __call__(self, *args):
+        start = time.perf_counter()
+        try:
+            return self.emit(*args)
+        finally:
+            self.seconds += time.perf_counter() - start
 
 
 def main(argv: list[str]) -> int:
@@ -50,23 +67,30 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    with tempfile.TemporaryDirectory() as workdir:
-        ops = workloads.build(args.workload, args.seed, workdir)
-        run(workloads.WARMUP[args.workload])
-        times, failed = [], 0
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(args.rounds):
-            for op in ops:
-                start = time.perf_counter()
-                failed += run(op) != 0
-                times.append(time.perf_counter() - start)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    emit = scatter1d.cli._emit = TimedEmit(scatter1d.cli._emit)
+    try:
+        with tempfile.TemporaryDirectory() as workdir:
+            ops = workloads.build(args.workload, args.seed, workdir)
+            run(workloads.WARMUP[args.workload])
+            times, emit_times, failed = [], [], 0
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(args.rounds):
+                for op in ops:
+                    emitted = emit.seconds
+                    start = time.perf_counter()
+                    failed += run(op) != 0
+                    times.append(time.perf_counter() - start)
+                    emit_times.append(emit.seconds - emitted)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    finally:
+        scatter1d.cli._emit = emit.emit
     print(json.dumps({
         "workload": args.workload,
         "seed": args.seed,
         "operations": len(ops),
         "rounds": args.rounds,
         "median_op_ms": 1e3 * statistics.median(times),
+        "emit_median_ms": 1e3 * statistics.median(emit_times),
         "minflt_per_op": faults / len(times),
         "failed": failed,
     }))
