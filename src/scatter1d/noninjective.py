@@ -22,7 +22,8 @@ default construction therefore adds a second edge-flat even bump
 c x^2 (x^2 - a^2)^2 and chooses c by Newton's method on I with Simpson's
 rule, with no forward solve, so that both channels, and with them the
 full 2x2 matrices, agree at E.  The two potentials are then forward-solved
-once each, and the odd channels are checked to agree after the fact.
+once each, both in one scan, and the odd channels are checked to agree
+after the fact.
 ``single_bump=True`` keeps the one-bump deformation, which matches the
 even channel only; the comparison reports both channel gaps separately so
 either case is visible.
@@ -50,7 +51,7 @@ from .core import (
 )
 from .potential import MIN_TRACE_POINTS, EvaluatedPotential, Sampled, _uniform_step, validate
 from .propagate import check_steps
-from .smatrix import SMatrix, smatrix_via_transfer
+from .smatrix import SMatrix, _smatrices
 
 #: Points where |psi| falls below node_tol * max|psi| are masked.
 DEFAULT_NODE_TOL = 1e-6
@@ -202,8 +203,8 @@ class SMatrixComparison:
 
 
 def _compare(base: EvaluatedPotential, pert: EvaluatedPotential, energy: float, steps: int) -> SMatrixComparison:
-    """Forward-solve both potentials at one energy and step count and compare."""
-    sb, sp = (smatrix_via_transfer(pot, energy, steps=steps) for pot in (base, pert))
+    """Forward-solve both potentials at one energy and step count, in one scan, and compare."""
+    (sb,), (sp,) = _smatrices([base, pert], [energy], steps)
     diff = float(np.max(np.abs(sb.as_matrix() - sp.as_matrix())))
     even = abs((sb.s11 + sb.s12) - (sp.s11 + sp.s12))
     odd = abs((sb.s11 - sb.s12) - (sp.s11 - sp.s12))
@@ -312,16 +313,16 @@ def build_counterexample(
     The construction energy is E = q^2, making the baseline potential zero
     up to rounding.  Requires q a < pi/2 so the baseline is node-free on
     [-a, a], and steps divisible by 4, so the forward solves on [0, a]
-    read the potentials at their nodes.  Each potential is forward-solved
-    once at ``steps``, and the pair's comparison holds those matrices, so
-    it equals verify_same_smatrix(pair).  Raises NodeCollision if a
-    deformed wave develops a node; IdenticalPotentials, before the forward
-    solves, if the two potential tables are equal on every node (eps = 0,
-    or a bump below the rounding of E + psi''/psi, as at eps = 1e-20 with
-    the default q and a); and OddChannelUnmatched if the search does not
-    converge or the forward-solved odd channels of a tuned pair differ by
-    more than ODD_CHANNEL_TOL.  Non-finite q, eps or a are
-    refused with PreconditionViolated before any arithmetic, and so are an
+    read the potentials at their nodes.  Both potentials are forward-solved
+    once at ``steps``, in one scan, and the pair's comparison holds those
+    matrices, so it equals verify_same_smatrix(pair).  Raises
+    NodeCollision if a deformed wave develops a node; IdenticalPotentials,
+    before the forward solves, if the two potential tables are equal on
+    every node (eps = 0, or a bump below the rounding of E + psi''/psi, as
+    at eps = 1e-20 with the default q and a); and OddChannelUnmatched if
+    the search does not converge or the forward-solved odd channels of a
+    tuned pair differ by more than ODD_CHANNEL_TOL.  Non-finite q, eps or a
+    are refused with PreconditionViolated before any arithmetic, and so are an
     a whose sixth power, the scale of the tuning bump, overflows (a above
     about 2.3e51), an eps whose bump overflows (its largest terms are 4 eps,
     f'' = 8 eps a^2 at the edges and f = eps a^4 at 0), and a q whose
@@ -390,7 +391,9 @@ def verify_same_smatrix(
     the potentials at their nodes; other step counts also read their
     piecewise-linear interpolant between nodes, which adds an error of its
     own.  energy defaults to the construction energy.  The pair holds both
-    potentials already validated, so they go to the solver as they are.
+    potentials already validated, so they go to the solver as they are, in
+    one scan, which refuses two supports that differ with
+    PreconditionViolated.
     """
     if steps is None:
         steps = pair.baseline.x.size - 1

@@ -150,9 +150,9 @@ def _read_two_columns(path, header: str) -> tuple[np.ndarray, np.ndarray]:
         first = fh.readline().strip()
         if first != header:
             raise PreconditionViolated(f"expected header {header!r}, got {first!r}")
-        rows = [line.strip() for line in fh if line.strip()]
+        rows = [line.split(",") for line in map(str.strip, fh) if line]
     try:
-        data = np.array([[float(tok) for tok in row.split(",")] for row in rows])
+        data = np.array(rows, dtype=float)  # numpy's cast reads each cell as float() does
     except ValueError as exc:
         raise PreconditionViolated(f"malformed CSV row: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 2:

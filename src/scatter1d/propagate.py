@@ -18,13 +18,17 @@ V, its error falls as the energy grows (Iserles 2002, BIT 42), and no step
 count makes it unstable.
 
 The states at the cell nodes are the prefix products of the cell matrices.
-One pairwise scan computes the last or all of them for a block of energies
-at once, with both fundamental initial data as the two columns, so
-rounding grows with the depth of the scan's tree rather than with the step
-count.  A full trace fills each cell's midpoint with a half-cell step from
-the cell's first node, whose quarter-point g is the quadratic through the
-cell's three nodes, (3 g0 + 6 gm - g1) / 8.  Any initial data, complex
-included, is a combination of the fundamental pair.
+One pairwise scan computes the last or all of them for a block of rows at
+once, with both fundamental initial data as the two columns, so rounding
+grows with the depth of the scan's tree rather than with the step count.
+A row is a (potential, energy) pair: the potentials of one scan share
+their support, so the counterexample's two potentials at one energy take
+one scan, as do the energies of one potential.  Each level of the tree
+multiplies the adjacent pairs of every row with one einsum.  A full trace
+fills each cell's midpoint with a half-cell step from the cell's first
+node, whose quarter-point g is the quadratic through the cell's three
+nodes, (3 g0 + 6 gm - g1) / 8.  Any initial data, complex included, is a
+combination of the fundamental pair.
 
 For a symmetric V the S-matrix needs only the map (psi, psi')(0) ->
 (psi, psi')(a), whose columns are the even and odd solutions: the product
@@ -47,12 +51,13 @@ MAX_MAGNITUDE = 1e150
 
 MIN_STEPS = 64
 
-#: Integration steps, summed over energies, propagated in one scan: 32
-#: energies at the default 4096 steps.  Longer energy lists go through in
-#: blocks of this size, which bounds the array memory held at once to about
-#: 2 MB for endpoint maps, which cross [0, a] only, and 12 MB for full
-#: traces, and is no slower per energy than larger blocks.  It is also the
-#: largest step count accepted, so a single energy stays within that bound.
+#: Integration steps, summed over the (potential, energy) rows of a scan,
+#: propagated at once: 32 rows at the default 4096 steps, such as one
+#: potential at 32 energies or a counterexample pair at one.  More rows go
+#: through in blocks of this size, which bounds the array memory held at
+#: once to about 2 MB for endpoint maps, which cross [0, a] only, and 12 MB
+#: for full traces, and is no slower per row than larger blocks.  It is also
+#: the largest step count accepted, so a single row stays within that bound.
 SCAN_STEPS = 2**17
 
 
@@ -90,12 +95,14 @@ class WaveTrace:
 def _mul(left, right, out):
     """Write into out the products of two stacks of 2x2 matrices, entrywise (m11, m12, m21, m22).
 
-    Entry (i, j) of a product is l_i1 r_1j + l_i2 r_2j; out must not
+    Entry (i, j) of a product is l_i1 r_1j + l_i2 r_2j.  One einsum over
+    (2, 2, ...) views of the stacks forms both products and adds them into
+    out, with the bits of that formula (save that a sum of two negative
+    zeros comes out as +0), and allocates no temporary.  out must not
     overlap left or right.  Returns out.
     """
-    for i, j in ((0, 0), (0, 1), (2, 0), (2, 1)):
-        np.multiply(left[i], right[j], out=out[i + j])
-        out[i + j] += left[i + 1] * right[j + 2]
+    left, right, pair = (x.reshape(2, 2, *x.shape[1:]) for x in (left, right, out))
+    np.einsum("ik...,kj...->ij...", left, right, out=pair)
     return out
 
 
@@ -148,7 +155,7 @@ def check_steps(steps: int) -> None:
         raise PreconditionViolated(f"steps must lie in [{MIN_STEPS}, {SCAN_STEPS}] and be even, got {steps}")
 
 
-def _check(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
+def _check(energies, steps: int) -> np.ndarray:
     """Refuse what no scan can propagate, before anything is allocated.
 
     Returns the energies as an array.
@@ -167,11 +174,18 @@ def _omega(v0: np.ndarray, vm: np.ndarray, v1: np.ndarray, width: float):
     return (v0 + 4.0 * vm + v1) / 6.0, (width * width / 12.0) * (v0 - v1), width
 
 
-def _cells(pot: EvaluatedPotential, start: float, cells: int):
-    """Grid of [start, a] with 2 cells + 1 nodes, V on it, and the Omega parts of its cells."""
-    grid = np.linspace(start, pot.a, 2 * cells + 1)
-    v = pot(grid)
-    return grid, v, _omega(v[:-1:2], v[1::2], v[2::2], (pot.a - start) / cells)
+def _cells(pots, start: float, cells: int):
+    """Grid of [start, a] with 2 cells + 1 nodes, V of each potential on it, and the Omega parts of their cells.
+
+    The potentials share the support [-a, a].  V and the Omega parts s + E
+    and d have one row per potential.
+    """
+    a = pots[0].a
+    if any(pot.a != a for pot in pots):
+        raise PreconditionViolated(f"potentials scanned together need one support, got a = {[pot.a for pot in pots]}")
+    grid = np.linspace(start, a, 2 * cells + 1)
+    v = np.stack([pot(grid) for pot in pots])
+    return grid, v, _omega(v[:, :-1:2], v[:, 1::2], v[:, 2::2], (a - start) / cells)
 
 
 def _nodes(pot: EvaluatedPotential, start: float, cells: int):
@@ -181,19 +195,22 @@ def _nodes(pot: EvaluatedPotential, start: float, cells: int):
     the quadratic through the cell's three nodes, and at the middle node.
     Only full traces read the halves.
     """
-    grid, v, omega = _cells(pot, start, cells)
-    v0, vm, v1 = v[:-1:2], v[1::2], v[2::2]
+    grid, v, omega = _cells([pot], start, cells)
+    v0, vm, v1 = v[:, :-1:2], v[:, 1::2], v[:, 2::2]
     return grid, omega, _omega(v0, (3.0 * v0 + 6.0 * vm - v1) / 8.0, vm, 0.5 * omega[2])
 
 
 def _cell_matrices(omega, energies: np.ndarray) -> np.ndarray:
-    """exp(Omega) of every cell at every energy, shape (4, len(energies), cells).
+    """exp(Omega) of every cell in every (potential, energy) row, shape (4, rows, cells).
 
-    The entries (m11, m12, m21, m22) are written into the result's own rows
-    as they are formed.
+    omega holds one row of Omega parts per potential, and the rows of the
+    result run over the energies of the first potential, then of the next.
+    The entries (m11, m12, m21, m22) are written into the result's own
+    arrays as they are formed.
     """
-    sv, d, width = omega
-    m = np.empty((4, energies.size, sv.size))
+    # An energy axis after each potential's row; the width is one number.
+    sv, d, width = (part[:, None] if np.ndim(part) else part for part in omega)
+    m = np.empty((4, sv.shape[0], energies.size, sv.shape[-1]))
     s = np.subtract(sv, energies[:, None], out=m[2])
     q2 = np.multiply(s, width * width, out=m[3])
     q2 += d * d
@@ -210,7 +227,7 @@ def _cell_matrices(omega, energies: np.ndarray) -> np.ndarray:
     m[0] += sigma_d
     m[1] *= width
     m[2] *= m[1]
-    return m
+    return m.reshape(4, -1, m.shape[-1])
 
 
 def _refuse_overflow(peak: float) -> None:
@@ -250,31 +267,41 @@ def _fundamental_traces(pot: EvaluatedPotential, energies, steps: int):
     them.  Raises Overflow when a solution magnitude leaves the trustworthy
     range.
     """
-    energies = _check(pot, energies, steps)
+    energies = _check(energies, steps)
     grid, cells, halves = _nodes(pot, -pot.a, steps // 2)
     return (grid, *_traces(_cell_matrices(cells, energies), halves, energies))
 
 
 @np.errstate(all="ignore")
-def _endpoint_maps(pot: EvaluatedPotential, energies, steps: int) -> np.ndarray:
-    """Maps (psi, psi')(0) -> (psi, psi')(a) at each energy, the product of one scan of [0, a].
+def _endpoint_maps(pots, energies, steps: int) -> np.ndarray:
+    """Maps (psi, psi')(0) -> (psi, psi')(a) of each potential at each energy, from one scan of [0, a].
 
-    Shape (len(energies), 2, 2); the columns are the even and odd solutions.
-    The scan takes ceil(steps / 4) cells, so its cells are those of steps
-    on [-a, a] whenever 4 divides steps.  Only the product of the cells is
-    formed, with the bits of the full traces' last node.  Raises Overflow
-    when an entry of a map is not finite or |psi| at x = a, the value S is
-    read from, leaves the trustworthy range; the nodes inside [0, a] are
+    Shape (len(pots), len(energies), 2, 2); the columns are the even and odd
+    solutions.  The potentials share one support, and the scan's rows are
+    their (potential, energy) pairs, in blocks of at most SCAN_STEPS // steps
+    rows: as many potentials at all energies as fit, or else the energies of
+    one potential in runs of that length.  Each row keeps the bits it has in
+    a scan of its own.  The scan takes ceil(steps / 4) cells, so its cells
+    are those of steps on [-a, a] whenever 4 divides steps.  Only the
+    product of the cells is formed, with the bits of the full traces' last
+    node.  Raises Overflow, for the first potential in order that needs it,
+    when an entry of its maps is not finite or |psi| at x = a, the value S
+    is read from, leaves the trustworthy range; the nodes inside [0, a] are
     not checked.
     """
-    energies = _check(pot, energies, steps)
-    *_, cells = _cells(pot, 0.0, -(-steps // 4))
-    block = SCAN_STEPS // steps
-    maps = np.empty((energies.size, 2, 2))
-    for start in range(0, energies.size, block):
-        m = _cell_matrices(cells, energies[start : start + block])
-        maps[start : start + block] = _product(m).T.reshape(-1, 2, 2)
-    _refuse_overflow(np.max(np.abs(maps[:, 0]), initial=0.0) if np.all(np.isfinite(maps)) else np.inf)
+    energies = _check(energies, steps)
+    *_, (sv, d, width) = _cells(pots, 0.0, -(-steps // 4))
+    rows = SCAN_STEPS // steps
+    group = max(1, rows // max(1, energies.size))  # potentials per block
+    maps = np.empty((len(pots), energies.size, 2, 2))
+    for p in range(0, len(pots), group):
+        for e in range(0, energies.size, rows):
+            block = maps[p : p + group, e : e + rows]
+            m = _cell_matrices((sv[p : p + group], d[p : p + group], width), energies[e : e + rows])
+            block[...] = _product(m).T.reshape(block.shape)
+    for pot_maps in maps:
+        finite = np.all(np.isfinite(pot_maps))
+        _refuse_overflow(np.max(np.abs(pot_maps[:, 0]), initial=0.0) if finite else np.inf)
     return maps
 
 

@@ -125,9 +125,21 @@ def smatrix_via_transfer(
     order; each equals the one for its energy alone.
     """
     energies = [energy] if np.ndim(energy) == 0 else energy
-    maps = _endpoint_maps(pot, energies, steps)  # refuses every energy that is not finite and positive
-    matrices = [_from_channels(m, math.sqrt(e), pot.a) for m, e in zip(maps.tolist(), energies)]
+    (matrices,) = _smatrices([pot], energies, steps)
     return matrices[0] if np.ndim(energy) == 0 else matrices
+
+
+def _smatrices(pots: Sequence[EvaluatedPotential], energies: Sequence[float], steps: int) -> list[list[SMatrix]]:
+    """S of each potential at each energy, from one scan of their (potential, energy) rows.
+
+    The potentials share one support.  Each matrix equals
+    smatrix_via_transfer of its potential and energy alone, bit for bit.
+    """
+    maps = _endpoint_maps(pots, energies, steps)  # refuses every energy that is not finite and positive
+    return [
+        [_from_channels(m, math.sqrt(e), pot.a) for m, e in zip(pot_maps, energies)]
+        for pot, pot_maps in zip(pots, maps.tolist())
+    ]
 
 
 def smatrix_from_amplitudes(quads, k: float, a: float) -> SMatrix:

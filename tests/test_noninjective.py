@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import scatter1d.noninjective as noninjective
+import scatter1d.propagate as propagate
 from scatter1d.core import (
     AllMasked,
     ComplexWavefunction,
@@ -26,6 +27,7 @@ from scatter1d.noninjective import (
 )
 from scatter1d.potential import Sampled, validate
 from scatter1d.propagate import SCAN_STEPS, integrate
+from scatter1d.smatrix import smatrix_via_transfer
 
 
 @pytest.fixture(scope="module")
@@ -462,22 +464,47 @@ class TestVerifySameSMatrix:
     def test_build_solves_no_potential_twice(self, monkeypatch, single_bump):
         import scatter1d.noninjective as module
 
-        solved = []
-        forward = module.smatrix_via_transfer
+        solved, scans = [], []
+        forward = module._smatrices
 
-        def recording(pot, energy, steps):
-            solved.append(pot.v.tobytes())
-            return forward(pot, energy, steps=steps)
+        def recording(pots, energies, steps):
+            scans.append(len(pots))
+            solved.extend(pot.v.tobytes() for pot in pots)
+            return forward(pots, energies, steps)
 
         def refused(*args, **kwargs):
             raise AssertionError("the construction differentiates no wave numerically")
 
-        monkeypatch.setattr(module, "smatrix_via_transfer", recording)
+        monkeypatch.setattr(module, "_smatrices", recording)
         monkeypatch.setattr(module, "recover_potential", refused)
         monkeypatch.setattr(module, "_stencil_d2", refused)
         build_counterexample(q=1.0, eps=0.01, a=1.0, steps=1024, single_bump=single_bump)
         assert len(set(solved)) == len(solved)
         assert len(solved) == 2
+        assert scans == [2]  # both potentials of the pair in one scan
+
+    @pytest.mark.parametrize(
+        "q, eps, a, steps",
+        [(1.0, 0.01, 1.0, 4096), (0.5, -0.02, 2.0, 2048), (1.4, 0.01, 1.0, 1024), (0.3, 0.005, 0.5, SCAN_STEPS)],
+    )
+    def test_pair_scan_equals_two_separate_solves(self, monkeypatch, q, eps, a, steps):
+        # Both potentials go through one scan, and at SCAN_STEPS, one row per
+        # block, the pair spans two blocks; each matrix keeps its bits.
+        built = build_counterexample(q=q, eps=eps, a=a, steps=steps)
+        separate = [smatrix_via_transfer(pot, built.energy, steps=steps) for pot in (built.baseline, built.perturbed)]
+        rows = []
+        cell_matrices = propagate._cell_matrices
+
+        def spy(omega, energies):
+            m = cell_matrices(omega, energies)
+            rows.append(m.shape[1])
+            return m
+
+        monkeypatch.setattr(propagate, "_cell_matrices", spy)
+        scanned = verify_same_smatrix(built)
+        assert [scanned.s_baseline, scanned.s_perturbed] == separate
+        assert [built.comparison.s_baseline, built.comparison.s_perturbed] == separate
+        assert rows == ([1, 1] if steps == SCAN_STEPS else [2])
 
     def test_default_steps_are_the_pairs_own(self):
         built = build_counterexample(q=1.0, eps=0.01, a=1.0, steps=1024)

@@ -176,6 +176,45 @@ class TestLoadSampledCsv:
         with pytest.raises(PreconditionViolated):
             load_sampled_csv(path)
 
+    def test_cells_are_read_as_float_reads_them(self, tmp_path):
+        # The split rows are cast to float together, and numpy's cast reads
+        # underscores, blanks, nan, infinities and overflow as float() does.
+        cells = ["1_0", " 2.5 ", "nan", "-Infinity", "1e400", "+.5", "-0"]
+        path = tmp_path / "cells.csv"
+        path.write_text("x,V\n" + "".join(f"{cell},{cell}\n" for cell in cells))
+        spec = load_sampled_csv(path)
+        expected = np.array([float(cell) for cell in cells])
+        for column in (spec.x, spec.v):
+            np.testing.assert_array_equal(column.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0x10,1\n", "malformed CSV row: could not convert string to float: '0x10'"),
+            ("1d5,1\n", "malformed CSV row: could not convert string to float: '1d5'"),
+            ("1,\n", "malformed CSV row: could not convert string to float: ''"),
+            ("1,2,3\n", "every row must hold exactly two columns"),
+            ("1\n2\n", "every row must hold exactly two columns"),
+            ("\n \n", "every row must hold exactly two columns"),
+        ],
+    )
+    def test_refusals_name_the_fault(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,V\n" + rows)
+        with pytest.raises(PreconditionViolated) as refused:
+            load_sampled_csv(path)
+        assert str(refused.value) == message
+
+    def test_a_row_of_another_length_is_refused_before_any_cell_is_read(self, tmp_path):
+        # All rows are cast at once, so a row of the wrong length is refused
+        # with numpy's shape message even when an earlier cell is not a
+        # number; read cell by cell, that cell was named instead.
+        path = tmp_path / "bad.csv"
+        path.write_text("x,V\noops,0.0\n1.0\n")
+        with pytest.raises(PreconditionViolated, match="^malformed CSV row: ") as refused:
+            load_sampled_csv(path)
+        assert "oops" not in str(refused.value)
+
     def test_rejects_asymmetric_endpoints(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,V\n-1.0,0.0\n0.0,0.0\n2.0,0.0\n")

@@ -177,9 +177,9 @@ def test_steps_beyond_one_scan_are_refused():
     with pytest.raises(PreconditionViolated, match=str(SCAN_STEPS)):
         integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0, steps=SCAN_STEPS + 1)
     with pytest.raises(PreconditionViolated):
-        propagate._endpoint_maps(WELL, [1.0], SCAN_STEPS + 1)
+        propagate._endpoint_maps([WELL], [1.0], SCAN_STEPS + 1)
     with pytest.raises(PreconditionViolated):
-        propagate._endpoint_maps(WELL, [1.0], 0)
+        propagate._endpoint_maps([WELL], [1.0], 0)
 
 
 def test_odd_step_counts_are_refused():
@@ -188,7 +188,7 @@ def test_odd_step_counts_are_refused():
         with pytest.raises(PreconditionViolated, match=f"be even, got {steps}"):
             integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0, steps=steps)
         with pytest.raises(PreconditionViolated, match="even"):
-            propagate._endpoint_maps(WELL, [1.0], steps)
+            propagate._endpoint_maps([WELL], [1.0], steps)
 
 
 def test_energy_past_the_former_numerov_edge_keeps_the_closed_form():
@@ -199,11 +199,11 @@ def test_energy_past_the_former_numerov_edge_keeps_the_closed_form():
     energy = 6.01 * (4096 / 2.0) ** 2 - 2.0
     l = math.sqrt(energy + 2.0)
     for steps in (4096, 4100):
-        (m,) = propagate._endpoint_maps(WELL, [energy], steps)
+        (m,) = propagate._endpoint_maps([WELL], [energy], steps)[0]
         c, s = math.cos(l), math.sin(l)
         scaled = m * np.array([[1.0, l], [1.0 / l, 1.0]])
         assert np.max(np.abs(scaled - [[c, s], [-s, c]])) < 1e-11
-    assert np.all(np.isfinite(propagate._endpoint_maps(WELL, [1e12], 4096)))
+    assert np.all(np.isfinite(propagate._endpoint_maps([WELL], [1e12], 4096)[0]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -242,6 +242,39 @@ def _random_gaussian(seed):
     return validate(Sampled(a=a, x=x, v=0.5 * (v + v[::-1]))), rng
 
 
+def _mul_by_entries(left, right, out):
+    """l_i1 r_1j + l_i2 r_2j with one multiply and one add per entry: the formula _mul must keep the bits of."""
+    for i, j in ((0, 0), (0, 1), (2, 0), (2, 1)):
+        np.multiply(left[i], right[j], out=out[i + j])
+        out[i + j] += left[i + 1] * right[j + 2]
+    return out
+
+
+@pytest.mark.parametrize("rows", [(1,), (3,), (2, 5)])
+@pytest.mark.parametrize("length", [1, 2, 7, 999, 1024, 1025])
+def test_mul_keeps_the_bits_of_the_entry_formula(rows, length):
+    rng = np.random.default_rng(length)
+    shape = (4, *rows, length)
+    # Entries spread over many binades, none zero, so that any change of
+    # rounding shows in the bits.
+    m = rng.normal(size=shape) * np.exp(rng.normal(scale=10.0, size=shape))
+    half = (length - 1) // 2
+    operands = [
+        (m[..., 1::2], m[..., :-1:2]),  # the adjacent pairs of _pairs
+        (m[..., 2::2], m[..., 1::2][..., :half]),  # the even prefixes of _prefixes
+        (np.ascontiguousarray(m[..., -1]), m[..., 0]),  # a set-aside matrix of _product
+    ]
+    for left, right in operands:
+        expected = _mul_by_entries(left, right, np.empty(left.shape))
+        got = propagate._mul(left, right, np.empty(left.shape))
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # Written into every other column of a larger stack, as _prefixes does.
+        expected, got = np.zeros((2, *left.shape[:-1], 2 * left.shape[-1] + 1))
+        _mul_by_entries(left, right, expected[..., 2::2])
+        propagate._mul(left, right, got[..., 2::2])
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_product_equals_the_last_prefix_bit_for_bit():
     rng = np.random.default_rng(3)
     for length in list(range(1, 41)) + [64, 127, 1000, 1024]:
@@ -269,7 +302,7 @@ def test_prefixes_match_sequential_products():
 def test_endpoint_maps_equal_the_full_scan_bit_for_bit(steps):
     pot, rng = _random_gaussian(steps)
     energies = list(rng.uniform(0.1, 30.0, 5))
-    maps = propagate._endpoint_maps(pot, energies, steps)
+    maps = propagate._endpoint_maps([pot], energies, steps)[0]
     np.testing.assert_array_equal(maps, _full_scan_endpoints(pot, energies, steps))
 
 
@@ -277,8 +310,35 @@ def test_endpoint_maps_across_scan_blocks():
     # 70 energies at 4096 steps fill two scans of 32 and part of a third.
     pot, rng = _random_gaussian(7)
     energies = list(rng.uniform(0.1, 30.0, 70))
-    maps = propagate._endpoint_maps(pot, energies, 4096)
+    maps = propagate._endpoint_maps([pot], energies, 4096)[0]
     np.testing.assert_array_equal(maps, _full_scan_endpoints(pot, energies, 4096))
+
+
+@pytest.mark.parametrize("steps", [SCAN_STEPS // 16, SCAN_STEPS // 4, SCAN_STEPS])
+def test_scan_rows_of_several_potentials_equal_their_own_scans(monkeypatch, steps):
+    # Five energies of three potentials of one support make 15 rows: one
+    # block of 15 at 16 rows per block, blocks of 4 and 1 per potential at 4,
+    # and 15 blocks of one row at SCAN_STEPS.
+    x = np.linspace(-1.0, 1.0, 257)
+    pots = [WELL, validate(flat_barrier(5.0)), validate(Sampled(a=1.0, x=x, v=-8.0 * np.exp(-4.0 * x * x)))]
+    energies = [0.3, 1.0, 2.5, 7.0, 30.0]
+    alone = np.stack([propagate._endpoint_maps([pot], energies, steps)[0] for pot in pots])
+    rows = []
+    cell_matrices = propagate._cell_matrices
+
+    def spy(omega, energies):
+        m = cell_matrices(omega, energies)
+        rows.append(m.shape[1])
+        return m
+
+    monkeypatch.setattr(propagate, "_cell_matrices", spy)
+    np.testing.assert_array_equal(propagate._endpoint_maps(pots, energies, steps), alone)
+    assert rows == {SCAN_STEPS // 16: [15], SCAN_STEPS // 4: [4, 1] * 3, SCAN_STEPS: [1] * 15}[steps]
+
+
+def test_potentials_scanned_together_share_one_support():
+    with pytest.raises(PreconditionViolated, match="one support"):
+        propagate._endpoint_maps([WELL, validate(SquareWell(v0=2.0, a=2.0))], [1.0], 4096)
 
 
 @pytest.mark.parametrize(
@@ -308,7 +368,7 @@ def test_growth_bound_picks_the_path_without_changing_the_maps(monkeypatch, heig
     monkeypatch.setattr(propagate, "_product", spy)
     monkeypatch.setattr(propagate, "_prefixes", forbidden)
     monkeypatch.setattr(propagate, "_traces", forbidden)
-    np.testing.assert_array_equal(propagate._endpoint_maps(barrier, [1.0, 2.0], 4096), expected)
+    np.testing.assert_array_equal(propagate._endpoint_maps([barrier], [1.0, 2.0], 4096)[0], expected)
     assert lengths == [1024]
 
 
@@ -333,12 +393,12 @@ def test_endpoint_maps_on_barriers_are_the_last_node_or_refused(monkeypatch):
                     patch.setattr(propagate, "_prefixes", forbidden)
                     patch.setattr(propagate, "_traces", forbidden)
                     if np.all(np.isfinite(last)) and np.max(np.abs(last[:2])) <= propagate.MAX_MAGNITUDE:
-                        maps = propagate._endpoint_maps(barrier, [1.0, 2.0], steps)
+                        maps = propagate._endpoint_maps([barrier], [1.0, 2.0], steps)[0]
                         np.testing.assert_array_equal(maps, last.T.reshape(-1, 2, 2))
                         answered += 1
                     else:
                         with pytest.raises(Overflow):
-                            propagate._endpoint_maps(barrier, [1.0, 2.0], steps)
+                            propagate._endpoint_maps([barrier], [1.0, 2.0], steps)
                         refused += 1
     assert answered and refused
 
@@ -368,8 +428,8 @@ def test_overflow_check_reads_the_midpoints(monkeypatch):
     monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * (nodes + everywhere))
     with pytest.raises(Overflow):
         propagate._traces(*_half_scan(pot, [0.5], 66))
-    (m,) = propagate._endpoint_maps(pot, [0.5], 66)
+    (m,) = propagate._endpoint_maps([pot], [0.5], 66)[0]
     np.testing.assert_array_equal(m, [psi[:, 0, -1], dpsi[:, 0, -1]])
     monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * np.max(np.abs(psi[..., -1])))
     with pytest.raises(Overflow, match="too deep in a classically forbidden region"):
-        propagate._endpoint_maps(pot, [0.5], 66)
+        propagate._endpoint_maps([pot], [0.5], 66)

@@ -16,6 +16,7 @@ from scatter1d.smatrix import (
     analytic_delta,
     analytic_square_well,
     delta_as_well_limit,
+    _smatrices,
     smatrix_from_amplitudes,
     smatrix_via_transfer,
     unitarity_residuals,
@@ -146,7 +147,7 @@ class TestTransferRoute:
         # The map's determinant is the Wronskian of the even and odd
         # solutions, which S takes to be 1.
         pot = validate(SquareWell(v0=v0, a=1.0))
-        (m,) = propagate._endpoint_maps(pot, [energy], 4096)
+        (m,) = propagate._endpoint_maps([pot], [energy], 4096)[0]
         assert abs(np.linalg.det(m) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("height", [10.0, 100.0, 900.0, 2e4, 1e5])
@@ -292,6 +293,20 @@ class TestEnergyBatch:
             with pytest.raises(Overflow, match="too deep in a classically forbidden region"):
                 smatrix_via_transfer(barrier, [1.0, 2.0])
 
+
+    def test_overflow_of_one_potential_in_a_scan_keeps_its_refusal(self):
+        # A scan refuses as solving its potentials one by one in order does:
+        # the first that overflows raises, with its own magnitude.
+        well = validate(SquareWell(v0=2.0, a=1.0))
+        low, high = validate(flat_barrier(1.6e5)), validate(flat_barrier(2.0e5))
+        for pots in ([well, low], [low, well], [well, high, low], [low, high]):
+            with pytest.raises(Overflow) as alone:
+                for pot in pots:
+                    smatrix_via_transfer(pot, [1.0, 2.0])
+            with pytest.raises(Overflow) as scanned:
+                _smatrices(pots, [1.0, 2.0], 4096)
+            assert type(scanned.value) is Overflow
+            assert str(scanned.value) == str(alone.value)
 
 class TestUnitarityResiduals:
     def test_stacked_residuals_equal_the_per_matrix_ones_bit_for_bit(self, gaussian_pot):

@@ -50,6 +50,19 @@ def test_total_is_the_sum_of_the_modules(capsys):
     assert total == sum(counts.values())
     assert counts["core.py"] == code_lines.code_lines((package / "core.py").read_text(encoding="utf-8"))
 
+_spec = importlib.util.spec_from_file_location("opstats", ROOT / "tools" / "opstats.py")
+opstats = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(opstats)
+
+
+def test_peak_heap_is_the_largest_of_one_operation_above_its_start(monkeypatch):
+    # Each operation keeps its buffer, so the second starts 1 MiB up; its
+    # own peak is 0.5 MiB, and the largest of the two is the first's 1 MiB.
+    kept = []
+    monkeypatch.setattr(opstats, "run", lambda op: kept.append(bytearray(op[0])))
+    peak = opstats.peak_heap_bytes([[1 << 20], [1 << 19]])
+    assert 1 << 20 <= peak < (1 << 20) + (1 << 16)
+
 
 def test_opstats_prints_one_json_line_per_run():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -61,10 +74,16 @@ def test_opstats_prints_one_json_line_per_run():
     assert len(lines) == 1
     stats = json.loads(lines[0])
     assert sorted(stats) == sorted(
-        ["workload", "seed", "operations", "rounds", "median_op_ms", "emit_median_ms", "minflt_per_op", "failed"]
+        [
+            "workload", "seed", "operations", "rounds", "median_op_ms", "emit_median_ms", "minflt_per_op",
+            "peak_heap_kb", "failed",
+        ]
     )
     assert (stats["workload"], stats["seed"], stats["rounds"]) == ("fredholm_sweep", 2, 1)
     assert stats["operations"] == 8
     assert stats["failed"] == 0
     assert stats["median_op_ms"] > stats["emit_median_ms"] > 0.0
     assert stats["minflt_per_op"] >= 0.0
+    # A five-point window builds a 64-node Nystrom table per t: at least
+    # the 32 KiB of one 64 x 64 sinc matrix.
+    assert stats["peak_heap_kb"] >= 32.0

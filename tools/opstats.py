@@ -10,8 +10,12 @@ workload, seed, operation count and rounds, the median time of one
 operation in ms, the median time of one operation spent in the output
 layer, ``scatter1d.cli._emit`` (wrapped here, so the package needs no
 hook), the minor page faults (``ru_minflt``) per operation over the timed
-rounds, and how many operations exited non-zero.  Faults count what
-glibc's heap trimming costs, which the times alone do not show.
+rounds, the largest heap peak of one operation in KiB (``peak_heap_kb``,
+from tracemalloc in one more round after the timed ones, above what the
+operation found allocated), and how many operations exited non-zero.
+Faults count what glibc's heap trimming costs, which the times alone do
+not show; the heap peak says how close an operation comes to glibc's trim
+threshold.
 """
 
 import argparse
@@ -24,6 +28,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import scatter1d.cli
@@ -41,6 +46,21 @@ def load_workloads():
 def run(argv: list[str]) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return scatter1d.cli.main(argv)
+
+
+def peak_heap_bytes(ops: list[list[str]]) -> int:
+    """Largest tracemalloc peak of one operation of ops, above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        peak = 0
+        for op in ops:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run(op)
+            peak = max(peak, tracemalloc.get_traced_memory()[1] - before)
+        return peak
+    finally:
+        tracemalloc.stop()
 
 
 class TimedEmit:
@@ -82,6 +102,7 @@ def main(argv: list[str]) -> int:
                     times.append(time.perf_counter() - start)
                     emit_times.append(emit.seconds - emitted)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            peak_heap = peak_heap_bytes(ops)
     finally:
         scatter1d.cli._emit = emit.emit
     print(json.dumps({
@@ -92,6 +113,7 @@ def main(argv: list[str]) -> int:
         "median_op_ms": 1e3 * statistics.median(times),
         "emit_median_ms": 1e3 * statistics.median(emit_times),
         "minflt_per_op": faults / len(times),
+        "peak_heap_kb": peak_heap / 1024,
         "failed": failed,
     }))
     return 0
