@@ -46,10 +46,6 @@ class Overflow(ScatterError):
     """Wavefunction magnitude left the trustworthy range during integration."""
 
 
-class SingularSystem(ScatterError):
-    """Amplitude quads do not determine the scattering matrix."""
-
-
 class ComplexWavefunction(ScatterError):
     """Potential recovery needs a real wavefunction trace."""
 
@@ -67,7 +63,7 @@ class OddChannelUnmatched(ScatterError):
 
 
 class IdenticalPotentials(ScatterError):
-    """The two potentials of a counterexample pair are the same table."""
+    """The two potentials of a counterexample pair are the same table, up to rounding."""
 
 
 class TTooLarge(PreconditionViolated):

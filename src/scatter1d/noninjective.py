@@ -68,6 +68,9 @@ ODD_CHANNEL_TOL = 1e-8
 MAX_NEWTON_STEPS = 20
 #: Newton stops once a step moves c by less than this times 1 + |c|.
 NEWTON_RTOL = 1e-12
+#: A separation within this many units of rounding (machine epsilon
+#: times max(|E|, max |V|)) of zero is the rounding of E + psi''/psi.
+SEPARATION_ULPS = 4
 
 
 def bump_values(a: float, eps: float, x: np.ndarray):
@@ -317,11 +320,13 @@ def build_counterexample(
     once at ``steps``, in one scan, and the pair's comparison holds those
     matrices, so it equals verify_same_smatrix(pair).  Raises
     NodeCollision if a deformed wave develops a node; IdenticalPotentials,
-    before the forward solves, if the two potential tables are equal on
-    every node (eps = 0, or a bump below the rounding of E + psi''/psi, as
-    at eps = 1e-20 with the default q and a); and OddChannelUnmatched if
-    the search does not converge or the forward-solved odd channels of a
-    tuned pair differ by more than ODD_CHANNEL_TOL.  Non-finite q, eps or a
+    before the forward solves, if the two potential tables are equal up to
+    the rounding of E + psi''/psi, that is, if their separation is at most
+    SEPARATION_ULPS times machine epsilon times max(|E|, max |V|) (eps = 0;
+    eps = 1e-17 with the default q and a, a separation of 2.2e-16, while
+    eps = 1e-15 gives 6.3e-14 and answers); and OddChannelUnmatched if the
+    search does not converge or the forward-solved odd channels of a tuned
+    pair differ by more than ODD_CHANNEL_TOL.  Non-finite q, eps or a
     are refused with PreconditionViolated before any arithmetic, and so are an
     a whose sixth power, the scale of the tuning bump, overflows (a above
     about 2.3e51), an eps whose bump overflows (its largest terms are 4 eps,
@@ -357,9 +362,11 @@ def build_counterexample(
     base = validate(Sampled(a, grid, energy + d2psi0 / psi0))
     pert = validate(Sampled(a, grid, energy + (d2psi0 + fpp + coefficient * gpp) / psi))
     separation = float(np.max(np.abs(pert.v - base.v)))
-    if separation == 0.0:
+    rounding = SEPARATION_ULPS * np.finfo(float).eps * max(energy, np.max(np.abs(base.v)), np.max(np.abs(pert.v)))
+    if separation <= rounding:
         raise IdenticalPotentials(
-            f"the bump at eps = {eps}, a = {a} leaves the potential unchanged on every node: the two tables are the same"
+            f"the bump at eps = {eps}, a = {a} moves the potential by at most {separation:.3e}, within the "
+            f"rounding ({rounding:.3e}) of E + psi''/psi: the two tables are the same"
         )
     comparison = _compare(base, pert, energy, steps)
     if not (single_bump or comparison.odd_channel_diff <= ODD_CHANNEL_TOL):

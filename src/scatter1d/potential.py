@@ -145,18 +145,25 @@ def validate(spec: PotentialSpec) -> EvaluatedPotential:
 
 
 def _read_two_columns(path, header: str) -> tuple[np.ndarray, np.ndarray]:
-    """Both columns of a two-column CSV file that starts with ``header``."""
+    """Both columns of a two-column CSV file that starts with ``header``.
+
+    A row of another length is refused, with its line number, before any
+    cell is read, and so is a file with no rows.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if first != header:
             raise PreconditionViolated(f"expected header {header!r}, got {first!r}")
-        rows = [line.split(",") for line in map(str.strip, fh) if line]
+        rows = [(number, line.split(",")) for number, line in enumerate(map(str.strip, fh), 2) if line]
+    for number, row in rows:
+        if len(row) != 2:
+            raise PreconditionViolated(f"every row must hold exactly two columns; line {number} holds {len(row)}")
+    if not rows:
+        raise PreconditionViolated("every row must hold exactly two columns")
     try:
-        data = np.array(rows, dtype=float)  # numpy's cast reads each cell as float() does
+        data = np.array([row for _, row in rows], dtype=float)  # numpy's cast reads each cell as float() does
     except ValueError as exc:
         raise PreconditionViolated(f"malformed CSV row: {exc}") from None
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise PreconditionViolated("every row must hold exactly two columns")
     return data[:, 0], data[:, 1]
 
 

@@ -10,48 +10,26 @@ and the scattering matrix maps incoming to outgoing, (B, C)^T = S (A, D)^T.
 For a symmetric potential S is symmetric with equal diagonal entries, and
 unitary whenever the potential is real.
 
-Two independent routes produce S.  The production route reads S off the
-even and odd solutions u+ and u-, started at x = 0 from (1, 0) and (0, 1)
-and carried to x = a by fourth-order Magnus cells (see propagate), exact
-where V is constant.  Each is a parity channel, and outside the support
-its amplitudes give the channel eigenvalue e^{-2ika} (u' + iku) / (iku - u')
-of S at x = a.  The second route solves the linear relations
-B = s11 A + s12 D, C = s12 A + s11 D directly from amplitude quads of one or
-two solutions on [-a, a], with parity imposed by construction; a single
-quad determines S only when its incoming amplitudes are not
-parity-degenerate (|A| != |D|), which is exactly the condition under which
-the closed single-solution formula is usable.
+S is read off the even and odd solutions u+ and u-, started at x = 0 from
+(1, 0) and (0, 1) and carried to x = a by fourth-order Magnus cells (see
+propagate), exact where V is constant.  Each is a parity channel, and
+outside the support its amplitudes give the channel eigenvalue
+e^{-2ika} (u' + iku) / (iku - u') of S at x = a.  The test suite holds
+an independent route as its oracle (tests/helpers.py): it carries two
+solutions across [-a, a] one cell at a time and solves the linear
+relations B = s11 A + s12 D, C = s12 A + s11 D from their amplitudes.
 """
 
 import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .core import PreconditionViolated, SingularSystem, _check_finite, wavenumber_from_energy
+from .core import PreconditionViolated, _check_finite, wavenumber_from_energy
 from .potential import EvaluatedPotential, SquareWell, validate
-from .propagate import BoundaryData, _endpoint_maps
-
-#: Relative threshold below which amplitude quads cannot be inverted.
-SINGULAR_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class AmplitudeQuad:
-    """Plane-wave amplitudes (A, B, C, D) of one solution.
-
-    in_left/in_right are the incoming amplitudes A and D; out_left/out_right
-    are the outgoing B and C.  For a real potential the flux balance
-    |A|^2 + |D|^2 = |B|^2 + |C|^2 holds.
-    """
-
-    in_left: complex
-    out_left: complex
-    out_right: complex
-    in_right: complex
+from .propagate import _endpoint_maps
 
 
 @dataclass(frozen=True)
@@ -78,22 +56,6 @@ def unitarity_residuals(matrices: Sequence[SMatrix]) -> np.ndarray:
     return np.max(np.abs(np.conj(np.swapaxes(s, 1, 2)) @ s - np.eye(2)), axis=(1, 2))
 
 
-def amplitudes_from_boundary(bd: BoundaryData, k: float, a: float) -> AmplitudeQuad:
-    """Read plane-wave amplitudes off boundary values of a solution."""
-    _check_finite(k=k, a=a)
-    if not k > 0.0:
-        raise PreconditionViolated(f"wavenumber must be positive, got {k}")
-    if not a > 0.0:
-        raise PreconditionViolated(f"half-width must be positive, got {a}")
-    ik = 1j * k
-    phase = np.exp(1j * k * a)
-    A = 0.5 * phase * (bd.psi_left + bd.dpsi_left / ik)
-    B = 0.5 / phase * (bd.psi_left - bd.dpsi_left / ik)
-    C = 0.5 / phase * (bd.psi_right + bd.dpsi_right / ik)
-    D = 0.5 * phase * (bd.psi_right - bd.dpsi_right / ik)
-    return AmplitudeQuad(in_left=A, out_left=B, out_right=C, in_right=D)
-
-
 def _from_channels(m, k: float, a: float) -> SMatrix:
     """S from the map m = [[u+, u-], [u+', u-']] of the even and odd solutions at x = a.
 
@@ -117,7 +79,7 @@ def _from_channels(m, k: float, a: float) -> SMatrix:
 def smatrix_via_transfer(
     pot: EvaluatedPotential, energy: float | Sequence[float], steps: int = 4096
 ) -> SMatrix | list[SMatrix]:
-    """Production route: propagate the even and odd solutions across [0, a] and read S off them.
+    """Propagate the even and odd solutions across [0, a] and read S off them.
 
     steps counts the steps of [-a, a]; the half interval is crossed in
     ceil(steps / 4) Magnus cells.  A sequence of energies is
@@ -140,52 +102,6 @@ def _smatrices(pots: Sequence[EvaluatedPotential], energies: Sequence[float], st
         [_from_channels(m, math.sqrt(e), pot.a) for m, e in zip(pot_maps, energies)]
         for pot, pot_maps in zip(pots, maps.tolist())
     ]
-
-
-def smatrix_from_amplitudes(quads, k: float, a: float) -> SMatrix:
-    """Solve for S from the amplitude quads of one or two solutions.
-
-    Each quad contributes the two relations
-
-        out_left  = s11 in_left  + s12 in_right
-        out_right = s12 in_left  + s11 in_right
-
-    so parity symmetry holds by construction.  The best-conditioned pair of
-    relations is solved exactly; with a single quad that system is singular
-    precisely when |A^2 - D^2| vanishes against |A|^2 + |D|^2, in which case
-    SingularSystem is raised.
-    """
-    if isinstance(quads, AmplitudeQuad):
-        quads = [quads]
-    quads = list(quads)
-    if not 1 <= len(quads) <= 2:
-        raise PreconditionViolated(f"need one or two quads, got {len(quads)}")
-
-    rows = []
-    rhs = []
-    for q in quads:
-        rows.append((complex(q.in_left), complex(q.in_right)))
-        rhs.append(complex(q.out_left))
-        rows.append((complex(q.in_right), complex(q.in_left)))
-        rhs.append(complex(q.out_right))
-
-    best = None
-    for i, j in combinations(range(len(rows)), 2):
-        det = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-        scale = abs(rows[i][0]) ** 2 + abs(rows[i][1]) ** 2
-        scale = max(scale, abs(rows[j][0]) ** 2 + abs(rows[j][1]) ** 2)
-        if best is None or abs(det) > abs(best[0]):
-            best = (det, scale, i, j)
-
-    det, scale, i, j = best
-    if abs(det) < SINGULAR_RTOL * scale:
-        raise SingularSystem(
-            "amplitude quads are parity degenerate and do not determine S "
-            f"(|det| = {abs(det):.3e} against scale {scale:.3e})"
-        )
-    s11 = (rhs[i] * rows[j][1] - rhs[j] * rows[i][1]) / det
-    s12 = (rows[i][0] * rhs[j] - rows[j][0] * rhs[i]) / det
-    return SMatrix(s11=s11, s12=s12, s21=s12, s22=s11, k=k, a=a)
 
 
 def analytic_square_well(v0: float, a: float, energy: float) -> SMatrix:

@@ -3,19 +3,21 @@
 The sine-kernel oracle here discretizes the kernel on the full interval
 [-pi t, pi t] instead of the parity-split half-interval forms used by the
 library, so the two spectra are computed along genuinely different routes
-before being compared.
+before being compared.  The S-matrix oracle does the same for the
+library's channel route on [0, a]: it carries two solutions across
+[-a, a] one cell at a time and solves for S from their amplitudes.
 """
 
 import math
 import subprocess
 import sys
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import mul
 
 import numpy as np
 
+import scatter1d.propagate as propagate
 from scatter1d.potential import Sampled, validate
-from scatter1d.propagate import integrate
 from scatter1d.smatrix import SMatrix
 
 
@@ -148,20 +150,77 @@ def random_smooth_sampled(rng: np.random.Generator, n: int = 257) -> Sampled:
     return Sampled(a=a, x=x, v=v)
 
 
-def smooth_order_errors(steps) -> list[float]:
-    """Errors of psi(+a) from integrate at each step count, on a smooth V.
+def smooth_order_errors(endpoint_maps, steps) -> list[float]:
+    """Errors of the maps (psi, psi')(0) -> (psi, psi')(a) at each step count, on a smooth V.
 
-    V = -20 (1 - x^2)^3 on [-1, 1] at E = 1, from (psi, psi')(-1) = (1, 0),
-    against a 131072-step solve.  V is tabulated on that solve's nodes, so
-    every step count that divides 131072 reads exact values of the smooth
-    V; a coarser table would make the reference solve a piecewise-linear V
-    instead.
+    endpoint_maps(pots, energies, steps) is the kernel under test, with
+    the library's signature.  The error is the largest entry error of its
+    map for V = -20 (1 - x^2)^3 on [-1, 1] at E = 1, against a 131072-step
+    solve.  V is tabulated on that solve's nodes, so every step count that
+    divides 131072 reads exact values of the smooth V; a coarser table
+    would make the reference solve a piecewise-linear V instead.
     """
     reference = 2**17
     x = np.linspace(-1.0, 1.0, reference + 1)
     pot = validate(Sampled(a=1.0, x=x, v=-20.0 * (1.0 - x * x) ** 3))
-    exact = integrate(pot, 1.0, 1.0, 0.0, steps=reference).psi[-1]
-    return [abs(integrate(pot, 1.0, 1.0, 0.0, steps=n).psi[-1] - exact) for n in steps]
+    exact = endpoint_maps([pot], [1.0], reference)[0, 0]
+    return [float(np.max(np.abs(endpoint_maps([pot], [1.0], n)[0, 0] - exact))) for n in steps]
+
+
+def cell_states(pot, energy: float, start: float, cells: int) -> np.ndarray:
+    """(psi, psi') of the solutions from (1, 0) and (0, 1) at x = start, on the cell nodes of [start, a].
+
+    Shape (cells + 1, 2, 2): node, then (psi, psi'), then solution.  The
+    states are stepped from node to node in a plain loop over the library's
+    cell matrices, so their rounding grows with the number of cells, and
+    no pairwise product of the library is used.
+    """
+    m = propagate._cell_matrices(propagate._cells([pot], start, cells), np.array([float(energy)]))
+    states = [np.eye(2)]
+    for cell in m[:, 0].T.reshape(-1, 2, 2):
+        states.append(cell @ states[-1])
+    return np.array(states)
+
+
+class SingularQuads(Exception):
+    """Amplitude quads that do not determine S."""
+
+
+def amplitudes(left, right, k: float, a: float) -> tuple:
+    """Plane-wave amplitudes (A, B, C, D) of a solution with (psi, psi') = left at -a and right at a."""
+    ik, phase = 1j * k, np.exp(1j * k * a)
+    return (
+        0.5 * phase * (left[0] + left[1] / ik),
+        0.5 / phase * (left[0] - left[1] / ik),
+        0.5 / phase * (right[0] + right[1] / ik),
+        0.5 * phase * (right[0] - right[1] / ik),
+    )
+
+
+def smatrix_from_quads(quads, k: float, a: float) -> SMatrix:
+    """S from the amplitude quads (A, B, C, D) of one or two solutions.
+
+    Each quad gives the relations B = s11 A + s12 D and C = s12 A + s11 D,
+    so parity holds by construction.  The pair of relations with the
+    largest determinant is solved exactly.  SingularQuads is raised when
+    that determinant falls below 1e-12 of the larger squared row norm;
+    with a single quad, exactly when |A^2 - D^2| vanishes against
+    |A|^2 + |D|^2.
+    """
+    rows = [row for A, B, C, D in quads for row in ((A, D, B), (D, A, C))]
+    (a1, d1, b1), (a2, d2, b2) = max(combinations(rows, 2), key=lambda r: abs(r[0][0] * r[1][1] - r[0][1] * r[1][0]))
+    det = a1 * d2 - d1 * a2
+    if abs(det) < 1e-12 * max(abs(a1) ** 2 + abs(d1) ** 2, abs(a2) ** 2 + abs(d2) ** 2):
+        raise SingularQuads(f"amplitude quads are parity degenerate (|det| = {abs(det):.3e})")
+    s11, s12 = (b1 * d2 - b2 * d1) / det, (a1 * b2 - a2 * b1) / det
+    return SMatrix(s11=s11, s12=s12, s21=s12, s22=s11, k=k, a=a)
+
+
+def amplitude_route(pot, energy: float, steps: int = 4096) -> SMatrix:
+    """S from the amplitudes of the fundamental pair on the steps // 2 cells of [-a, a]."""
+    k = math.sqrt(energy)
+    states = cell_states(pot, energy, -pot.a, steps // 2)
+    return smatrix_from_quads([amplitudes(states[0, :, j], states[-1, :, j], k, pot.a) for j in (0, 1)], k, pot.a)
 
 
 def run_cli(*args: str, cwd=None) -> subprocess.CompletedProcess:

@@ -13,18 +13,24 @@ import time
 import numpy as np
 import pytest
 
-from helpers import full_interval_sine_eigs, random_smooth_sampled, run_cli, smooth_order_errors
-from scatter1d.core import AsymmetricPotential, SingularSystem, TauTooSmall
+import scatter1d.propagate as propagate
+from helpers import (
+    SingularQuads,
+    amplitude_route,
+    cell_states,
+    full_interval_sine_eigs,
+    random_smooth_sampled,
+    run_cli,
+    smatrix_from_quads,
+    smooth_order_errors,
+)
+from scatter1d.core import AsymmetricPotential, TauTooSmall
 from scatter1d.noninjective import build_counterexample, verify_same_smatrix
 from scatter1d.potential import Sampled, SquareWell, validate
-from scatter1d.propagate import fundamental_pair, integrate
 from scatter1d.smatrix import (
-    AmplitudeQuad,
-    amplitudes_from_boundary,
     analytic_delta,
     analytic_square_well,
     delta_as_well_limit,
-    smatrix_from_amplitudes,
     smatrix_via_transfer,
 )
 from scatter1d.spectral import (
@@ -72,8 +78,8 @@ def test_criterion_01_analytic_square_well_grid():
 
 def test_criterion_02_unitarity_and_parity():
     # Parity holds by construction on the channel route, so the second
-    # clause is its gap to the amplitude route on [-a, a], which imposes
-    # parity in a different way.
+    # clause is its gap to the amplitude route on [-a, a] of the test
+    # oracle, which imposes parity in a different way.
     start = time.perf_counter()
     worst_unitarity = 0.0
     worst_route_gap = 0.0
@@ -84,9 +90,7 @@ def test_criterion_02_unitarity_and_parity():
     ]:
         s = smatrix_via_transfer(pot, energy)
         worst_unitarity = max(worst_unitarity, s.unitarity_residual())
-        k = math.sqrt(energy)
-        quads = [amplitudes_from_boundary(u.boundary_data(), k, pot.a) for u in fundamental_pair(pot, energy)]
-        gap = np.abs(smatrix_from_amplitudes(quads, k, pot.a).as_matrix() - s.as_matrix())
+        gap = np.abs(amplitude_route(pot, energy).as_matrix() - s.as_matrix())
         worst_route_gap = max(worst_route_gap, float(np.max(gap)))
     elapsed = time.perf_counter() - start
     report(
@@ -142,25 +146,17 @@ def test_criterion_05_amplitude_route_equivalence_and_degeneracy():
     for _ in range(50):
         pot = validate(random_smooth_sampled(rng))
         energy = float(rng.uniform(0.3, 5.0))
-        k = math.sqrt(energy)
-        u1, u2 = fundamental_pair(pot, energy)
-        quads = [
-            amplitudes_from_boundary(u.boundary_data(), k, pot.a) for u in (u1, u2)
-        ]
-        s_quad = smatrix_from_amplitudes(quads, k, pot.a)
+        s_quad = amplitude_route(pot, energy)
         s_transfer = smatrix_via_transfer(pot, energy)
         worst = max(
             worst, float(np.max(np.abs(s_quad.as_matrix() - s_transfer.as_matrix())))
         )
 
     def singular(in_left, in_right):
-        quad = AmplitudeQuad(
-            in_left=in_left, out_left=0.3, out_right=0.7, in_right=in_right
-        )
         try:
-            smatrix_from_amplitudes(quad, 1.0, 1.0)
+            smatrix_from_quads([(in_left, 0.3, 0.7, in_right)], 1.0, 1.0)
             return False
-        except SingularSystem:
+        except SingularQuads:
             return True
 
     # |A^2 - D^2| below / above 1e-12 (|A|^2 + |D|^2) on each side.
@@ -326,20 +322,22 @@ def test_criterion_11_toeplitz_second_order_asymptotics():
 
 
 def test_criterion_12_property_suite():
-    # Order of convergence on a smooth V; exactness where V is constant.
-    errs = smooth_order_errors((128, 256, 512))
+    # Order of convergence on a smooth V and exactness where V is constant,
+    # both of the maps (psi, psi')(0) -> (psi, psi')(a) that S is read from.
+    errs = smooth_order_errors(propagate._endpoint_maps, (128, 256, 512))
     ratios = [a / b for a, b in zip(errs, errs[1:])]
     well = validate(SquareWell(v0=2.0, a=1.0))
-    exact = math.cos(2.0 * math.sqrt(3.0))
+    l = math.sqrt(3.0)
+    exact = np.array([[math.cos(l), math.sin(l) / l], [-l * math.sin(l), math.cos(l)]])
     well_err = max(
-        abs(integrate(well, 1.0, 1.0, 0.0, steps=steps).psi[-1] - exact)
+        float(np.max(np.abs(propagate._endpoint_maps([well], [1.0], steps)[0, 0] - exact)))
         for steps in (128, 256, 512)
     )
     order_ok = all(8.0 <= r <= 32.0 for r in ratios) and well_err <= 1e-13
 
-    # Wronskian conservation.
-    u1, u2 = fundamental_pair(validate(SquareWell(v0=10.0, a=1.0)), 0.5)
-    wronskian_dev = float(np.max(np.abs(u1.psi * u2.dpsi - u1.dpsi * u2.psi - 1.0)))
+    # Wronskian conservation along the cell nodes of [-a, a].
+    states = cell_states(validate(SquareWell(v0=10.0, a=1.0)), 0.5, -1.0, 2048)
+    wronskian_dev = float(np.max(np.abs(np.linalg.det(states) - 1.0)))
 
     # Symmetry validation rejects antisymmetric data.
     x = np.linspace(-1.0, 1.0, 9)

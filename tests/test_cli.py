@@ -455,11 +455,13 @@ class TestCounterexample:
             ("--eps", "0"),
             ("--eps", "1e-300"),
             ("--eps", "1e-20"),
+            ("--eps", "1e-17"),
             ("--a", "1e-155", "--q", "1e152", "--single-bump"),
         ],
     )
     def test_pair_of_identical_tables_exits_three_with_one_line(self, capsys, args):
-        # These printed a report with separation 0 and exit 0.
+        # These printed a report with separation 0, or one rounding step
+        # of V, and exit 0.
         assert main(["counterexample", *args]) == 3
         written = capsys.readouterr()
         assert written.out == ""

@@ -21,7 +21,6 @@ from scatter1d.core import (
     Overflow,
     PreconditionViolated,
     ScatterError,
-    SingularSystem,
     TauTooSmall,
     TTooLarge,
     wavenumber_from_energy,
@@ -60,8 +59,7 @@ def test_every_error_is_a_scatter_error():
         NonFiniteSample,
         NonUniformGrid,
             Overflow,
-        SingularSystem,
-        ComplexWavefunction,
+            ComplexWavefunction,
         AllMasked,
         NodeCollision,
         IdenticalPotentials,

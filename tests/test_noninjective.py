@@ -8,6 +8,7 @@ import pytest
 
 import scatter1d.noninjective as noninjective
 import scatter1d.propagate as propagate
+from helpers import cell_states
 from scatter1d.core import (
     AllMasked,
     ComplexWavefunction,
@@ -26,7 +27,7 @@ from scatter1d.noninjective import (
     verify_same_smatrix,
 )
 from scatter1d.potential import Sampled, validate
-from scatter1d.propagate import SCAN_STEPS, integrate
+from scatter1d.propagate import SCAN_STEPS
 from scatter1d.smatrix import smatrix_via_transfer
 
 
@@ -198,16 +199,11 @@ class TestBuildCounterexample:
 
     def test_forward_solve_reproduces_the_wavefunction(self, pair):
         # Integrating the recovered baseline potential from the original
-        # initial data must return cos(q x) on the whole grid.
+        # initial data must return cos(q x) on every cell node.
         pot = pair.baseline
-        trace = integrate(
-            pot,
-            pair.energy,
-            psi0=float(np.cos(-pair.q * pair.a)),
-            dpsi0=float(-pair.q * np.sin(-pair.q * pair.a)),
-            steps=pot.x.size - 1,
-        )
-        assert np.max(np.abs(trace.psi - np.cos(pair.q * trace.grid))) < 1e-6
+        initial = [np.cos(-pair.q * pair.a), -pair.q * np.sin(-pair.q * pair.a)]
+        psi = (cell_states(pot, pair.energy, -pot.a, (pot.x.size - 1) // 2) @ initial)[:, 0]
+        assert np.max(np.abs(psi - np.cos(pair.q * pot.x[::2]))) < 1e-6
 
     def test_perturbed_value_at_origin(self, single_bump_pair):
         # psi(0) = 1 + eps and psi''(0) = -1 - 4 eps at q = a = 1, so
@@ -384,22 +380,26 @@ class TestBuildCounterexample:
             (1.0, 1e-300, 1.0, False),
             # The bump is nonzero, but below the rounding of E + psi''/psi.
             (1.0, 1e-20, 1.0, False),
+            # The tables differ by one rounding step of V at E = 1.
+            (1.0, 1e-17, 1.0, False),
             (1.0, 0.01, 1e-53, False),
             (1e152, 0.01, 1e-155, True),
         ],
     )
     def test_pair_of_identical_tables_is_refused(self, q, eps, a, single_bump):
-        # These pairs answered with separation 0 and max_entry_diff 0: one
-        # potential twice, which shows nothing about the S-matrix map.
+        # These pairs answered with separation 0, or one rounding step of V,
+        # and max_entry_diff 0: one potential twice, which shows nothing
+        # about the S-matrix map.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IdenticalPotentials, match="the two tables are the same"):
                 build_counterexample(q=q, eps=eps, a=a, single_bump=single_bump)
 
     def test_smallest_separations_still_answer(self):
-        # One rounding step of V at eps = 1e-17 is a pair, and it answers.
-        pair = build_counterexample(q=1.0, eps=1e-17, a=1.0)
-        assert pair.separation > 0.0
+        # At eps = 1e-15 the tables differ by 6.3e-14, far above the
+        # rounding of V at E = 1, and the pair answers.
+        pair = build_counterexample(q=1.0, eps=1e-15, a=1.0)
+        assert pair.separation > 1e-14
 
     def test_parameter_guards(self):
         with pytest.raises(PreconditionViolated):

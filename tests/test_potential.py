@@ -193,8 +193,10 @@ class TestLoadSampledCsv:
             ("0x10,1\n", "malformed CSV row: could not convert string to float: '0x10'"),
             ("1d5,1\n", "malformed CSV row: could not convert string to float: '1d5'"),
             ("1,\n", "malformed CSV row: could not convert string to float: ''"),
-            ("1,2,3\n", "every row must hold exactly two columns"),
-            ("1\n2\n", "every row must hold exactly two columns"),
+            ("1,2,3\n", "every row must hold exactly two columns; line 2 holds 3"),
+            ("1\n2\n", "every row must hold exactly two columns; line 2 holds 1"),
+            ("-1,0\n1\n", "every row must hold exactly two columns; line 3 holds 1"),
+            ("-1,0\n\n0,0,0\n", "every row must hold exactly two columns; line 4 holds 3"),
             ("\n \n", "every row must hold exactly two columns"),
         ],
     )
@@ -206,14 +208,14 @@ class TestLoadSampledCsv:
         assert str(refused.value) == message
 
     def test_a_row_of_another_length_is_refused_before_any_cell_is_read(self, tmp_path):
-        # All rows are cast at once, so a row of the wrong length is refused
-        # with numpy's shape message even when an earlier cell is not a
-        # number; read cell by cell, that cell was named instead.
+        # Row lengths are checked before the cells are cast, so a row of the
+        # wrong length is refused for its length even when an earlier cell
+        # is not a number.
         path = tmp_path / "bad.csv"
         path.write_text("x,V\noops,0.0\n1.0\n")
-        with pytest.raises(PreconditionViolated, match="^malformed CSV row: ") as refused:
+        with pytest.raises(PreconditionViolated) as refused:
             load_sampled_csv(path)
-        assert "oops" not in str(refused.value)
+        assert str(refused.value) == "every row must hold exactly two columns; line 3 holds 1"
 
     def test_rejects_asymmetric_endpoints(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,182 +1,207 @@
 """Magnus integration: accuracy, order, conservation, and guards."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import scatter1d.propagate as propagate
-from helpers import flat_barrier, smooth_order_errors
+from helpers import cell_states, flat_barrier, smooth_order_errors
 from scatter1d.core import NonPositiveEnergy, Overflow, PreconditionViolated
 from scatter1d.potential import Sampled, SquareWell, validate
-from scatter1d.propagate import SCAN_STEPS, fundamental_pair, integrate
+from scatter1d.propagate import SCAN_STEPS
+from scatter1d.smatrix import smatrix_via_transfer
 
 FREE = validate(SquareWell(v0=0.0, a=1.0))
 WELL = validate(SquareWell(v0=2.0, a=1.0))
 
 
-def test_free_plane_wave_reaches_exp_2i():
+def _well_map(l, a=1.0):
+    """The exact map (psi, psi')(0) -> (psi, psi')(a) where V - E = -l^2."""
+    c, s = math.cos(l * a), math.sin(l * a)
+    return np.array([[c, s / l], [-l * s, c]])
+
+
+def test_free_plane_wave_reaches_exp_ik():
     k = 1.0
-    trace = integrate(FREE, energy=k * k, psi0=complex(1.0), dpsi0=1j * k)
-    exact = np.exp(2j * k)
-    assert abs(trace.psi[-1] - exact) < 1e-8
-    assert abs(trace.dpsi[-1] - 1j * k * exact) < 1e-8
+    (m,) = propagate._endpoint_maps([FREE], [k * k], 4096)[0]
+    exact = np.exp(1j * k)
+    assert np.max(np.abs(m @ [1.0, 1j * k] - exact * np.array([1.0, 1j * k]))) < 1e-8
 
 
-def test_free_wave_matches_exponential_everywhere():
+def test_free_wave_matches_exponential_on_every_cell_node():
     k = 1.5
-    trace = integrate(FREE, energy=k * k, psi0=complex(1.0), dpsi0=1j * k)
-    exact = np.exp(1j * k * (trace.grid + 1.0))
-    assert np.max(np.abs(trace.psi - exact)) < 1e-8
-    assert np.max(np.abs(trace.dpsi - 1j * k * exact)) < 1e-8
+    states = cell_states(FREE, k * k, -1.0, 2048) @ [1.0, 1j * k]
+    exact = np.exp(1j * k * (np.linspace(-1.0, 1.0, 2049) + 1.0))
+    assert np.max(np.abs(states[:, 0] - exact)) < 1e-8
+    assert np.max(np.abs(states[:, 1] - 1j * k * exact)) < 1e-8
 
 
 def test_well_interior_cosine():
     # With (psi, psi')(-a) = (1, 0) the solution inside the well is
-    # cos(l (x + a)) where l^2 = E + v0.
+    # cos(l (x + a)) where l^2 = E + v0, on every cell node of [-a, a].
     l = np.sqrt(3.0)
-    trace = integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0)
-    assert abs(trace.psi[-1] - np.cos(2.0 * l)) < 1e-8
-    assert abs(trace.dpsi[-1] + l * np.sin(2.0 * l)) < 1e-8
+    x = np.linspace(-1.0, 1.0, 2049)
+    states = cell_states(WELL, 1.0, -1.0, 2048)[:, :, 0]
+    assert np.max(np.abs(states[:, 0] - np.cos(l * (x + 1.0)))) < 1e-8
+    assert np.max(np.abs(states[:, 1] + l * np.sin(l * (x + 1.0)))) < 1e-8
 
 
 def test_real_data_keeps_real_dtype():
-    trace = integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0)
-    assert not np.iscomplexobj(trace.psi)
-    trace_c = integrate(WELL, energy=1.0, psi0=complex(1.0), dpsi0=0.0)
-    assert np.iscomplexobj(trace_c.psi)
+    # A real V at real energies gives real maps; S alone is complex.
+    assert propagate._endpoint_maps([WELL], [1.0, 2.0], 4096).dtype == np.float64
+    assert cell_states(WELL, 1.0, -1.0, 64).dtype == np.float64
 
 
 def test_grid_endpoints_are_exact():
-    trace = integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0, steps=256)
-    assert trace.grid[0] == -1.0
-    assert trace.grid[-1] == 1.0
-    assert trace.grid.size == 257
-    assert trace.energy == 1.0
+    # The scan reads V on the 2 * cells + 1 nodes of [0, a], evenly spaced,
+    # the first exactly at x = 0 and the last exactly at x = a.
+    well = validate(SquareWell(v0=2.0, a=0.7))
+    grids = []
 
+    class Spy:
+        a = well.a
 
-def test_boundary_data_fields():
-    trace = integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0)
-    bd = trace.boundary_data()
-    assert bd.psi_left == complex(trace.psi[0])
-    assert bd.dpsi_right == complex(trace.dpsi[-1])
+        def __call__(self, x):
+            grids.append(x)
+            return well(x)
+
+    maps = propagate._endpoint_maps([Spy()], [1.0], 256)
+    np.testing.assert_array_equal(maps, propagate._endpoint_maps([well], [1.0], 256))
+    (grid,) = grids
+    assert grid.size == 2 * 64 + 1
+    assert grid[0] == 0.0
+    assert grid[-1] == 0.7
+    np.testing.assert_allclose(np.diff(grid), 0.7 / 128, rtol=1e-12)
 
 
 def test_linearity_of_the_propagation_map():
-    alpha = 0.7 - 0.2j
-    beta = 1.1 + 0.4j
-    t1 = integrate(WELL, energy=2.0, psi0=complex(1.0), dpsi0=complex(0.0), steps=512)
-    t2 = integrate(WELL, energy=2.0, psi0=complex(0.0), dpsi0=complex(1.0), steps=512)
-    tc = integrate(WELL, energy=2.0, psi0=alpha, dpsi0=beta, steps=512)
-    combo = alpha * t1.psi + beta * t2.psi
-    assert np.max(np.abs(tc.psi - combo)) < 1e-10
+    # For a symmetric V the cells of [-a, 0] mirror those of [0, a]: a
+    # mirrored cell has d -> -d, so its matrix is R M^-1 R with
+    # R = diag(1, -1).  The map of [-a, a], stepped cell by cell, is then
+    # the map M of [0, a] times R M^-1 R, where M^-1 = [[m22, -m12],
+    # [-m21, m11]] since det M = 1.
+    x = np.linspace(-1.0, 1.0, 257)
+    gaussian = validate(Sampled(a=1.0, x=x, v=-2.0 * np.exp(-8.0 * x * x)))
+    for pot in (WELL, validate(flat_barrier(25.0)), gaussian):
+        for energy in (0.5, 1.5, 9.0):
+            (m,) = propagate._endpoint_maps([pot], [energy], 4096)[0]
+            (m11, m12), (m21, m22) = m
+            full = cell_states(pot, energy, -pot.a, 2048)[-1]
+            mirror = m @ np.array([[m22, m12], [m21, m11]])
+            assert np.max(np.abs(full - mirror)) <= 1e-10 * np.max(np.abs(full))
 
 
 def test_wronskian_is_one_along_the_grid():
+    # Each cell matrix has determinant 1: along the cell nodes of [-a, a],
+    # and for the endpoint map of [0, a].
     for pot, energy in ((FREE, 1.0), (WELL, 1.0), (validate(SquareWell(10.0, 1.0)), 0.5)):
-        u1, u2 = fundamental_pair(pot, energy)
-        wronskian = u1.psi * u2.dpsi - u1.dpsi * u2.psi
-        assert np.max(np.abs(wronskian - 1.0)) < 1e-8
+        assert np.max(np.abs(np.linalg.det(cell_states(pot, energy, -1.0, 2048)) - 1.0)) < 1e-8
+        assert abs(np.linalg.det(propagate._endpoint_maps([pot], [energy], 4096)[0, 0]) - 1.0) < 1e-8
 
 
 def test_fourth_order_convergence():
     # Halving the step divides the endpoint error on a smooth V by about 16.
-    errs = smooth_order_errors((128, 256, 512))
+    errs = smooth_order_errors(propagate._endpoint_maps, (128, 256, 512))
     for coarse, fine in zip(errs, errs[1:]):
         ratio = coarse / fine
         assert 8.0 <= ratio <= 32.0, f"convergence ratio {ratio}"
     # Each Magnus step is the exact propagator where V is constant, so the
     # well leaves rounding only.
-    exact = np.cos(2.0 * np.sqrt(3.0))
     for steps in (128, 256, 512):
-        trace = integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0, steps=steps)
-        assert abs(trace.psi[-1] - exact) <= 1e-13
+        (m,) = propagate._endpoint_maps([WELL], [1.0], steps)[0]
+        assert np.max(np.abs(m - _well_map(math.sqrt(3.0)))) <= 1e-13
 
 
 @pytest.mark.parametrize("steps", [130, 194, 100, 2002])
 def test_step_counts_that_are_not_powers_of_two(steps):
-    # The prefix-product scan pairs cells of two steps up; odd cell counts
-    # leave one over at each level.
-    exact = np.cos(2.0 * np.sqrt(3.0))
-    u1, u2 = fundamental_pair(WELL, 1.0, steps=steps)
-    assert abs(u1.psi[-1] - exact) < 1e-7
-    wronskian = u1.psi * u2.dpsi - u1.dpsi * u2.psi
-    assert np.max(np.abs(wronskian - 1.0)) < 1e-5
+    # These cross [0, a] in 33, 49, 25 and 501 cells: the pairwise product
+    # leaves one cell over at some levels.
+    (m,) = propagate._endpoint_maps([WELL], [1.0], steps)[0]
+    assert np.max(np.abs(m - _well_map(math.sqrt(3.0)))) < 1e-7
+    assert abs(np.linalg.det(m) - 1.0) < 1e-5
+
+
+def _three_term_recurrence(m, psi0, dpsi0):
+    """psi on the nodes of the cells m (shape (cells, 2, 2)), from (psi0, dpsi0), carrying psi alone.
+
+    With y_{n+1} = M_n y_n and det M_n = 1, eliminating psi' gives
+    psi_{n+1} = a_n psi_n + (b_n / b_{n-1}) (d_{n-1} psi_n - psi_{n-1}).
+    """
+    psi = [psi0, m[0, 0, 0] * psi0 + m[0, 0, 1] * dpsi0]
+    for prev, cell in zip(m, m[1:]):
+        psi.append(cell[0, 0] * psi[-1] + cell[0, 1] / prev[0, 1] * (prev[1, 1] * psi[-1] - psi[-2]))
+    return np.array(psi)
 
 
 @pytest.mark.parametrize("psi0,dpsi0", [(1.0, 0.0), (0.0, 1.0), (0.3, -1.2)])
 def test_scan_matches_the_three_term_recurrence(psi0, dpsi0):
-    # The reference steps the state (psi, psi') from node to node in a
-    # Python loop, by the same cell and half-cell matrices; the loop's
-    # rounding grows with the number of cells.
+    # The oracle's psi on every cell node of [-a, a], and psi(a) of the
+    # map of [0, a] applied to (psi0, dpsi0), against the recurrence over
+    # the same cells; both roundings grow with the number of cells.
     steps = 1000
     x = np.linspace(-1.0, 1.0, 257)
     pot = validate(Sampled(a=1.0, x=x, v=-2.0 * np.exp(-8.0 * x * x)))
-    trace = integrate(pot, energy=1.5, psi0=psi0, dpsi0=dpsi0, steps=steps)
-    _, cells, halves = propagate._nodes(pot, -pot.a, steps // 2)
     energies = np.array([1.5])
-    m = propagate._cell_matrices(cells, energies)[:, 0].T.reshape(-1, 2, 2)
-    half = propagate._cell_matrices(halves, energies)[:, 0].T.reshape(-1, 2, 2)
-    state = np.array([psi0, dpsi0])
-    reference = [state]
-    for cell, first_half in zip(m, half):
-        reference += [first_half @ state, cell @ state]
-        state = reference[-1]
-    reference = np.array(reference)
-    assert np.max(np.abs(trace.psi - reference[:, 0])) < steps * np.finfo(float).eps
-    assert np.max(np.abs(trace.dpsi - reference[:, 1])) < steps * np.finfo(float).eps
+    for start, cells in ((-1.0, steps // 2), (0.0, -(-steps // 4))):
+        m = propagate._cell_matrices(propagate._cells([pot], start, cells), energies)[:, 0].T.reshape(-1, 2, 2)
+        reference = _three_term_recurrence(m, psi0, dpsi0)
+        states = cell_states(pot, 1.5, start, cells) @ [psi0, dpsi0]
+        assert np.max(np.abs(states[:, 0] - reference)) < steps * np.finfo(float).eps
+    (m,) = propagate._endpoint_maps([pot], [1.5], steps)[0]
+    assert abs((m @ [psi0, dpsi0])[0] - reference[-1]) < steps * np.finfo(float).eps
 
 
 def test_smooth_sampled_matches_well():
     # A sampled tabulation of the well reproduces the analytic interior.
     x = np.linspace(-1.0, 1.0, 513)
     pot = validate(Sampled(a=1.0, x=x, v=np.full(513, -2.0)))
-    trace = integrate(pot, energy=1.0, psi0=1.0, dpsi0=0.0)
-    assert abs(trace.psi[-1] - np.cos(2.0 * np.sqrt(3.0))) < 1e-8
+    (m,) = propagate._endpoint_maps([pot], [1.0], 4096)[0]
+    assert np.max(np.abs(m - _well_map(math.sqrt(3.0)))) < 1e-8
 
 
 def test_overflow_in_a_deep_forbidden_region():
-    n = 257
-    x = np.linspace(-1.0, 1.0, n)
-    barrier = validate(Sampled(a=1.0, x=x, v=np.full(n, 4.0e4)))
-    with pytest.raises(Overflow):
-        integrate(barrier, energy=1.0, psi0=1.0, dpsi0=0.0)
+    # psi(a) = cosh(sqrt(V - E) a) = 2.347e274 is finite here, but past
+    # MAX_MAGNITUDE.
+    with pytest.raises(Overflow, match=r"wavefunction magnitude 2\.347e\+274 exceeds 1e\+150"):
+        smatrix_via_transfer(validate(flat_barrier(4.0e5)), 1.0)
 
 
-def test_overflow_message_and_no_numpy_warnings():
-    # The scan overflows to inf and nan on this barrier; numpy must not warn.
-    n = 257
-    x = np.linspace(-1.0, 1.0, n)
-    barrier = validate(Sampled(a=1.0, x=x, v=np.full(n, 1.0e6)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(Overflow, match=r"exceeds 1e\+150; the energy is too deep"):
-            integrate(barrier, energy=1.0, psi0=1.0, dpsi0=0.0)
+def test_overflow_check_reads_x_equals_a(monkeypatch):
+    # The odd solution sin(l x) / l of this well peaks inside [0, a].  With
+    # the limit between |psi(a)| and that peak, the endpoint maps, which
+    # check only x = a, answer; with the limit below |psi(a)|, they refuse.
+    pot = validate(SquareWell(v0=0.45, a=2.0))
+    psi = cell_states(pot, 0.5, 0.0, 17)[:, 0]
+    (m,) = propagate._endpoint_maps([pot], [0.5], 66)[0]
+    edge, inside = np.max(np.abs(m[0])), np.max(np.abs(psi))
+    assert inside > edge
+    monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * (edge + inside))
+    np.testing.assert_array_equal(propagate._endpoint_maps([pot], [0.5], 66)[0, 0], m)
+    monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * edge)
+    with pytest.raises(Overflow, match="too deep in a classically forbidden region"):
+        propagate._endpoint_maps([pot], [0.5], 66)
 
 
 def test_moderate_barrier_tunnels_without_overflow():
-    n = 257
-    x = np.linspace(-1.0, 1.0, n)
-    barrier = validate(Sampled(a=1.0, x=x, v=np.full(n, 25.0)))
-    trace = integrate(barrier, energy=1.0, psi0=1.0, dpsi0=0.0)
-    assert np.all(np.isfinite(trace.psi))
+    maps = propagate._endpoint_maps([validate(flat_barrier(25.0))], [1.0], 4096)
+    assert np.all(np.isfinite(maps))
 
 
 def test_guards():
-    with pytest.raises(PreconditionViolated):
-        integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0, steps=32)
+    with pytest.raises(PreconditionViolated, match="got 32"):
+        smatrix_via_transfer(WELL, 1.0, steps=32)
     with pytest.raises(NonPositiveEnergy):
-        integrate(WELL, energy=0.0, psi0=1.0, dpsi0=0.0)
+        smatrix_via_transfer(WELL, 0.0)
     with pytest.raises(NonPositiveEnergy):
-        integrate(WELL, energy=-1.0, psi0=1.0, dpsi0=0.0)
+        smatrix_via_transfer(WELL, -1.0)
 
 
 def test_steps_beyond_one_scan_are_refused():
     # Only the refusal is exercised: a huge step count would allocate GBs.
     with pytest.raises(PreconditionViolated, match=str(SCAN_STEPS)):
-        integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0, steps=SCAN_STEPS + 1)
-    with pytest.raises(PreconditionViolated):
+        smatrix_via_transfer(WELL, 1.0, steps=SCAN_STEPS + 2)
+    with pytest.raises(PreconditionViolated, match=str(SCAN_STEPS)):
         propagate._endpoint_maps([WELL], [1.0], SCAN_STEPS + 1)
     with pytest.raises(PreconditionViolated):
         propagate._endpoint_maps([WELL], [1.0], 0)
@@ -186,7 +211,7 @@ def test_odd_step_counts_are_refused():
     # A cell spans two steps.
     for steps in (65, 4095):
         with pytest.raises(PreconditionViolated, match=f"be even, got {steps}"):
-            integrate(WELL, energy=1.0, psi0=1.0, dpsi0=0.0, steps=steps)
+            smatrix_via_transfer(WELL, 1.0, steps=steps)
         with pytest.raises(PreconditionViolated, match="even"):
             propagate._endpoint_maps([WELL], [1.0], steps)
 
@@ -209,29 +234,12 @@ def test_energy_past_the_former_numerov_edge_keeps_the_closed_form():
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_energy_is_refused(bad):
     with pytest.raises(PreconditionViolated, match="energy must be finite"):
-        integrate(WELL, energy=bad, psi0=1.0, dpsi0=0.0)
+        smatrix_via_transfer(WELL, bad)
 
 
-def _half_scan(pot, energies, steps):
-    """Cell matrices, half-cell Omega parts and energies of the [0, a] scan that _endpoint_maps takes."""
-    _, cells, halves = propagate._nodes(pot, 0.0, -(-steps // 4))
-    energies = np.asarray(energies, dtype=float)
-    return propagate._cell_matrices(cells, energies), halves, energies
-
-
-def _half_traces(pot, energies, steps):
-    """psi and dpsi of the even and odd solutions on [0, a]."""
-    return propagate._traces(*_half_scan(pot, energies, steps))
-
-
-def _full_scan_endpoints(pot, energies, steps):
-    """Maps (psi, psi')(0) -> (psi, psi')(a) from the half-interval traces' last node, block by block."""
-    maps = []
-    block = SCAN_STEPS // steps
-    for start in range(0, len(energies), block):
-        psi, dpsi = _half_traces(pot, energies[start : start + block], steps)
-        maps.append(np.stack([psi[..., -1], dpsi[..., -1]]).transpose(2, 0, 1))
-    return np.concatenate(maps)
+def _sequential_maps(pot, energies, steps):
+    """Maps (psi, psi')(0) -> (psi, psi')(a) on the cells of _endpoint_maps, by sequential products."""
+    return np.array([cell_states(pot, energy, 0.0, -(-steps // 4))[-1] for energy in energies])
 
 
 def _random_gaussian(seed):
@@ -258,60 +266,49 @@ def test_mul_keeps_the_bits_of_the_entry_formula(rows, length):
     # Entries spread over many binades, none zero, so that any change of
     # rounding shows in the bits.
     m = rng.normal(size=shape) * np.exp(rng.normal(scale=10.0, size=shape))
-    half = (length - 1) // 2
     operands = [
         (m[..., 1::2], m[..., :-1:2]),  # the adjacent pairs of _pairs
-        (m[..., 2::2], m[..., 1::2][..., :half]),  # the even prefixes of _prefixes
         (np.ascontiguousarray(m[..., -1]), m[..., 0]),  # a set-aside matrix of _product
     ]
     for left, right in operands:
         expected = _mul_by_entries(left, right, np.empty(left.shape))
         got = propagate._mul(left, right, np.empty(left.shape))
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
-        # Written into every other column of a larger stack, as _prefixes does.
-        expected, got = np.zeros((2, *left.shape[:-1], 2 * left.shape[-1] + 1))
-        _mul_by_entries(left, right, expected[..., 2::2])
-        propagate._mul(left, right, got[..., 2::2])
-        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-def test_product_equals_the_last_prefix_bit_for_bit():
-    rng = np.random.default_rng(3)
-    for length in list(range(1, 41)) + [64, 127, 1000, 1024]:
-        m = rng.normal(size=(4, 3, length))
-        np.testing.assert_array_equal(
-            propagate._product(m), propagate._prefixes(m)[..., -1], err_msg=str(length)
-        )
-
-
-def test_prefixes_match_sequential_products():
+def test_product_matches_sequential_products():
     rng = np.random.default_rng(4)
-    for length in (1, 2, 3, 7, 64, 129):
+    for length in list(range(1, 41)) + [64, 127, 129, 1000, 1024]:
         # Near-identity factors keep the products of order one.
         m = np.eye(2).reshape(4, 1, 1) + 0.1 * rng.normal(size=(4, 3, length))
-        p = propagate._prefixes(m)
         product = np.broadcast_to(np.eye(2), (3, 2, 2))
         for k in range(length):
             product = m[:, :, k].T.reshape(3, 2, 2) @ product
-            expected = product.reshape(3, 4).T
-            scale = np.max(np.abs(expected))
-            np.testing.assert_allclose(p[:, :, k], expected, rtol=0, atol=1e-12 * scale)
+        expected = product.reshape(3, 4).T
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(propagate._product(m), expected, rtol=0, atol=1e-12 * scale, err_msg=str(length))
 
 
-@pytest.mark.parametrize("steps", [64, 130, 134, 254, 4096])
-def test_endpoint_maps_equal_the_full_scan_bit_for_bit(steps):
+@pytest.mark.parametrize("steps", [64, 130, 134, 254, 1000, 4096])
+def test_endpoint_maps_match_sequential_products(steps):
+    # The reference steps the state (psi, psi') from node to node in a
+    # Python loop, by the same cell matrices; the loop's rounding grows
+    # with the number of cells.
     pot, rng = _random_gaussian(steps)
     energies = list(rng.uniform(0.1, 30.0, 5))
     maps = propagate._endpoint_maps([pot], energies, steps)[0]
-    np.testing.assert_array_equal(maps, _full_scan_endpoints(pot, energies, steps))
+    expected = _sequential_maps(pot, energies, steps)
+    scale = np.max(np.abs(expected), axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(maps - expected) <= steps * np.finfo(float).eps * scale)
 
 
 def test_endpoint_maps_across_scan_blocks():
-    # 70 energies at 4096 steps fill two scans of 32 and part of a third.
+    # 70 energies at 4096 steps fill two scans of 32 and part of a third;
+    # each row keeps the bits of a scan of its own.
     pot, rng = _random_gaussian(7)
     energies = list(rng.uniform(0.1, 30.0, 70))
     maps = propagate._endpoint_maps([pot], energies, 4096)[0]
-    np.testing.assert_array_equal(maps, _full_scan_endpoints(pot, energies, 4096))
+    np.testing.assert_array_equal(maps, [propagate._endpoint_maps([pot], [e], 4096)[0, 0] for e in energies])
 
 
 @pytest.mark.parametrize("steps", [SCAN_STEPS // 16, SCAN_STEPS // 4, SCAN_STEPS])
@@ -341,20 +338,11 @@ def test_potentials_scanned_together_share_one_support():
         propagate._endpoint_maps([WELL, validate(SquareWell(v0=2.0, a=2.0))], [1.0], 4096)
 
 
-@pytest.mark.parametrize(
-    "height, path",
-    [
-        # The cases an a-priori growth bound once split: at V = 100 it took
-        # only the last prefix ("tail"), at V = 900 it fell back to the full
-        # traces ("full").  Both now take the one product of the 1024 cells,
-        # and the maps keep their bits.
-        (100.0, "tail"),
-        (900.0, "full"),
-    ],
-)
-def test_growth_bound_picks_the_path_without_changing_the_maps(monkeypatch, height, path):
+@pytest.mark.parametrize("height", [100.0, 900.0])
+def test_endpoint_maps_take_one_product_of_the_cells(monkeypatch, height):
+    # Whatever the growth across the barrier, the scan forms one product
+    # of the 1024 cells of [0, a], which matches the sequential one.
     barrier = validate(flat_barrier(height))
-    expected = _full_scan_endpoints(barrier, [1.0, 2.0], 4096)
     lengths = []
     product = propagate._product
 
@@ -362,74 +350,31 @@ def test_growth_bound_picks_the_path_without_changing_the_maps(monkeypatch, heig
         lengths.append(m.shape[-1])
         return product(m)
 
-    def forbidden(*args):
-        raise AssertionError("the endpoint maps formed a full scan")
-
     monkeypatch.setattr(propagate, "_product", spy)
-    monkeypatch.setattr(propagate, "_prefixes", forbidden)
-    monkeypatch.setattr(propagate, "_traces", forbidden)
-    np.testing.assert_array_equal(propagate._endpoint_maps([barrier], [1.0, 2.0], 4096)[0], expected)
+    maps = propagate._endpoint_maps([barrier], [1.0, 2.0], 4096)[0]
     assert lengths == [1024]
+    expected = _sequential_maps(barrier, [1.0, 2.0], 4096)
+    assert np.all(np.abs(maps - expected) <= 1e-12 * np.max(np.abs(expected), axis=(1, 2), keepdims=True))
 
 
-def test_endpoint_maps_on_barriers_are_the_last_node_or_refused(monkeypatch):
+def test_endpoint_maps_on_barriers_are_the_product_or_refused():
     # Tall barriers grow the odd and even solutions like e^{a sqrt(V - E)}.
-    # Up to MAX_MAGNITUDE at x = a, the map is the last node of the [0, a]
-    # traces, whatever the nodes inside; past it, the map is refused.  Any
-    # full scan the endpoint maps formed would fail the test.
-
-    def forbidden(*args):
-        raise AssertionError("the endpoint maps formed a full scan")
-
+    # Up to MAX_MAGNITUDE at x = a, the map is the product of the [0, a]
+    # cells; past it, the map is refused.
     answered = refused = 0
     for height in (100.0, 400.0, 900.0, 1e4, 1e5):
         for a in (0.5, 1.0, 2.0):
             barrier = validate(flat_barrier(height, a))
             for steps in (66, 1026, 4096):
-                m, _, _ = _half_scan(barrier, [1.0, 2.0], steps)
+                omega = propagate._cells([barrier], 0.0, -(-steps // 4))
                 with np.errstate(all="ignore"):
-                    last = propagate._prefixes(m)[..., -1]
-                with monkeypatch.context() as patch:
-                    patch.setattr(propagate, "_prefixes", forbidden)
-                    patch.setattr(propagate, "_traces", forbidden)
-                    if np.all(np.isfinite(last)) and np.max(np.abs(last[:2])) <= propagate.MAX_MAGNITUDE:
-                        maps = propagate._endpoint_maps([barrier], [1.0, 2.0], steps)[0]
-                        np.testing.assert_array_equal(maps, last.T.reshape(-1, 2, 2))
-                        answered += 1
-                    else:
-                        with pytest.raises(Overflow):
-                            propagate._endpoint_maps([barrier], [1.0, 2.0], steps)
-                        refused += 1
+                    last = propagate._product(propagate._cell_matrices(omega, np.array([1.0, 2.0])))
+                if np.all(np.isfinite(last)) and np.max(np.abs(last[:2])) <= propagate.MAX_MAGNITUDE:
+                    maps = propagate._endpoint_maps([barrier], [1.0, 2.0], steps)[0]
+                    np.testing.assert_array_equal(maps, last.T.reshape(-1, 2, 2))
+                    answered += 1
+                else:
+                    with pytest.raises(Overflow):
+                        propagate._endpoint_maps([barrier], [1.0, 2.0], steps)
+                    refused += 1
     assert answered and refused
-
-
-def _peaks(psi):
-    """Largest |psi| on the cell nodes, and on every node."""
-    return np.max(np.abs(psi[..., ::2])), np.max(np.abs(psi))
-
-
-def test_overflow_check_reads_the_midpoints(monkeypatch):
-    # Here the second solution, sin(l (x + a)) / l on [-a, a] and sin(l x) / l
-    # on [0, a], peaks at a midpoint of both grids.  With the limit between
-    # its largest cell-node and midpoint values, the traces refuse, while
-    # the endpoint maps, which check only x = a, return the traces' last
-    # node.  With the limit below |psi(a)|, the endpoint maps refuse too.
-    pot = validate(SquareWell(v0=0.45, a=2.0))
-    _, psi, _ = propagate._fundamental_traces(pot, [0.5], 66)
-    nodes, everywhere = _peaks(psi)
-    assert everywhere > nodes
-    monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * (nodes + everywhere))
-    with pytest.raises(Overflow):
-        propagate._fundamental_traces(pot, [0.5], 66)
-    monkeypatch.undo()
-    psi, dpsi = _half_traces(pot, [0.5], 66)
-    nodes, everywhere = _peaks(psi)
-    assert everywhere > nodes
-    monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * (nodes + everywhere))
-    with pytest.raises(Overflow):
-        propagate._traces(*_half_scan(pot, [0.5], 66))
-    (m,) = propagate._endpoint_maps([pot], [0.5], 66)[0]
-    np.testing.assert_array_equal(m, [psi[:, 0, -1], dpsi[:, 0, -1]])
-    monkeypatch.setattr(propagate, "MAX_MAGNITUDE", 0.5 * np.max(np.abs(psi[..., -1])))
-    with pytest.raises(Overflow, match="too deep in a classically forbidden region"):
-        propagate._endpoint_maps([pot], [0.5], 66)

@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 import scatter1d.propagate as propagate
-from helpers import analytic_square_barrier, flat_barrier
-from scatter1d.core import NonPositiveEnergy, Overflow, PreconditionViolated, SingularSystem
+from helpers import (
+    SingularQuads,
+    amplitude_route,
+    amplitudes,
+    analytic_square_barrier,
+    cell_states,
+    flat_barrier,
+    smatrix_from_quads,
+)
+from scatter1d.core import NonPositiveEnergy, Overflow, PreconditionViolated
 from scatter1d.potential import Sampled, SquareWell, validate
-from scatter1d.propagate import BoundaryData, fundamental_pair, integrate
 from scatter1d.smatrix import (
-    AmplitudeQuad,
-    amplitudes_from_boundary,
     analytic_delta,
     analytic_square_well,
     delta_as_well_limit,
     _smatrices,
-    smatrix_from_amplitudes,
     smatrix_via_transfer,
     unitarity_residuals,
 )
@@ -29,14 +33,6 @@ FREE_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 def gaussian_pot():
     x = np.linspace(-1.0, 1.0, 257)
     return validate(Sampled(a=1.0, x=x, v=-2.0 * np.exp(-8.0 * x * x)))
-
-
-def quads_from_pair(pot, energy, steps=4096):
-    k = np.sqrt(energy)
-    u1, u2 = fundamental_pair(pot, energy, steps=steps)
-    return [
-        amplitudes_from_boundary(u.boundary_data(), float(k), pot.a) for u in (u1, u2)
-    ]
 
 
 class TestFreeAndAnalytic:
@@ -103,44 +99,6 @@ class TestFreeAndAnalytic:
         assert s.a == 1.5
 
 
-class TestAmplitudes:
-    def test_right_moving_plane_wave(self):
-        k, a = 1.3, 1.0
-        bd = BoundaryData(
-            psi_left=np.exp(-1j * k * a),
-            dpsi_left=1j * k * np.exp(-1j * k * a),
-            psi_right=np.exp(1j * k * a),
-            dpsi_right=1j * k * np.exp(1j * k * a),
-        )
-        q = amplitudes_from_boundary(bd, k, a)
-        assert abs(q.in_left - 1.0) < 1e-14
-        assert abs(q.out_left) < 1e-14
-        assert abs(q.out_right - 1.0) < 1e-14
-        assert abs(q.in_right) < 1e-14
-
-    def test_standing_cosine_splits_evenly(self):
-        k, a = 0.8, 1.0
-        bd = BoundaryData(
-            psi_left=np.cos(k * a),
-            dpsi_left=k * np.sin(k * a),
-            psi_right=np.cos(k * a),
-            dpsi_right=-k * np.sin(k * a),
-        )
-        q = amplitudes_from_boundary(bd, k, a)
-        for val in (q.in_left, q.out_left, q.out_right, q.in_right):
-            assert abs(val - 0.5) < 1e-14
-
-    def test_guards(self):
-        bd = BoundaryData(1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(PreconditionViolated):
-            amplitudes_from_boundary(bd, 0.0, 1.0)
-        with pytest.raises(PreconditionViolated):
-            amplitudes_from_boundary(bd, 1.0, 0.0)
-        for k, a in ((np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf)):
-            with pytest.raises(PreconditionViolated, match="must be finite"):
-                amplitudes_from_boundary(bd, k, a)
-
-
 class TestTransferRoute:
     @pytest.mark.parametrize("v0,energy", [(0.5, 0.25), (2.0, 1.0), (10.0, 4.0)])
     def test_unit_determinant(self, v0, energy):
@@ -160,51 +118,62 @@ class TestTransferRoute:
         assert s.unitarity_residual() <= 1e-12
 
 
+class TestAmplitudes:
+    # The read-off of the amplitude oracle, (A, B, C, D) = (in_left,
+    # out_left, out_right, in_right).
+    def test_right_moving_plane_wave(self):
+        k, a = 1.3, 1.0
+        left = (np.exp(-1j * k * a), 1j * k * np.exp(-1j * k * a))
+        right = (np.exp(1j * k * a), 1j * k * np.exp(1j * k * a))
+        in_left, out_left, out_right, in_right = amplitudes(left, right, k, a)
+        assert abs(in_left - 1.0) < 1e-14
+        assert abs(out_left) < 1e-14
+        assert abs(out_right - 1.0) < 1e-14
+        assert abs(in_right) < 1e-14
+
+    def test_standing_cosine_splits_evenly(self):
+        k, a = 0.8, 1.0
+        left = (np.cos(k * a), k * np.sin(k * a))
+        right = (np.cos(k * a), -k * np.sin(k * a))
+        for val in amplitudes(left, right, k, a):
+            assert abs(val - 0.5) < 1e-14
+
+
 class TestAmplitudeRoute:
     def test_two_quad_route_matches_transfer(self):
         for v0, a, energy in ((0.5, 1.0, 0.25), (2.0, 0.7, 1.0), (10.0, 1.3, 4.0)):
             pot = validate(SquareWell(v0=v0, a=a))
             s_t = smatrix_via_transfer(pot, energy)
-            s_q = smatrix_from_amplitudes(
-                quads_from_pair(pot, energy), float(np.sqrt(energy)), a
-            )
-            assert np.max(np.abs(s_t.as_matrix() - s_q.as_matrix())) < 1e-10
+            assert np.max(np.abs(s_t.as_matrix() - amplitude_route(pot, energy).as_matrix())) < 1e-10
 
     def test_single_generic_quad_suffices(self):
         # A complex left-incident solution has |A| != |D| and pins S alone.
         pot = validate(SquareWell(v0=2.0, a=1.0))
         energy = 1.0
         k = 1.0
-        trace = integrate(pot, energy, psi0=complex(1.0), dpsi0=1j * k)
-        quad = amplitudes_from_boundary(trace.boundary_data(), k, pot.a)
-        s_q = smatrix_from_amplitudes(quad, k, pot.a)
+        states = cell_states(pot, energy, -pot.a, 2048) @ [1.0, 1j * k]
+        s_q = smatrix_from_quads([amplitudes(states[0], states[-1], k, pot.a)], k, pot.a)
         s_t = smatrix_via_transfer(pot, energy)
         assert np.max(np.abs(s_t.as_matrix() - s_q.as_matrix())) < 1e-9
+
 
     def test_singular_exactly_at_parity_degeneracy(self):
         # The single-quad system is singular iff |A^2 - D^2| falls below
         # 1e-12 (|A|^2 + |D|^2).
         def build(in_left, in_right):
-            return AmplitudeQuad(
-                in_left=in_left, out_left=0.3, out_right=0.7, in_right=in_right
-            )
+            return [(in_left, 0.3, 0.7, in_right)]
 
-        with pytest.raises(SingularSystem):
-            smatrix_from_amplitudes(build(1.0, 1.0), 1.0, 1.0)
-        with pytest.raises(SingularSystem):
-            smatrix_from_amplitudes(build(1.0, -1.0), 1.0, 1.0)
+        with pytest.raises(SingularQuads):
+            smatrix_from_quads(build(1.0, 1.0), 1.0, 1.0)
+        with pytest.raises(SingularQuads):
+            smatrix_from_quads(build(1.0, -1.0), 1.0, 1.0)
         # |A^2 - D^2| ~ 6e-13 below the 2e-12 threshold: still singular.
-        with pytest.raises(SingularSystem):
-            smatrix_from_amplitudes(build(1.0, 1.0 + 3e-13), 1.0, 1.0)
+        with pytest.raises(SingularQuads):
+            smatrix_from_quads(build(1.0, 1.0 + 3e-13), 1.0, 1.0)
         # |A^2 - D^2| ~ 6e-12 above the threshold: solvable.
-        smatrix_from_amplitudes(build(1.0, 1.0 + 3e-12), 1.0, 1.0)
+        smatrix_from_quads(build(1.0, 1.0 + 3e-12), 1.0, 1.0)
         # Equal moduli with A^2 != D^2 is not degenerate.
-        smatrix_from_amplitudes(build(1.0, 1.0j), 1.0, 1.0)
-
-    def test_quad_count_guard(self):
-        q = AmplitudeQuad(1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(PreconditionViolated):
-            smatrix_from_amplitudes([q, q, q], 1.0, 1.0)
+        smatrix_from_quads(build(1.0, 1.0j), 1.0, 1.0)
 
 
 class TestDelta:
@@ -290,7 +259,7 @@ class TestEnergyBatch:
         barrier = validate(flat_barrier(1.0e6))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(Overflow, match="too deep in a classically forbidden region"):
+            with pytest.raises(Overflow, match=r"exceeds 1e\+150; the energy is too deep in a classically forbidden region"):
                 smatrix_via_transfer(barrier, [1.0, 2.0])
 
 
