@@ -10,12 +10,13 @@ re-exports nothing, so importing one module loads only what it uses.
 - ``scatter1d.propagate``: fourth-order Magnus propagation of
   (psi, psi') across the support.
 - ``scatter1d.smatrix``: S-matrices from the even and odd solutions on
-  [0, a], amplitude-quad solves, and closed forms for the square well
-  and the point interaction.
+  [0, a], and closed forms for the square well and the point
+  interaction.
 - ``scatter1d.noninjective``: the fixed-energy two-potentials-one-S-matrix
   counterexample and stencil recovery of V from a sampled wave.
-- ``scatter1d.spectral``: sine-kernel Fredholm determinants, their
-  large-interval asymptotics, reconstructed potentials and phase shifts.
+- ``scatter1d.spectral``: sine-kernel Fredholm determinants of both
+  parity channels, their large-interval asymptotics, reconstructed
+  potentials and phase shifts.
 - ``scatter1d.szego``: arc-symbol Toeplitz determinants and the Szego
   cross-check.
 - ``scatter1d.cli``: the ``scatter1d`` command.

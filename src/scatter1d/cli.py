@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .core import PreconditionViolated, ScatterError
-from .noninjective import build_counterexample, recover_potential
+from .noninjective import DEFAULT_NODE_TOL, build_counterexample, recover_potential
 from .potential import SquareWell, load_sampled_csv, load_trace_csv, validate
 from .propagate import check_steps
 from .smatrix import analytic_delta, smatrix_via_transfer, unitarity_residuals
@@ -368,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     rc = sub.add_parser("recover", help="pointwise potential recovery from a wavefunction trace")
     rc.add_argument("--trace", required=True, metavar="FILE", help="CSV file with header x,psi")
     rc.add_argument("--energy", type=_finite, required=True, help="energy of the trace")
-    rc.add_argument("--node-tol", type=_finite, default=1e-6, help="relative node mask threshold (default 1e-6)")
+    rc.add_argument("--node-tol", type=_finite, default=DEFAULT_NODE_TOL,
+                    help=f"relative node mask threshold (default {DEFAULT_NODE_TOL:g})")
     rc.add_argument("--format", choices=("json", "csv"), default="csv")
     rc.add_argument("--out", default=None, help="output path (default standard output)")
     rc.set_defaults(func=cmd_recover)

@@ -147,19 +147,19 @@ def validate(spec: PotentialSpec) -> EvaluatedPotential:
 def _read_two_columns(path, header: str) -> tuple[np.ndarray, np.ndarray]:
     """Both columns of a two-column CSV file that starts with ``header``.
 
-    A row of another length is refused, with its line number, before any
-    cell is read, and so is a file with no rows.
+    A file with no data rows is refused, and so is a row of another
+    length, with its line number, before any cell is read.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if first != header:
             raise PreconditionViolated(f"expected header {header!r}, got {first!r}")
         rows = [(number, line.split(",")) for number, line in enumerate(map(str.strip, fh), 2) if line]
+    if not rows:
+        raise PreconditionViolated(f"the file holds no data rows after its header {header!r}")
     for number, row in rows:
         if len(row) != 2:
             raise PreconditionViolated(f"every row must hold exactly two columns; line {number} holds {len(row)}")
-    if not rows:
-        raise PreconditionViolated("every row must hold exactly two columns")
     try:
         data = np.array([row for _, row in rows], dtype=float)  # numpy's cast reads each cell as float() does
     except ValueError as exc:

@@ -7,10 +7,12 @@ splits into even and odd channels on [0, pi t]:
 
 Everything here derives from the eigenvalues of those two kernels:
 
-* ``fredholm_log_det`` gives log det(1 - K_pm) = sum log(1 - lambda_n),
+* ``fredholm_log_dets`` gives log det(1 - K_pm) = sum log(1 - lambda_n)
+  for both channels at once,
 * ``asymptotic_log_det`` gives the large-interval closed form,
-* ``gelfand_levitan_potential`` reconstructs the comparison potentials
-  W_pm(tau) = -2 (d/dtau)^2 log F_pm - 1 on tau = pi t,
+* ``fredholm_report`` sweeps both channels over a t grid and reconstructs
+  the comparison potentials W_pm(tau) = -2 (d/dtau)^2 log F_pm - 1 on
+  tau = pi t,
 * ``phase_shift`` / ``jost_forms`` give the exact scattering data of the
   limiting -1/(4 tau^2)-type potentials,
 * ``marchenko_residual`` measures how far the determinant is from its
@@ -20,14 +22,15 @@ Every eigenvalue comes from one Nystrom table per t: the QUAD_ORDER
 Gauss-Legendre nodes x_i and weights w_i on [0, pi t], sqrt(w_i), and the
 matrices sinc(x_i - x_j) and sinc(x_i + x_j).  The order is fixed: it has
 converged for every t up to T_MAX, and a higher one only adds rounding.
-Both channels' kernels are formed from the same table, so
-``sine_kernel_spectrum`` and ``fredholm_report`` (at each t of its grid)
-and szego's cross-check build one table per t for the two channels, while
-``fredholm_log_det``, and through it ``gelfand_levitan_potential`` and
-``marchenko_residual``, build one for the channel they ask for.  The log
-det of a channel is sum log1p(-lambda) over its eigenvalues, and one
-large-tau (Widom) form backs both ``asymptotic_log_det`` and the Marchenko
-replacement.
+Both channels' kernels are formed from the same table.
+``sine_kernel_spectrum`` builds it for both channels, and
+``fredholm_log_dets``, ``fredholm_report`` (at each t of its grid) and
+szego's cross-check read their log dets off that spectrum;
+``marchenko_residual`` builds one for the channel it asks for.  The log
+det of a channel is sum log1p(-lambda) over its eigenvalues, so a pair
+refuses as soon as either channel does (the even one, from t = 5.3 on).
+One large-tau (Widom) form backs both ``asymptotic_log_det`` and the
+Marchenko replacement.
 
 Convention: the upper sign is the even channel throughout, i.e. F_plus and
 W_plus pair with the eigenvalues lambda_0, lambda_2, ... of K_plus.
@@ -175,44 +178,43 @@ def _log_det(eigs: np.ndarray, t: float) -> float:
 
 @dataclass
 class SineKernelSpectrum:
-    """Both parity spectra at one t, plus their interleaved merge.
+    """Both parity spectra at one t.
 
-    merged[2j] is even_eigs[j] and merged[2j+1] is odd_eigs[j]; the merged
-    sequence is descending up to quadrature error.
+    merged interleaves them: merged[2j] is even_eigs[j] and merged[2j+1]
+    is odd_eigs[j], a sequence descending up to quadrature error.
     """
 
     t: float
     even_eigs: np.ndarray
     odd_eigs: np.ndarray
-    merged: np.ndarray
+
+    @property
+    def merged(self) -> np.ndarray:
+        return np.stack((self.even_eigs, self.odd_eigs), axis=1).ravel()
 
 
 def sine_kernel_spectrum(t: float) -> SineKernelSpectrum:
-    """Even and odd spectra of the sine kernel at one t, and their merge."""
+    """Even and odd spectra of the sine kernel at one t, from one table."""
     table = _nystrom_table(t)
-    even = _channel_eigs(table, PARITY_EVEN, t)
-    odd = _channel_eigs(table, PARITY_ODD, t)
-    merged = np.empty(even.size + odd.size)
-    merged[0::2] = even
-    merged[1::2] = odd
-    return SineKernelSpectrum(t=t, even_eigs=even, odd_eigs=odd, merged=merged)
+    return SineKernelSpectrum(t, *(_channel_eigs(table, parity, t) for parity in (PARITY_EVEN, PARITY_ODD)))
 
 
-def fredholm_log_det(parity: str, t: float) -> float:
-    """log of the Fredholm determinant det(1 - K) for one parity channel.
+def fredholm_log_dets(t: float) -> tuple[float, float]:
+    """(even, odd) log of the Fredholm determinant det(1 - K_pm) at t.
 
-    Builds the Nystrom table at t for this channel alone; see _log_det for
-    how the eigenvalues are summed.
+    Both are read off one sine_kernel_spectrum; see _log_det for how the
+    eigenvalues are summed.  EigenvalueAtOne from either channel refuses
+    the pair.
     """
-    _parity_sign(parity)  # refused before t
-    return _log_det(_channel_eigs(_nystrom_table(t), parity, t), t)
+    spectrum = sine_kernel_spectrum(t)
+    return _log_det(spectrum.even_eigs, t), _log_det(spectrum.odd_eigs, t)
 
 
 def _large_tau(sign: int, tau, log_term):
     """Widom's large-tau form of log det(1 - K_pm), with log_term for log tau.
 
     Takes floats or arrays.  The Marchenko replacement is the same form with
-    log|tau +- 1/2| in place of log tau.
+    log|tau +- 1/2| in place of log tau; see _marchenko.
     """
     return (
         -tau * tau / 4.0
@@ -221,6 +223,15 @@ def _large_tau(sign: int, tau, log_term):
         + (1.0 / 24.0 + sign / 4.0) * math.log(2.0)
         + 1.5 * ZETA_PRIME_MINUS_ONE
     )
+
+
+def _marchenko(sign: int, tau, logf):
+    """logf less its large-tau replacement, for floats or arrays alike.
+
+    The report's column and marchenko_residual both come from here, so they
+    agree bit for bit.
+    """
+    return logf - _large_tau(sign, tau, np.log(tau + 0.5 * sign))
 
 
 def asymptotic_log_det(parity: str, t: float) -> float:
@@ -266,22 +277,9 @@ def _channel(parity: str, grid: np.ndarray, logf: np.ndarray) -> dict[str, np.nd
     defined = math.pi * grid + 0.5 * sign > 0.0
     tau = math.pi * grid[defined]
     marchenko = np.full(grid.size, np.nan)
-    marchenko[defined] = logf[defined] - _large_tau(sign, tau, np.log(tau + 0.5 * sign))
+    marchenko[defined] = _marchenko(sign, tau, logf[defined])
     asym = np.array([asymptotic_log_det(parity, t) for t in grid])
     return {"logf": logf, "asym_residual": logf - asym, "w": w, "marchenko": marchenko}
-
-
-def gelfand_levitan_potential(parity: str, t_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstruct W_pm(tau) = -2 (d/dtau)^2 log F_pm - 1 on tau = pi t.
-
-    Returns (tau, w) on the interior of the grid; both endpoints are lost
-    to the central difference stencil.  Expected behavior: w approaches
-    -1/(4 tau^2) for large tau.
-    """
-    grid = _validated_grid(t_grid)
-    logf = np.array([fredholm_log_det(parity, t) for t in grid])
-    w = _channel(parity, grid, logf)["w"]
-    return math.pi * grid[1:-1], w[1:-1]
 
 
 @dataclass(frozen=True)
@@ -355,17 +353,18 @@ def marchenko_residual(parity: str, t: float) -> float:
         raise TauTooSmall(
             f"odd-channel residual needs tau > 1/2, got tau = {tau}"
         )
-    sign = _parity_sign(parity)
-    logf = fredholm_log_det(parity, t)
-    # np.log, as in the sweep of fredholm_report, so both agree bit for bit.
-    return float(logf - _large_tau(sign, tau, np.log(tau + 0.5 * sign)))
+    sign = _parity_sign(parity)  # refused before t
+    logf = _log_det(_channel_eigs(_nystrom_table(t), parity, t), t)
+    return float(_marchenko(sign, tau, logf))
 
 
 @dataclass
 class FredholmReport:
     """Grid sweep of both channels: determinants, asymptotics, potentials.
 
-    w_plus / w_minus are NaN at both endpoints (lost to the stencil);
+    w_plus / w_minus reconstruct W_pm(tau) = -2 (d/dtau)^2 log F_pm - 1 on
+    tau = pi t, which approaches -1/(4 tau^2) for large tau.  They are NaN
+    at both endpoints (lost to the central difference stencil);
     marchenko_minus is NaN where tau <= 1/2.
     """
 
@@ -383,16 +382,12 @@ class FredholmReport:
 def fredholm_report(t_grid: np.ndarray) -> FredholmReport:
     """Both channels of the sweep on one uniform t grid; see FredholmReport.
 
-    One table per t serves both channels, the even one first.
+    One fredholm_log_dets call per t gives both channels.
     """
     grid = _validated_grid(t_grid)
-    channels = ((PARITY_EVEN, "plus"), (PARITY_ODD, "minus"))
-    logf = np.empty((len(channels), grid.size))
-    for i, t in enumerate(grid):
-        table = _nystrom_table(t)
-        logf[:, i] = [_log_det(_channel_eigs(table, parity, t), t) for parity, _ in channels]
+    logf = np.array([fredholm_log_dets(t) for t in grid]).T
     columns: dict[str, np.ndarray] = {}
-    for (parity, tag), row in zip(channels, logf):
+    for (parity, tag), row in zip(((PARITY_EVEN, "plus"), (PARITY_ODD, "minus")), logf):
         for name, column in _channel(parity, grid, row).items():
             columns[f"{name}_{tag}"] = column
     return FredholmReport(t_grid=grid, **columns)

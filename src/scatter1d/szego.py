@@ -14,7 +14,8 @@ the exact log determinant against the large-n closed form
         + 3 zeta'(-1),
 
 and ``szego_limit_check`` ties the discrete determinant to the continuum
-sine-kernel determinant via the coupling alpha * n = 2 pi t.
+sine-kernel determinant, the sum of both parity channels of
+``spectral.fredholm_log_dets``, via the coupling alpha * n = 2 pi t.
 
 Precision: I - T_n is Slepian's prolate matrix, so the smallest
 eigenvalue of T_n is one minus its largest and decays at the rate Slepian
@@ -58,7 +59,7 @@ from .core import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .spectral import PARITY_EVEN, PARITY_ODD, QUAD_ORDER, _log_det, asymptotic_log_det, sine_kernel_spectrum
+from .spectral import PARITY_EVEN, PARITY_ODD, QUAD_ORDER, asymptotic_log_det, fredholm_log_dets
 
 MAX_N = 512
 
@@ -264,9 +265,8 @@ def szego_limit_check(n: int, t: float) -> SzegoCrossCheck:
 
     The n x n section is taken at the coupling alpha = 2 pi t / n.
     The full-interval determinant factorizes over parity, so the continuum
-    reference is the even plus the odd log det of one sine_kernel_spectrum
-    (each equal to fredholm_log_det of its channel), and its
-    closed-form asymptotic is asymptotic_log_det(even) + asymptotic_log_det(odd)
+    reference is the even plus the odd log det of fredholm_log_dets(t),
+    and its closed-form asymptotic is asymptotic_log_det(even) + asymptotic_log_det(odd)
     = -(pi t)^2/2 - (1/4) log(pi t) + (1/12) log 2 + 3 zeta'(-1).
     """
     if not (0.5 <= t <= 3.0):
@@ -276,8 +276,8 @@ def szego_limit_check(n: int, t: float) -> SzegoCrossCheck:
 
     alpha = 2.0 * math.pi * t / n
     result = toeplitz_logdet(ArcSymbol(alpha), n)
-    spectrum = sine_kernel_spectrum(t)
-    fredholm_total = _log_det(spectrum.even_eigs, t) + _log_det(spectrum.odd_eigs, t)
+    even, odd = fredholm_log_dets(t)
+    fredholm_total = even + odd
     continuum = asymptotic_log_det(PARITY_EVEN, t) + asymptotic_log_det(PARITY_ODD, t)
     return SzegoCrossCheck(
         alpha=alpha,

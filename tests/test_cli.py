@@ -14,6 +14,7 @@ import pytest
 
 from helpers import analytic_square_barrier, run_cli
 from scatter1d.cli import MAX_GRID_POINTS, _json, build_parser, main
+from scatter1d.noninjective import DEFAULT_NODE_TOL
 from scatter1d.smatrix import analytic_delta, analytic_square_well
 from scatter1d.spectral import MIN_GRID_SPACING, QUAD_ORDER
 
@@ -202,6 +203,16 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flag, text", [("--sampled", "x,V\n"), ("--trace", "x,psi\n\n\n")])
+    def test_header_only_input_file_exits_three_naming_the_fault(self, tmp_path, flag, text):
+        path = tmp_path / "header_only.csv"
+        path.write_text(text)
+        command = "smatrix" if flag == "--sampled" else "recover"
+        proc = run_cli(command, flag, str(path), "--energy", "1")
+        assert proc.returncode == 3
+        header = text.split()[0]
+        assert proc.stderr == f"error: the file holds no data rows after its header {header!r}\n"
+
     def test_node_free_guard_exits_two_with_message(self):
         proc = run_cli("counterexample", "--q", "1.6", "--a", "1.0")
         assert proc.returncode == 2
@@ -332,6 +343,12 @@ class TestParser:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"argument --quad: invalid choice: {order}" in captured.err
+
+    def test_node_tol_default_is_the_library_constant(self, capsys):
+        args = build_parser().parse_args(["recover", "--trace", "trace.csv", "--energy", "1"])
+        assert args.node_tol is DEFAULT_NODE_TOL
+        assert main(["recover", "--help"]) == 0
+        assert f"(default {DEFAULT_NODE_TOL:g})" in " ".join(capsys.readouterr().out.split())
 
     def test_built_once_per_process(self):
         assert build_parser() is build_parser()

@@ -13,6 +13,7 @@ from scatter1d.potential import (
     Sampled,
     SquareWell,
     load_sampled_csv,
+    load_trace_csv,
     validate,
 )
 from scatter1d.smatrix import smatrix_via_transfer
@@ -197,7 +198,8 @@ class TestLoadSampledCsv:
             ("1\n2\n", "every row must hold exactly two columns; line 2 holds 1"),
             ("-1,0\n1\n", "every row must hold exactly two columns; line 3 holds 1"),
             ("-1,0\n\n0,0,0\n", "every row must hold exactly two columns; line 4 holds 3"),
-            ("\n \n", "every row must hold exactly two columns"),
+            ("", "the file holds no data rows after its header 'x,V'"),
+            ("\n \n", "the file holds no data rows after its header 'x,V'"),
         ],
     )
     def test_refusals_name_the_fault(self, tmp_path, rows, message):
@@ -206,6 +208,14 @@ class TestLoadSampledCsv:
         with pytest.raises(PreconditionViolated) as refused:
             load_sampled_csv(path)
         assert str(refused.value) == message
+
+    @pytest.mark.parametrize("rows", ["", "\n\n"])
+    def test_trace_reader_refuses_a_file_without_data_rows(self, tmp_path, rows):
+        path = tmp_path / "trace.csv"
+        path.write_text("x,psi\n" + rows)
+        with pytest.raises(PreconditionViolated) as refused:
+            load_trace_csv(path)
+        assert str(refused.value) == "the file holds no data rows after its header 'x,psi'"
 
     def test_a_row_of_another_length_is_refused_before_any_cell_is_read(self, tmp_path):
         # Row lengths are checked before the cells are cast, so a row of the

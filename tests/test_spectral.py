@@ -23,9 +23,8 @@ from scatter1d.spectral import (
     PARITY_ODD,
     _sinc,
     asymptotic_log_det,
-    fredholm_log_det,
+    fredholm_log_dets,
     fredholm_report,
-    gelfand_levitan_potential,
     jost_forms,
     marchenko_residual,
     phase_shift,
@@ -37,11 +36,11 @@ from scatter1d.szego import szego_limit_check
 class TestKernelSpec:
     def test_guards(self):
         with pytest.raises(PreconditionViolated, match="parity"):
-            fredholm_log_det("both", 1.0)
+            marchenko_residual("both", 1.0)
         # The parity is refused before t is looked at.
         with pytest.raises(PreconditionViolated, match="parity"):
-            fredholm_log_det("both", 7.0)
-        for call in (sine_kernel_spectrum, lambda t: fredholm_log_det(PARITY_EVEN, t)):
+            marchenko_residual("both", 7.0)
+        for call in (sine_kernel_spectrum, fredholm_log_dets, lambda t: marchenko_residual(PARITY_EVEN, t)):
             with pytest.raises(PreconditionViolated):
                 call(0.0)
             with pytest.raises(TTooLarge):
@@ -122,9 +121,13 @@ class TestOneTablePerT:
         szego_limit_check(8, 1.0)
         assert sinc_calls == [(64, 64)] * 2
 
-    def test_pointwise_log_det_builds_its_own_table(self, sinc_calls):
-        fredholm_log_det(PARITY_ODD, 1.0)
-        assert len(sinc_calls) == 2
+    def test_log_dets_build_one_table(self, sinc_calls):
+        fredholm_log_dets(1.0)
+        assert sinc_calls == [(64, 64)] * 2
+
+    def test_marchenko_residual_builds_its_own_table(self, sinc_calls):
+        marchenko_residual(PARITY_ODD, 1.0)
+        assert sinc_calls == [(64, 64)] * 2
 
 
 class TestGaussLegendreNodes:
@@ -140,7 +143,8 @@ class TestGaussLegendreNodes:
         first = sine_kernel_spectrum(1.0).even_eigs
         again = sine_kernel_spectrum(1.0).even_eigs
         sine_kernel_spectrum(2.0)
-        fredholm_log_det(PARITY_ODD, 2.0)
+        fredholm_log_dets(2.0)
+        marchenko_residual(PARITY_ODD, 2.0)
         fredholm_report(np.arange(1.0, 1.1 + 0.0125, 0.025))
         assert calls == [spectral.QUAD_ORDER]
         assert np.array_equal(first, again)
@@ -156,44 +160,50 @@ class TestGaussLegendreNodes:
 # log det(1 - K) from an mpmath Nystrom rule: m = 80 Gauss-Legendre nodes
 # found by Newton's method on P_m, the kernel and an LU determinant, all at
 # 60 digits.  The same rule at m = 60 and 50 digits agrees to 3e-45.
+# Each t maps to its (even, odd) pair.
 MPMATH_LOG_DETS = {
-    (1.0, PARITY_EVEN): -4.2459977592150111718,
-    (1.0, PARITY_ODD): -1.4097590865489303671,
-    (2.0, PARITY_EVEN): -13.296505797963183495,
-    (2.0, PARITY_ODD): -7.3398529043016329358,
-    (2.9, PARITY_EVEN): -25.634988429150586871,
-    (2.9, PARITY_ODD): -16.857176895999712844,
+    1.0: (-4.2459977592150111718, -1.4097590865489303671),
+    2.0: (-13.296505797963183495, -7.3398529043016329358),
+    2.9: (-25.634988429150586871, -16.857176895999712844),
 }
 
 
-class TestFredholmLogDet:
-    @pytest.mark.parametrize("t, parity", sorted(MPMATH_LOG_DETS))
-    def test_default_order_matches_mpmath_reference(self, t, parity):
+class TestFredholmLogDets:
+    @pytest.mark.parametrize("t", sorted(MPMATH_LOG_DETS))
+    def test_default_order_matches_mpmath_reference(self, t):
         # The error is rounding in forming I - K, which grows with t; at
-        # t = 2.9 it is 2.7e-9.
+        # t = 2.9 it is 2.7e-9 in the even channel.
         tolerance = 1e-10 if t <= 2.0 else 1e-8
-        value = fredholm_log_det(parity, t)
-        assert abs(value - MPMATH_LOG_DETS[t, parity]) < tolerance
+        for value, reference in zip(fredholm_log_dets(t), MPMATH_LOG_DETS[t], strict=True):
+            assert abs(value - reference) < tolerance
 
     def test_split_product_equals_full_determinant(self):
         t = 1.0
-        split = fredholm_log_det(PARITY_EVEN, t) + fredholm_log_det(PARITY_ODD, t)
+        split = sum(fredholm_log_dets(t))
         oracle = full_interval_sine_eigs(t, 400)
         full = float(np.sum(np.log1p(-oracle[oracle >= 1e-16])))
         assert abs(split - full) < 1e-8
 
     def test_small_t_limit_is_weakly_attenuating(self):
-        val = fredholm_log_det(PARITY_EVEN, 0.001)
+        val = fredholm_log_dets(0.001)[0]
         assert -0.01 < val < 0.0
 
-    def test_eigenvalue_at_one_raises_when_t_is_deep(self):
-        # The message prints the eigenvalue as a plain float.
+    @pytest.mark.parametrize("t", [5.3, 5.5, 6.0])
+    def test_eigenvalue_at_one_refuses_the_pair_when_t_is_deep(self, t):
+        # The even channel refuses; the message prints its top eigenvalue
+        # as a plain float.
         with pytest.raises(EigenvalueAtOne, match=r"top eigenvalue 0\.9999"):
-            fredholm_log_det(PARITY_EVEN, 5.5)
+            fredholm_log_dets(t)
+        with pytest.raises(EigenvalueAtOne, match=r"top eigenvalue 0\.9999"):
+            marchenko_residual(PARITY_EVEN, t)
+
+    def test_odd_channel_alone_still_answers_when_t_is_deep(self):
+        # Its own table keeps every bit it had when the odd log det was
+        # asked for alone.
+        assert marchenko_residual(PARITY_ODD, 5.5) == -0.00040165462958441367
 
     def test_deepest_supported_t_works_at_the_default_order(self):
-        val = fredholm_log_det(PARITY_EVEN, 5.0)
-        assert math.isfinite(val)
+        assert all(math.isfinite(val) for val in fredholm_log_dets(5.0))
 
 
 class TestAsymptoticLogDet:
@@ -220,26 +230,26 @@ class TestAsymptoticLogDet:
         assert abs(total - expect) < 1e-12
 
     def test_residual_against_quadrature_shrinks_with_t(self):
-        for parity in (PARITY_EVEN, PARITY_ODD):
-            res = [
-                abs(fredholm_log_det(parity, t) - asymptotic_log_det(parity, t))
-                for t in (1.0, 2.0)
-            ]
+        pairs = {t: fredholm_log_dets(t) for t in (1.0, 2.0)}
+        for i, parity in enumerate((PARITY_EVEN, PARITY_ODD)):
+            res = [abs(pairs[t][i] - asymptotic_log_det(parity, t)) for t in (1.0, 2.0)]
             assert res[1] < res[0]
             assert res[1] < 0.05
 
 
-class TestGelfandLevitan:
+class TestReconstructedPotential:
+    """The report's w columns; the grid rules belong to fredholm_report."""
+
     GRID = np.arange(2.2, 2.9 + 0.0125, 0.025)
 
     def test_reconstructed_potential_tail(self):
         # W(tau) ~ -1/(4 tau^2): the scaled combination W * 4 tau^2 sits
         # near -1 at tau ~ 8.  Values frozen at quadrature order 200, checked
         # at QUAD_ORDER, which gives -0.88426 and -1.14103.
-        frozen = {PARITY_EVEN: -0.884311, PARITY_ODD: -1.141033}
-        for parity, ref in frozen.items():
-            tau, w = gelfand_levitan_potential(parity, self.GRID)
-            i = int(np.argmin(np.abs(tau - 8.0)))
+        report = fredholm_report(self.GRID)
+        tau = math.pi * self.GRID
+        i = int(np.argmin(np.abs(tau[1:-1] - 8.0))) + 1
+        for w, ref in ((report.w_plus, -0.884311), (report.w_minus, -1.141033)):
             scaled = w[i] * 4.0 * tau[i] ** 2
             assert abs(scaled + 1.0) <= 0.2
             assert abs(scaled - ref) < 5e-3
@@ -256,37 +266,39 @@ class TestGelfandLevitan:
             assert np.max(np.abs(w + 0.25 / tau**2)) < 1e-6
 
     def test_interior_alignment(self):
-        tau, w = gelfand_levitan_potential(PARITY_EVEN, self.GRID)
-        assert tau.size == self.GRID.size - 2
-        assert w.size == tau.size
-        np.testing.assert_allclose(tau, math.pi * self.GRID[1:-1], rtol=1e-15)
+        # The stencil loses exactly the two endpoints, in both channels.
+        report = fredholm_report(self.GRID)
+        for w in (report.w_plus, report.w_minus):
+            assert w.shape == self.GRID.shape
+            assert np.isnan(w[0]) and np.isnan(w[-1])
+            assert np.all(np.isfinite(w[1:-1]))
 
-    def test_grid_guards(self):
-        with pytest.raises(PreconditionViolated):
-            gelfand_levitan_potential(PARITY_EVEN, np.array([1.0, 1.1, 1.2]))
-        with pytest.raises(PreconditionViolated):
-            gelfand_levitan_potential(PARITY_EVEN, np.arange(1.0, 2.0, 0.1))
-        bad = np.array([1.0, 1.02, 1.05, 1.07, 1.1])
-        with pytest.raises(NonUniformGrid):
-            gelfand_levitan_potential(PARITY_EVEN, bad)
-        with pytest.raises(NonUniformGrid, match="strictly increasing"):
-            gelfand_levitan_potential(PARITY_EVEN, np.linspace(1.1, 1.0, 5))
-        with pytest.raises(NonFiniteSample, match="t grid"):
-            gelfand_levitan_potential(PARITY_EVEN, np.array([1.0, 1.025, np.nan, 1.075, 1.1]))
-        with pytest.raises(TTooLarge):
-            gelfand_levitan_potential(PARITY_EVEN, np.arange(5.9, 6.2, 0.025))
+    @pytest.mark.parametrize(
+        "grid, error, message",
+        [
+            (np.array([1.0, 1.1, 1.2]), PreconditionViolated, "at least 5 points"),
+            (np.arange(1.0, 2.0, 0.1), PreconditionViolated, "exceeds 0.05"),
+            (1.0 + 1e-5 * np.arange(5), PreconditionViolated, "below 0.0001, where w is rounding noise"),
+            (np.array([1.0, 1.02, 1.05, 1.07, 1.1]), NonUniformGrid, "t grid spacing is not uniform"),
+            (np.linspace(1.1, 1.0, 5), NonUniformGrid, "strictly increasing"),
+            (np.array([1.0, 1.025, np.nan, 1.075, 1.1]), NonFiniteSample, "t grid"),
+            (np.arange(5.9, 6.2, 0.025), TTooLarge, "beyond 6.0"),
+        ],
+        ids=["few-points", "wide", "narrow", "non-uniform", "decreasing", "nan", "beyond-t-max"],
+    )
+    def test_grid_guards(self, grid, error, message):
+        with pytest.raises(error, match=message):
+            fredholm_report(grid)
 
-    def test_spacing_below_the_rounding_floor_is_refused(self):
+    def test_spacing_at_the_rounding_floor_is_accepted(self):
         # At t = 1 the even w reads -0.018226 at h = 1e-4 but -0.018269 and
         # -0.015315 at 1e-5 and 1e-6: below the floor it is rounding noise.
-        with pytest.raises(PreconditionViolated, match="below 0.0001"):
-            gelfand_levitan_potential(PARITY_EVEN, 1.0 + 1e-5 * np.arange(5))
         # The floor itself is accepted, also where t is large and the
         # spacing formed from it rounds below 1e-4.
-        _, w = gelfand_levitan_potential(PARITY_EVEN, 1.0 + 1e-4 * np.arange(5))
-        assert abs(w[1] + 0.018226) < 5e-6
-        _, w = gelfand_levitan_potential(PARITY_EVEN, 5.2 + 1e-4 * np.arange(5))
-        assert np.all(np.isfinite(w))
+        w = fredholm_report(1.0 + 1e-4 * np.arange(5)).w_plus
+        assert abs(w[2] + 0.018226) < 5e-6
+        w = fredholm_report(5.2 + 1e-4 * np.arange(5)).w_plus
+        assert np.all(np.isfinite(w[1:-1]))
 
 
 class TestPhaseShift:
@@ -407,13 +419,12 @@ class TestFredholmReport:
         # the public pointwise functions give on the same grid.
         grid = np.arange(start, start + 0.2 + 0.0125, 0.025)
         report = fredholm_report(grid)
-        for parity, tag in ((PARITY_EVEN, "plus"), (PARITY_ODD, "minus")):
+        pairs = [fredholm_log_dets(t) for t in grid.tolist()]
+        for channel, (parity, tag) in enumerate(((PARITY_EVEN, "plus"), (PARITY_ODD, "minus"))):
             logf = getattr(report, f"logf_{tag}")
             marchenko = getattr(report, f"marchenko_{tag}")
-            _, w = gelfand_levitan_potential(parity, grid)
-            np.testing.assert_array_equal(getattr(report, f"w_{tag}")[1:-1], w)
             for i, t in enumerate(grid.tolist()):
-                assert logf[i] == fredholm_log_det(parity, t)
+                assert logf[i] == pairs[i][channel]
                 assert getattr(report, f"asym_residual_{tag}")[i] == (
                     logf[i] - asymptotic_log_det(parity, t)
                 )

@@ -1,6 +1,7 @@
 """The code-line counter in tools/code_lines.py and the per-operation stats of tools/opstats.py."""
 
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -76,14 +77,45 @@ def test_opstats_prints_one_json_line_per_run():
     assert sorted(stats) == sorted(
         [
             "workload", "seed", "operations", "rounds", "median_op_ms", "emit_median_ms", "minflt_per_op",
-            "peak_heap_kb", "failed",
+            "peak_heap_kb", "failed", "output_sha256",
         ]
     )
     assert (stats["workload"], stats["seed"], stats["rounds"]) == ("fredholm_sweep", 2, 1)
     assert stats["operations"] == 8
     assert stats["failed"] == 0
+    assert len(stats["output_sha256"]) == 64
     assert stats["median_op_ms"] > stats["emit_median_ms"] > 0.0
     assert stats["minflt_per_op"] >= 0.0
     # A five-point window builds a 64-node Nystrom table per t: at least
     # the 32 KiB of one 64 x 64 sinc matrix.
     assert stats["peak_heap_kb"] >= 32.0
+
+
+def test_output_digest_changes_when_one_operation_output_changes(monkeypatch, capsys):
+    def digest():
+        assert opstats.main(["fredholm_sweep", "--seed", "2", "--rounds", "1"]) == 0
+        return json.loads(capsys.readouterr().out)["output_sha256"]
+
+    plain = digest()
+    assert digest() == plain
+    calls = []
+    cli_main = opstats.scatter1d.cli.main
+
+    def third_operation_changed(argv):
+        calls.append(argv)
+        code = cli_main(argv)
+        if len(calls) == 4:  # the warm-up, then the third operation of the first round
+            print("0")
+        return code
+
+    monkeypatch.setattr(opstats.scatter1d.cli, "main", third_operation_changed)
+    assert digest() != plain
+
+
+def test_output_digest_reads_the_input_directory_as_a_placeholder():
+    def runs(workdir):
+        path = f"{workdir}/potential_00.csv"
+        return [(["smatrix", "--sampled", path], (0, io.StringIO(f'"file": "{path}"'), io.StringIO("")))]
+
+    assert opstats.output_digest(runs("/tmp/one"), "/tmp/one") == opstats.output_digest(runs("/tmp/two"), "/tmp/two")
+    assert opstats.output_digest(runs("/tmp/one"), "/tmp/one") != opstats.output_digest(runs("/tmp/one"), "/tmp/two")

@@ -5,21 +5,28 @@
 builds the seeded operation list of WORKLOAD from perfbench/workloads.py
 (imported by path, so perfbench/ needs no package), runs the workload's
 warm-up operation once, then R rounds of the list through
-``scatter1d.cli.main`` with stdout captured.  It prints one JSON line: the
-workload, seed, operation count and rounds, the median time of one
-operation in ms, the median time of one operation spent in the output
-layer, ``scatter1d.cli._emit`` (wrapped here, so the package needs no
-hook), the minor page faults (``ru_minflt``) per operation over the timed
-rounds, the largest heap peak of one operation in KiB (``peak_heap_kb``,
-from tracemalloc in one more round after the timed ones, above what the
-operation found allocated), and how many operations exited non-zero.
-Faults count what glibc's heap trimming costs, which the times alone do
-not show; the heap peak says how close an operation comes to glibc's trim
-threshold.
+``scatter1d.cli.main`` with stdout and stderr captured.  It prints one
+JSON line: the workload, seed, operation count and rounds, the median time
+of one operation in ms, the median time of one operation spent in the
+output layer, ``scatter1d.cli._emit`` (wrapped here, so the package needs
+no hook), the minor page faults (``ru_minflt``) per operation over the
+timed rounds, the largest heap peak of one operation in KiB
+(``peak_heap_kb``, from tracemalloc in one more round after the timed
+ones, above what the operation found allocated), how many operations
+exited non-zero, and ``output_sha256``.  Faults count what glibc's heap
+trimming costs, which the times alone do not show; the heap peak says how
+close an operation comes to glibc's trim threshold.
+
+``output_sha256`` is a SHA-256 over the argv, exit code, stdout and stderr
+of each operation of the first timed round, in list order, with the
+temporary input directory written as ``<workdir>``; it is formed after
+the timed rounds.  Two checkouts give the same output when it agrees:
+run this script with PYTHONPATH set to each checkout's src.
 """
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -43,9 +50,20 @@ def load_workloads():
     return module
 
 
-def run(argv: list[str]) -> int:
-    with contextlib.redirect_stdout(io.StringIO()):
-        return scatter1d.cli.main(argv)
+def run(argv: list[str]) -> tuple[int, io.StringIO, io.StringIO]:
+    """Exit code, stdout and stderr of one ``scatter1d.cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return scatter1d.cli.main(argv), out, err
+
+
+def output_digest(runs, workdir: str) -> str:
+    """SHA-256 over (argv, exit code, stdout, stderr) of each run, in order, with workdir as <workdir>."""
+    digest = hashlib.sha256()
+    for argv, (code, out, err) in runs:
+        record = json.dumps([argv, code, out.getvalue(), err.getvalue()])
+        digest.update(record.replace(json.dumps(workdir)[1:-1], "<workdir>").encode())
+    return digest.hexdigest()
 
 
 def peak_heap_bytes(ops: list[list[str]]) -> int:
@@ -92,16 +110,20 @@ def main(argv: list[str]) -> int:
         with tempfile.TemporaryDirectory() as workdir:
             ops = workloads.build(args.workload, args.seed, workdir)
             run(workloads.WARMUP[args.workload])
-            times, emit_times, failed = [], [], 0
+            times, emit_times, failed, first_round = [], [], 0, []
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            for _ in range(args.rounds):
+            for round_number in range(args.rounds):
                 for op in ops:
                     emitted = emit.seconds
                     start = time.perf_counter()
-                    failed += run(op) != 0
+                    result = run(op)
                     times.append(time.perf_counter() - start)
                     emit_times.append(emit.seconds - emitted)
+                    failed += result[0] != 0
+                    if round_number == 0:
+                        first_round.append((op, result))
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            digest = output_digest(first_round, workdir)
             peak_heap = peak_heap_bytes(ops)
     finally:
         scatter1d.cli._emit = emit.emit
@@ -115,6 +137,7 @@ def main(argv: list[str]) -> int:
         "minflt_per_op": faults / len(times),
         "peak_heap_kb": peak_heap / 1024,
         "failed": failed,
+        "output_sha256": digest,
     }))
     return 0
 
