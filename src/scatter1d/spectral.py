@@ -23,12 +23,12 @@ Gauss-Legendre nodes x_i and weights w_i on [0, pi t], sqrt(w_i), and the
 matrices sinc(x_i - x_j) and sinc(x_i + x_j).  The order is fixed: it has
 converged for every t up to T_MAX, and a higher one only adds rounding.
 Both channels' kernels are formed from the same table.
-``sine_kernel_spectrum`` builds it for both channels, and
-``fredholm_log_dets``, ``fredholm_report`` (at each t of its grid) and
-szego's cross-check read their log dets off that spectrum;
-``marchenko_residual`` builds one for the channel it asks for.  The log
-det of a channel is sum log1p(-lambda) over its eigenvalues, so a pair
-refuses as soon as either channel does (the even one, from t = 5.3 on).
+``sine_kernel_spectrum`` is the one function that builds it, and
+``fredholm_log_dets``, ``fredholm_report`` (at each t of its grid),
+``marchenko_residual`` and szego's cross-check read their log dets off
+that spectrum.  The log det of a channel is sum log1p(-lambda) over its
+eigenvalues, so a pair refuses as soon as either channel does (the even
+one, from t = 5.3 on).
 One large-tau (Widom) form backs both ``asymptotic_log_det`` and the
 Marchenko replacement.
 
@@ -346,7 +346,8 @@ def marchenko_residual(parity: str, t: float) -> float:
     """log of the ratio between det(1 - K_pm) and its large-tau replacement.
 
     Tends to 0 as tau grows.  The odd-channel replacement involves
-    log(tau - 1/2) and only makes sense for tau > 1/2.
+    log(tau - 1/2) and only makes sense for tau > 1/2.  The log det comes
+    from fredholm_log_dets, so either parity refuses where the pair does.
     """
     tau = math.pi * t
     if parity == PARITY_ODD and tau <= 0.5:
@@ -354,7 +355,7 @@ def marchenko_residual(parity: str, t: float) -> float:
             f"odd-channel residual needs tau > 1/2, got tau = {tau}"
         )
     sign = _parity_sign(parity)  # refused before t
-    logf = _log_det(_channel_eigs(_nystrom_table(t), parity, t), t)
+    logf = fredholm_log_dets(t)[parity == PARITY_ODD]
     return float(_marchenko(sign, tau, logf))
 
 

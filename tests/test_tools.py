@@ -112,10 +112,11 @@ def test_output_digest_changes_when_one_operation_output_changes(monkeypatch, ca
     assert digest() != plain
 
 
-def test_output_digest_reads_the_input_directory_as_a_placeholder():
-    def runs(workdir):
+def test_output_record_reads_the_input_directory_as_a_placeholder():
+    def record(workdir, placeholder):
         path = f"{workdir}/potential_00.csv"
-        return [(["smatrix", "--sampled", path], (0, io.StringIO(f'"file": "{path}"'), io.StringIO("")))]
+        result = (0, io.StringIO(f'"file": "{path}"'), io.StringIO(""))
+        return opstats.output_record(["smatrix", "--sampled", path], result, placeholder)
 
-    assert opstats.output_digest(runs("/tmp/one"), "/tmp/one") == opstats.output_digest(runs("/tmp/two"), "/tmp/two")
-    assert opstats.output_digest(runs("/tmp/one"), "/tmp/one") != opstats.output_digest(runs("/tmp/one"), "/tmp/two")
+    assert record("/tmp/one", "/tmp/one") == record("/tmp/two", "/tmp/two")
+    assert record("/tmp/one", "/tmp/one") != record("/tmp/one", "/tmp/two")

@@ -19,9 +19,11 @@ close an operation comes to glibc's trim threshold.
 
 ``output_sha256`` is a SHA-256 over the argv, exit code, stdout and stderr
 of each operation of the first timed round, in list order, with the
-temporary input directory written as ``<workdir>``; it is formed after
-the timed rounds.  Two checkouts give the same output when it agrees:
-run this script with PYTHONPATH set to each checkout's src.
+temporary input directory written as ``<workdir>``.  Each operation's
+record is hashed as soon as its timer stops, so no output buffer outlives
+its operation and the timed rounds see the heap they would see without
+the digest.  Two checkouts give the same output when it agrees: run this
+script with PYTHONPATH set to each checkout's src.
 """
 
 import argparse
@@ -57,13 +59,11 @@ def run(argv: list[str]) -> tuple[int, io.StringIO, io.StringIO]:
         return scatter1d.cli.main(argv), out, err
 
 
-def output_digest(runs, workdir: str) -> str:
-    """SHA-256 over (argv, exit code, stdout, stderr) of each run, in order, with workdir as <workdir>."""
-    digest = hashlib.sha256()
-    for argv, (code, out, err) in runs:
-        record = json.dumps([argv, code, out.getvalue(), err.getvalue()])
-        digest.update(record.replace(json.dumps(workdir)[1:-1], "<workdir>").encode())
-    return digest.hexdigest()
+def output_record(argv: list[str], result: tuple[int, io.StringIO, io.StringIO], workdir: str) -> bytes:
+    """(argv, exit code, stdout, stderr) of one run as JSON bytes, with workdir as <workdir>."""
+    code, out, err = result
+    record = json.dumps([argv, code, out.getvalue(), err.getvalue()])
+    return record.replace(json.dumps(workdir)[1:-1], "<workdir>").encode()
 
 
 def peak_heap_bytes(ops: list[list[str]]) -> int:
@@ -110,7 +110,7 @@ def main(argv: list[str]) -> int:
         with tempfile.TemporaryDirectory() as workdir:
             ops = workloads.build(args.workload, args.seed, workdir)
             run(workloads.WARMUP[args.workload])
-            times, emit_times, failed, first_round = [], [], 0, []
+            times, emit_times, failed, digest = [], [], 0, hashlib.sha256()
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for round_number in range(args.rounds):
                 for op in ops:
@@ -121,9 +121,8 @@ def main(argv: list[str]) -> int:
                     emit_times.append(emit.seconds - emitted)
                     failed += result[0] != 0
                     if round_number == 0:
-                        first_round.append((op, result))
+                        digest.update(output_record(op, result, workdir))
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            digest = output_digest(first_round, workdir)
             peak_heap = peak_heap_bytes(ops)
     finally:
         scatter1d.cli._emit = emit.emit
@@ -137,7 +136,7 @@ def main(argv: list[str]) -> int:
         "minflt_per_op": faults / len(times),
         "peak_heap_kb": peak_heap / 1024,
         "failed": failed,
-        "output_sha256": digest,
+        "output_sha256": digest.hexdigest(),
     }))
     return 0
 
