@@ -31,14 +31,24 @@ from .spectral import QUAD_ORDER, fredholm_report, jost_forms, phase_shift
 from .szego import ArcSymbol, szego_limit_check, toeplitz_logdet
 
 #: Most points a fredholm t grid or an smatrix energy grid may have.  A t
-#: point costs two determinants, about a millisecond together, so this
-#: bounds a fredholm run to about two minutes; an energy grid stays far
-#: below that.
+#: point costs two determinants, about 0.15 ms together, so this bounds a
+#: fredholm run to well under a minute; an energy grid stays far below that.
 MAX_GRID_POINTS = 100_000
 
 # --quad is kept, and echoed under "config", so that scripts and JSON
-# reports written for it stay valid; it accepts the one order there is.
-_QUAD_HELP = f"Gauss-Legendre order of the sine kernel, fixed at the converged {QUAD_ORDER} (default {QUAD_ORDER})"
+# reports written for it stay valid.  It accepts the one order there is and
+# 64, the order before it; both run QUAD_ORDER, which is what is echoed.
+_QUAD_ORDERS = (QUAD_ORDER, 64)
+_QUAD_HELP = (
+    f"Gauss-Legendre order of the sine kernel, fixed at the converged {QUAD_ORDER} "
+    f"(default {QUAD_ORDER}); kept for old commands, which may also pass 64"
+)
+
+
+def _quad(text: str) -> int:
+    if int(text) not in _QUAD_ORDERS:
+        raise argparse.ArgumentTypeError(f"order must be one of {', '.join(map(str, _QUAD_ORDERS))}, got {text!r}")
+    return QUAD_ORDER
 
 
 def _finite(text: str) -> float:
@@ -343,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fr = sub.add_parser("fredholm", help="sine-kernel determinant sweep over t")
     fr.add_argument("--t", type=_range_spec, required=True, metavar="START:STOP:STEP", help="uniform t grid")
-    fr.add_argument("--quad", type=int, choices=(QUAD_ORDER,), default=QUAD_ORDER, help=_QUAD_HELP)
+    fr.add_argument("--quad", type=_quad, default=QUAD_ORDER, help=_QUAD_HELP)
     fr.add_argument("--format", choices=("json", "csv"), default="csv")
     fr.add_argument("--out", default=None, help="output path (default standard output)")
     fr.set_defaults(func=cmd_fredholm)
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--alpha", type=float, help="arc parameter in [0, pi): determinant table over --n")
     mode.add_argument("--t", type=float, help="continuum cross-check at alpha = 2 pi t / n for each n")
     szg.add_argument("--n", type=_list_of(int), required=True, metavar="N1,N2,...", help="matrix sizes")
-    szg.add_argument("--quad", type=int, choices=(QUAD_ORDER,), default=QUAD_ORDER, help=_QUAD_HELP)
+    szg.add_argument("--quad", type=_quad, default=QUAD_ORDER, help=_QUAD_HELP)
     szg.add_argument("--format", choices=("json", "csv"), default=None,
                      help="default: csv for the table, json for the cross-check")
     szg.add_argument("--out", default=None, help="output path (default standard output)")

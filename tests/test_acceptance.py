@@ -182,23 +182,27 @@ def test_criterion_06_sine_kernel_spectrum():
     in_range = True
     descending = True
     worst_union = 0.0
+    worst_tail = 0.0
     for t in (0.5, 1.0, 2.0):
         spec = sine_kernel_spectrum(t)
         for eigs in (spec.even_eigs, spec.odd_eigs):
             in_range &= bool(np.all(eigs >= 0.0) and np.all(eigs <= 1.0))
         descending &= bool(np.all(np.diff(spec.merged) <= 1e-10))
         oracle = full_interval_sine_eigs(t, 600)
+        # The union holds 2 QUAD_ORDER eigenvalues, all compared; the
+        # oracle's next ones, up to index 100, must be negligible, so that
+        # no eigenvalue of that size is missing from the union.
+        count = spec.merged.size
         keep = 100
-        worst_union = max(
-            worst_union, float(np.max(np.abs(spec.merged[:keep] - oracle[:keep])))
-        )
+        worst_union = max(worst_union, float(np.max(np.abs(spec.merged - oracle[:count]))))
+        worst_tail = max(worst_tail, float(np.max(oracle[count:keep], initial=0.0)))
     elapsed = time.perf_counter() - start
     report(
         6,
-        in_range and descending and worst_union <= 1e-10 and elapsed < 20.0,
+        in_range and descending and worst_union <= 1e-10 and worst_tail <= 1e-10 and elapsed < 20.0,
         f"eigenvalues in [0,1]: {in_range}, merged descending: {descending}, "
-        f"parity union vs full-interval oracle {worst_union:.3e} "
-        f"(limit 1e-10) in {elapsed:.2f}s",
+        f"parity union vs full-interval oracle {worst_union:.3e}, oracle "
+        f"beyond the union {worst_tail:.3e} (limit 1e-10) in {elapsed:.2f}s",
     )
 
 

@@ -313,15 +313,16 @@ class TestExitCodes:
 class TestParser:
     def test_quadrature_default_is_the_converged_order(self, capsys):
         outputs = []
-        for extra in ([], ["--quad", str(QUAD_ORDER)]):
+        for extra in ([], ["--quad", str(QUAD_ORDER)], ["--quad", "64"]):
             assert main(["fredholm", "--t", "1:1.1:0.025", *extra]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         for command in ("fredholm", "szego"):
             assert main([command, "--help"]) == 0
             text = " ".join(capsys.readouterr().out.split())
             assert f"(default {QUAD_ORDER})" in text
             assert f"fixed at the converged {QUAD_ORDER}" in text
+            assert "kept for old commands" in text
 
     @pytest.mark.parametrize(
         "args",
@@ -331,18 +332,20 @@ class TestParser:
         ],
     )
     def test_quadrature_order_is_fixed(self, capsys, args):
-        # --quad takes the one order there is and changes no byte of the
-        # output, the echoed JSON config included; any other order is a
-        # usage error.
+        # --quad takes the one order there is, or the 64 of old commands,
+        # and changes no byte of the output: the echoed JSON config names
+        # the order used.  Any other order is a usage error.
         assert main(list(args)) == 0
         default = capsys.readouterr()
-        assert main([*args, "--quad", str(QUAD_ORDER)]) == 0
-        assert capsys.readouterr() == default
-        for order in ("65", "32"):
+        assert f'"quad": {QUAD_ORDER},' in default.out
+        for order in (str(QUAD_ORDER), "64"):
+            assert main([*args, "--quad", order]) == 0
+            assert capsys.readouterr() == default
+        for order in ("65", "48", "16"):
             assert main([*args, "--quad", order]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"argument --quad: invalid choice: {order}" in captured.err
+            assert f"argument --quad: order must be one of {QUAD_ORDER}, 64, got '{order}'" in captured.err
 
     def test_node_tol_default_is_the_library_constant(self, capsys):
         args = build_parser().parse_args(["recover", "--trace", "trace.csv", "--energy", "1"])

@@ -1,4 +1,5 @@
-"""The code-line counter in tools/code_lines.py and the per-operation stats of tools/opstats.py."""
+"""The code-line counter in tools/code_lines.py, the per-operation stats of tools/opstats.py,
+and the set-up of the benchmark in perfbench/workloads.py."""
 
 import importlib.util
 import io
@@ -7,6 +8,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import scatter1d.cli
+from scatter1d.spectral import QUAD_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,9 +92,10 @@ def test_opstats_prints_one_json_line_per_run():
     assert len(stats["output_sha256"]) == 64
     assert stats["median_op_ms"] > stats["emit_median_ms"] > 0.0
     assert stats["minflt_per_op"] >= 0.0
-    # A five-point window builds a 64-node Nystrom table per t: at least
-    # the 32 KiB of one 64 x 64 sinc matrix.
-    assert stats["peak_heap_kb"] >= 32.0
+    # A five-point window builds a QUAD_ORDER-node Nystrom table per t, and
+    # a channel's kernel and symmetric matrix live beside its two sinc
+    # matrices: at least four QUAD_ORDER x QUAD_ORDER doubles, 32 KiB.
+    assert stats["peak_heap_kb"] >= 4 * QUAD_ORDER * QUAD_ORDER * 8 / 1024
 
 
 def test_output_digest_changes_when_one_operation_output_changes(monkeypatch, capsys):
@@ -120,3 +127,17 @@ def test_output_record_reads_the_input_directory_as_a_placeholder():
 
     assert record("/tmp/one", "/tmp/one") == record("/tmp/two", "/tmp/two")
     assert record("/tmp/one", "/tmp/one") != record("/tmp/one", "/tmp/two")
+
+
+_spec = importlib.util.spec_from_file_location("test_tools_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WARMUP))
+def test_benchmark_warm_up_and_first_operation_run(workload, tmp_path, capsys):
+    # The benchmark runs each workload's warm-up, then its seeded list; an
+    # argv that no longer parses would break the run before it is timed.
+    assert scatter1d.cli.main(workloads.WARMUP[workload]) == 0
+    assert scatter1d.cli.main(workloads.build(workload, 1, str(tmp_path))[0]) == 0
+    assert capsys.readouterr().err == ""
