@@ -45,14 +45,28 @@ _QUAD_HELP = (
 )
 
 
+# Each converter refuses text that is not a number of its kind by naming
+# that kind; argparse would print the converter's name for a ValueError.
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _quad(text: str) -> int:
-    if int(text) not in _QUAD_ORDERS:
+    if _integer(text) not in _QUAD_ORDERS:
         raise argparse.ArgumentTypeError(f"order must be one of {', '.join(map(str, _QUAD_ORDERS))}, got {text!r}")
     return QUAD_ORDER
 
 
 def _finite(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
@@ -69,7 +83,7 @@ def _energy_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start,stop,count, got {text!r}")
-    start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
+    start, stop, count = _finite(parts[0]), _finite(parts[1]), _integer(parts[2])
     if count < 1:
         raise argparse.ArgumentTypeError("count must be at least 1")
     return start, stop, count
@@ -89,10 +103,7 @@ def _list_of(convert):
     """argparse type for a comma-separated list, each item read by convert."""
 
     def parse(text: str) -> tuple:
-        try:
-            return tuple(convert(p) for p in text.split(","))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        return tuple(convert(p) for p in text.split(","))
 
     return parse
 
@@ -261,8 +272,7 @@ def cmd_fredholm(args: argparse.Namespace) -> int:
     # The tolerance keeps stop when the span is a whole number of steps.
     count = math.floor(span + 1e-9) + 1
     grid = start + step * np.arange(count)
-    columns = asdict(fredholm_report(grid))
-    columns = {"t": columns.pop("t_grid"), **columns}
+    columns = fredholm_report(grid)
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     return _emit(args, args.format, rows, columns)
 
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = szg.add_mutually_exclusive_group(required=True)
     mode.add_argument("--alpha", type=float, help="arc parameter in [0, pi): determinant table over --n")
     mode.add_argument("--t", type=float, help="continuum cross-check at alpha = 2 pi t / n for each n")
-    szg.add_argument("--n", type=_list_of(int), required=True, metavar="N1,N2,...", help="matrix sizes")
+    szg.add_argument("--n", type=_list_of(_integer), required=True, metavar="N1,N2,...", help="matrix sizes")
     szg.add_argument("--quad", type=_quad, default=QUAD_ORDER, help=_QUAD_HELP)
     szg.add_argument("--format", choices=("json", "csv"), default=None,
                      help="default: csv for the table, json for the cross-check")

@@ -5,32 +5,33 @@ splits into even and odd channels on [0, pi t]:
 
     K_pm(x, y) = (1/pi) * (sinc(x - y) +- sinc(x + y)),   sinc(u) = sin(u)/u.
 
-Everything here derives from the eigenvalues of those two kernels:
+Each channel quantity here is a pair, the even channel first and the odd
+one second, and SIGNS = (+1, -1) is the sign each channel puts into its
+formulas:
 
-* ``fredholm_log_dets`` gives log det(1 - K_pm) = sum log(1 - lambda_n)
-  for both channels at once,
-* ``asymptotic_log_det`` gives the large-interval closed form,
-* ``fredholm_report`` sweeps both channels over a t grid and reconstructs
-  the comparison potentials W_pm(tau) = -2 (d/dtau)^2 log F_pm - 1 on
-  tau = pi t,
+* ``sine_kernel_spectrum`` gives both channels' eigenvalues as the rows of
+  one array,
+* ``fredholm_log_dets`` gives log det(1 - K_pm) = sum log(1 - lambda_n),
+* ``asymptotic_log_dets`` gives the large-interval closed forms,
+* ``marchenko_residuals`` measures how far each determinant is from its
+  large-tau factorized replacement (both must tend to zero),
+* ``fredholm_report`` sweeps a t grid and reconstructs the comparison
+  potentials W_pm(tau) = -2 (d/dtau)^2 log F_pm - 1 on tau = pi t,
 * ``phase_shift`` / ``jost_forms`` give the exact scattering data of the
-  limiting -1/(4 tau^2)-type potentials,
-* ``marchenko_residual`` measures how far the determinant is from its
-  large-tau factorized replacement (it must tend to zero).
+  limiting -1/(4 tau^2)-type potentials.
 
-Every eigenvalue comes from one Nystrom table per t: the QUAD_ORDER
+Every eigenvalue at t comes from one Nystrom table: the QUAD_ORDER
 Gauss-Legendre nodes x_i and weights w_i on [0, pi t], sqrt(w_i), and the
 matrices sinc(x_i - x_j) and sinc(x_i + x_j).  The order is fixed: it has
 converged for every t up to T_MAX, and a higher one only adds rounding
-and cost.
-Both channels' kernels are formed from the same table.
-``sine_kernel_spectrum`` is the one function that builds it, and
+and cost.  ``sine_kernel_spectrum`` forms both channels' matrices from
+that table as one stack and diagonalizes it with one eigvalsh call;
 ``fredholm_log_dets``, ``fredholm_report`` (at each t of its grid),
-``marchenko_residual`` and szego's cross-check read their log dets off
+``marchenko_residuals`` and szego's cross-check read their log dets off
 that spectrum.  The log det of a channel is sum log1p(-lambda) over its
-eigenvalues, so a pair refuses as soon as either channel does (the even
-one, from t = 5.3 on).
-One large-tau (Widom) form backs both ``asymptotic_log_det`` and the
+eigenvalues, and a pair refuses as soon as either channel does (the even
+one from t = 5.3 on; the odd Marchenko replacement for tau <= 1/2).
+One large-tau (Widom) form backs both ``asymptotic_log_dets`` and the
 Marchenko replacement.
 
 Convention: the upper sign is the even channel throughout, i.e. F_plus and
@@ -57,9 +58,6 @@ from .core import (
     _check_positive,
 )
 from .potential import _uniform_step
-
-PARITY_EVEN = "even"
-PARITY_ODD = "odd"
 
 # Beyond t = 6 the top eigenvalues sit within double-precision distance of 1
 # and log(1 - lambda) has no digits left.
@@ -92,13 +90,10 @@ PHASE_K_MIN = 1e-12
 
 _SINC_TAYLOR_CUTOFF = 1e-6
 
-
-def _parity_sign(parity: str) -> int:
-    if parity == PARITY_EVEN:
-        return 1
-    if parity == PARITY_ODD:
-        return -1
-    raise PreconditionViolated(f"parity must be 'even' or 'odd', got {parity!r}")
+#: The channel axis of every pair: the sign of sinc(x + y) in K_pm and of
+#: the channel's terms in its large-tau forms, even row first.
+SIGNS = np.array([1.0, -1.0])
+SIGNS.flags.writeable = False
 
 
 def _sinc(u: np.ndarray) -> np.ndarray:
@@ -129,11 +124,17 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _nystrom_table(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sqrt(w), sinc(x - y) and sinc(x + y) on the Gauss-Legendre nodes of [0, pi t].
+def sine_kernel_spectrum(t: float) -> np.ndarray:
+    """Eigenvalues of K_plus and K_minus at t as the rows of one (2, QUAD_ORDER) array.
 
-    Both parity kernels are (sinc(x - y) +- sinc(x + y)) / pi on these
-    nodes, so one table serves both channels at t.
+    Nystrom discretization on the Gauss-Legendre nodes x_i of [0, pi t]:
+    the symmetric matrices sqrt(w_i) K_pm(x_i, x_j) sqrt(w_j), both formed
+    from one table of sinc(x - y) and sinc(x + y) and diagonalized by one
+    eigvalsh call on their stack.  Each row descends.  Raw eigenvalues may
+    stray outside [0, 1] by quadrature rounding only; any excursion beyond
+    EIG_CLIP_TOL in either row is an error, smaller ones are clipped.
+    spectrum.T.ravel() interleaves the rows into one sequence, descending
+    up to quadrature error.
     """
     _check_positive("t", t)
     if t > T_MAX:
@@ -141,27 +142,17 @@ def _nystrom_table(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     half_length = 0.5 * (math.pi * t)
     nodes, weights = _gauss_legendre()
     x = half_length * (nodes + 1.0)
-    return np.sqrt(half_length * weights), _sinc(x[:, None] - x[None, :]), _sinc(x[:, None] + x[None, :])
-
-
-def _channel_eigs(table: tuple[np.ndarray, np.ndarray, np.ndarray], parity: str, t: float) -> np.ndarray:
-    """Eigenvalues of one parity kernel from the table at t, descending, clipped to [0, 1].
-
-    Nystrom discretization: the symmetric matrix sqrt(w_i) K(x_i, x_j)
-    sqrt(w_j).  Raw eigenvalues may stray outside [0, 1] by quadrature
-    rounding only; any excursion beyond EIG_CLIP_TOL is an error, smaller
-    ones are clipped.
-    """
-    root_w, sinc_diff, sinc_sum = table
-    kernel = (sinc_diff + _parity_sign(parity) * sinc_sum) / math.pi
+    root_w = np.sqrt(half_length * weights)
+    kernel = (_sinc(x[:, None] - x[None, :]) + SIGNS[:, None, None] * _sinc(x[:, None] + x[None, :])) / math.pi
     sym = root_w[:, None] * kernel * root_w[None, :]
-    sym = 0.5 * (sym + sym.T)
+    # eigvalsh reads one triangle, so both are averaged into it first.
+    sym = 0.5 * (sym + sym.swapaxes(1, 2))
 
-    eigs = np.linalg.eigvalsh(sym)[::-1]
-    if eigs[-1] < -EIG_CLIP_TOL or eigs[0] > 1.0 + EIG_CLIP_TOL:
+    eigs = np.linalg.eigvalsh(sym)[:, ::-1]
+    if eigs[:, -1].min() < -EIG_CLIP_TOL or eigs[:, 0].max() > 1.0 + EIG_CLIP_TOL:
         raise ScatterError(
-            f"eigenvalues escape [0, 1] beyond tolerance: min {eigs[-1]:.3e}, "
-            f"max {eigs[0]:.3e} (parity {parity}, t {t}, quad_order {root_w.size})"
+            f"eigenvalues escape [0, 1] beyond tolerance: min {eigs.min():.3e}, "
+            f"max {eigs.max():.3e} (t {t}, quad_order {QUAD_ORDER})"
         )
     return np.clip(eigs, 0.0, 1.0)
 
@@ -182,29 +173,6 @@ def _log_det(eigs: np.ndarray, t: float) -> float:
     return float(np.sum(np.log1p(-kept)))
 
 
-@dataclass
-class SineKernelSpectrum:
-    """Both parity spectra at one t.
-
-    merged interleaves them: merged[2j] is even_eigs[j] and merged[2j+1]
-    is odd_eigs[j], a sequence descending up to quadrature error.
-    """
-
-    t: float
-    even_eigs: np.ndarray
-    odd_eigs: np.ndarray
-
-    @property
-    def merged(self) -> np.ndarray:
-        return np.stack((self.even_eigs, self.odd_eigs), axis=1).ravel()
-
-
-def sine_kernel_spectrum(t: float) -> SineKernelSpectrum:
-    """Even and odd spectra of the sine kernel at one t, from one table."""
-    table = _nystrom_table(t)
-    return SineKernelSpectrum(t, *(_channel_eigs(table, parity, t) for parity in (PARITY_EVEN, PARITY_ODD)))
-
-
 def fredholm_log_dets(t: float) -> tuple[float, float]:
     """(even, odd) log of the Fredholm determinant det(1 - K_pm) at t.
 
@@ -212,15 +180,16 @@ def fredholm_log_dets(t: float) -> tuple[float, float]:
     eigenvalues are summed.  EigenvalueAtOne from either channel refuses
     the pair.
     """
-    spectrum = sine_kernel_spectrum(t)
-    return _log_det(spectrum.even_eigs, t), _log_det(spectrum.odd_eigs, t)
+    even, odd = sine_kernel_spectrum(t)
+    return _log_det(even, t), _log_det(odd, t)
 
 
-def _large_tau(sign: int, tau, log_term):
+def _large_tau(sign, tau, log_term):
     """Widom's large-tau form of log det(1 - K_pm), with log_term for log tau.
 
-    Takes floats or arrays.  The Marchenko replacement is the same form with
-    log|tau +- 1/2| in place of log tau; see _marchenko.
+    sign is SIGNS, shaped to broadcast against tau.  Takes floats or
+    arrays.  The Marchenko replacement is the same form with log|tau +- 1/2|
+    in place of log tau; see _marchenko.
     """
     return (
         -tau * tau / 4.0
@@ -231,20 +200,38 @@ def _large_tau(sign: int, tau, log_term):
     )
 
 
-def _marchenko(sign: int, tau, logf):
+def _marchenko(sign, tau, logf):
     """logf less its large-tau replacement, for floats or arrays alike.
 
-    The report's column and marchenko_residual both come from here, so they
-    agree bit for bit.
+    The report's columns and marchenko_residuals both come from here, so
+    they agree bit for bit.
     """
     return logf - _large_tau(sign, tau, np.log(tau + 0.5 * sign))
 
 
-def asymptotic_log_det(parity: str, t: float) -> float:
-    """Large-interval closed form for log det(1 - K_pm) at tau = pi t."""
+def asymptotic_log_dets(t: float) -> tuple[float, float]:
+    """(even, odd) large-interval closed forms for log det(1 - K_pm) at tau = pi t."""
     _check_positive("t", t)
     tau = math.pi * t
-    return _large_tau(_parity_sign(parity), tau, math.log(tau))
+    even, odd = _large_tau(SIGNS, tau, math.log(tau)).tolist()
+    return even, odd
+
+
+def marchenko_residuals(t: float) -> tuple[float, float]:
+    """(even, odd) log of the ratio between det(1 - K_pm) and its large-tau replacement.
+
+    Both tend to 0 as tau = pi t grows.  The odd replacement involves
+    log(tau - 1/2), so the pair refuses for tau <= 1/2, as it refuses
+    wherever fredholm_log_dets does.  fredholm_report keeps the even value
+    there in its marchenko_plus column.
+    """
+    tau = math.pi * t
+    if tau <= 0.5:
+        raise TauTooSmall(
+            f"odd-channel residual needs tau > 1/2, got tau = {tau}"
+        )
+    even, odd = _marchenko(SIGNS, tau, np.array(fredholm_log_dets(t))).tolist()
+    return even, odd
 
 
 def _validated_grid(t_grid: np.ndarray) -> np.ndarray:
@@ -268,24 +255,6 @@ def _validated_grid(t_grid: np.ndarray) -> np.ndarray:
     if grid[-1] > T_MAX:
         raise TTooLarge(f"t grid reaches {grid[-1]}, beyond {T_MAX}")
     return grid
-
-
-def _channel(parity: str, grid: np.ndarray, logf: np.ndarray) -> dict[str, np.ndarray]:
-    """One channel's report columns from its log dets on a validated t grid.
-
-    w is NaN at both endpoints, lost to the central second difference, and
-    marchenko is NaN where the odd replacement needs tau > 1/2.
-    """
-    sign = _parity_sign(parity)
-    h_tau = math.pi * float(grid[1] - grid[0])
-    w = np.full(grid.size, np.nan)
-    w[1:-1] = -2.0 * (logf[2:] - 2.0 * logf[1:-1] + logf[:-2]) / (h_tau * h_tau) - 1.0
-    defined = math.pi * grid + 0.5 * sign > 0.0
-    tau = math.pi * grid[defined]
-    marchenko = np.full(grid.size, np.nan)
-    marchenko[defined] = _marchenko(sign, tau, logf[defined])
-    asym = np.array([asymptotic_log_det(parity, t) for t in grid])
-    return {"logf": logf, "asym_residual": logf - asym, "w": w, "marchenko": marchenko}
 
 
 @dataclass(frozen=True)
@@ -348,53 +317,27 @@ def jost_forms(k: float) -> JostClosedForms:
     return forms
 
 
-def marchenko_residual(parity: str, t: float) -> float:
-    """log of the ratio between det(1 - K_pm) and its large-tau replacement.
+def fredholm_report(t_grid: np.ndarray) -> dict[str, np.ndarray]:
+    """Both channels of the sweep on one uniform t grid, as columns in output order.
 
-    Tends to 0 as tau grows.  The odd-channel replacement involves
-    log(tau - 1/2) and only makes sense for tau > 1/2.  The log det comes
-    from fredholm_log_dets, so either parity refuses where the pair does.
-    """
-    tau = math.pi * t
-    if parity == PARITY_ODD and tau <= 0.5:
-        raise TauTooSmall(
-            f"odd-channel residual needs tau > 1/2, got tau = {tau}"
-        )
-    sign = _parity_sign(parity)  # refused before t
-    logf = fredholm_log_dets(t)[parity == PARITY_ODD]
-    return float(_marchenko(sign, tau, logf))
-
-
-@dataclass
-class FredholmReport:
-    """Grid sweep of both channels: determinants, asymptotics, potentials.
-
-    w_plus / w_minus reconstruct W_pm(tau) = -2 (d/dtau)^2 log F_pm - 1 on
-    tau = pi t, which approaches -1/(4 tau^2) for large tau.  They are NaN
-    at both endpoints (lost to the central difference stencil);
-    marchenko_minus is NaN where tau <= 1/2.
-    """
-
-    t_grid: np.ndarray
-    logf_plus: np.ndarray
-    logf_minus: np.ndarray
-    asym_residual_plus: np.ndarray
-    asym_residual_minus: np.ndarray
-    w_plus: np.ndarray
-    w_minus: np.ndarray
-    marchenko_plus: np.ndarray
-    marchenko_minus: np.ndarray
-
-
-def fredholm_report(t_grid: np.ndarray) -> FredholmReport:
-    """Both channels of the sweep on one uniform t grid; see FredholmReport.
-
-    One fredholm_log_dets call per t gives both channels.
+    The columns are t, then logf, asym_residual (logf less
+    asymptotic_log_dets), w and marchenko, each as _plus (even) and _minus
+    (odd).  w_pm reconstructs W_pm(tau) = -2 (d/dtau)^2 log F_pm - 1 on
+    tau = pi t, which approaches -1/(4 tau^2) for large tau; it is NaN at
+    both endpoints, lost to the central difference stencil.  marchenko_minus
+    is NaN where tau <= 1/2.  One fredholm_log_dets call per t gives both
+    channels.
     """
     grid = _validated_grid(t_grid)
     logf = np.array([fredholm_log_dets(t) for t in grid]).T
-    columns: dict[str, np.ndarray] = {}
-    for (parity, tag), row in zip(((PARITY_EVEN, "plus"), (PARITY_ODD, "minus")), logf):
-        for name, column in _channel(parity, grid, row).items():
-            columns[f"{name}_{tag}"] = column
-    return FredholmReport(t_grid=grid, **columns)
+    asym = np.array([asymptotic_log_dets(t) for t in grid]).T
+    h_tau = math.pi * float(grid[1] - grid[0])
+    w = np.full(logf.shape, np.nan)
+    w[:, 1:-1] = -2.0 * (logf[:, 2:] - 2.0 * logf[:, 1:-1] + logf[:, :-2]) / (h_tau * h_tau) - 1.0
+    sign, tau = SIGNS[:, None], math.pi * grid
+    with np.errstate(divide="ignore", invalid="ignore"):  # the log where tau + sign/2 <= 0
+        marchenko = np.where(tau + 0.5 * sign > 0.0, _marchenko(sign, tau, logf), np.nan)
+    columns = {"t": grid}
+    for name, pair in (("logf", logf), ("asym_residual", logf - asym), ("w", w), ("marchenko", marchenko)):
+        columns[f"{name}_plus"], columns[f"{name}_minus"] = pair
+    return columns

@@ -59,7 +59,7 @@ from .core import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .spectral import PARITY_EVEN, PARITY_ODD, QUAD_ORDER, asymptotic_log_det, fredholm_log_dets
+from .spectral import QUAD_ORDER, asymptotic_log_dets, fredholm_log_dets
 
 MAX_N = 512
 
@@ -265,9 +265,9 @@ def szego_limit_check(n: int, t: float) -> SzegoCrossCheck:
 
     The n x n section is taken at the coupling alpha = 2 pi t / n.
     The full-interval determinant factorizes over parity, so the continuum
-    reference is the even plus the odd log det of fredholm_log_dets(t),
-    and its closed-form asymptotic is asymptotic_log_det(even) + asymptotic_log_det(odd)
-    = -(pi t)^2/2 - (1/4) log(pi t) + (1/12) log 2 + 3 zeta'(-1).
+    reference is the sum of the pair fredholm_log_dets(t), and its
+    closed-form asymptotic is the sum of the pair asymptotic_log_dets(t),
+    -(pi t)^2/2 - (1/4) log(pi t) + (1/12) log 2 + 3 zeta'(-1).
     """
     if not (0.5 <= t <= 3.0):
         raise PreconditionViolated(f"t must lie in [0.5, 3], got {t}")
@@ -276,9 +276,8 @@ def szego_limit_check(n: int, t: float) -> SzegoCrossCheck:
 
     alpha = 2.0 * math.pi * t / n
     result = toeplitz_logdet(ArcSymbol(alpha), n)
-    even, odd = fredholm_log_dets(t)
-    fredholm_total = even + odd
-    continuum = asymptotic_log_det(PARITY_EVEN, t) + asymptotic_log_det(PARITY_ODD, t)
+    fredholm_total = sum(fredholm_log_dets(t))
+    continuum = sum(asymptotic_log_dets(t))
     return SzegoCrossCheck(
         alpha=alpha,
         n=n,

@@ -34,13 +34,11 @@ from scatter1d.smatrix import (
     smatrix_via_transfer,
 )
 from scatter1d.spectral import (
-    PARITY_EVEN,
-    PARITY_ODD,
-    asymptotic_log_det,
+    asymptotic_log_dets,
     fredholm_log_dets,
     fredholm_report,
     jost_forms,
-    marchenko_residual,
+    marchenko_residuals,
     phase_shift,
     sine_kernel_spectrum,
 )
@@ -185,16 +183,16 @@ def test_criterion_06_sine_kernel_spectrum():
     worst_tail = 0.0
     for t in (0.5, 1.0, 2.0):
         spec = sine_kernel_spectrum(t)
-        for eigs in (spec.even_eigs, spec.odd_eigs):
-            in_range &= bool(np.all(eigs >= 0.0) and np.all(eigs <= 1.0))
-        descending &= bool(np.all(np.diff(spec.merged) <= 1e-10))
+        in_range &= bool(np.all(spec >= 0.0) and np.all(spec <= 1.0))
+        merged = spec.T.ravel()
+        descending &= bool(np.all(np.diff(merged) <= 1e-10))
         oracle = full_interval_sine_eigs(t, 600)
         # The union holds 2 QUAD_ORDER eigenvalues, all compared; the
         # oracle's next ones, up to index 100, must be negligible, so that
         # no eigenvalue of that size is missing from the union.
-        count = spec.merged.size
+        count = merged.size
         keep = 100
-        worst_union = max(worst_union, float(np.max(np.abs(spec.merged - oracle[:count]))))
+        worst_union = max(worst_union, float(np.max(np.abs(merged - oracle[:count]))))
         worst_tail = max(worst_tail, float(np.max(oracle[count:keep], initial=0.0)))
     elapsed = time.perf_counter() - start
     report(
@@ -209,21 +207,16 @@ def test_criterion_06_sine_kernel_spectrum():
 def test_criterion_07_widom_asymptotics():
     start = time.perf_counter()
     ts = (1.0, 1.5, 2.0, 2.5, 3.0)
-    pairs = [fredholm_log_dets(t) for t in ts]
-    residual = {
-        parity: [abs(pair[i] - asymptotic_log_det(parity, t)) for t, pair in zip(ts, pairs)]
-        for i, parity in enumerate((PARITY_EVEN, PARITY_ODD))
-    }
-    small_at_3 = all(residual[p][-1] <= 0.01 for p in residual)
-    monotone = all(
-        b < a for vals in residual.values() for a, b in zip(vals, vals[1:])
-    )
+    # One row per channel, even first.
+    residual = np.abs([np.subtract(fredholm_log_dets(t), asymptotic_log_dets(t)) for t in ts]).T
+    small_at_3 = bool(np.all(residual[:, -1] <= 0.01))
+    monotone = bool(np.all(np.diff(residual, axis=1) < 0.0))
     elapsed = time.perf_counter() - start
     report(
         7,
         small_at_3 and monotone and elapsed < 60.0,
-        f"residual at t=3: even {residual[PARITY_EVEN][-1]:.3e}, odd "
-        f"{residual[PARITY_ODD][-1]:.3e} (limit 0.01), monotone over five t "
+        f"residual at t=3: even {residual[0, -1]:.3e}, odd "
+        f"{residual[1, -1]:.3e} (limit 0.01), monotone over five t "
         f"values: {monotone}, in {elapsed:.2f}s",
     )
 
@@ -234,26 +227,21 @@ def test_criterion_08_reconstructed_potential_asymptote():
     sweep = fredholm_report(grid)
     tau = math.pi * grid
     i = int(np.argmin(np.abs(tau[1:-1] - 8.0))) + 1
-    scaled = {
-        PARITY_EVEN: sweep.w_plus[i] * 4.0 * tau[i] ** 2,
-        PARITY_ODD: sweep.w_minus[i] * 4.0 * tau[i] ** 2,
-    }
-    tail_ok = all(abs(val + 1.0) <= 0.2 for val in scaled.values())
+    scaled = np.array([sweep["w_plus"][i], sweep["w_minus"][i]]) * 4.0 * tau[i] ** 2
+    tail_ok = bool(np.all(np.abs(scaled + 1.0) <= 0.2))
 
-    worst_symbolic = 0.0
     h_tau = math.pi * (grid[1] - grid[0])
-    for parity in (PARITY_EVEN, PARITY_ODD):
-        logf = np.array([asymptotic_log_det(parity, t) for t in grid])
-        second = (logf[2:] - 2.0 * logf[1:-1] + logf[:-2]) / (h_tau * h_tau)
-        w = -2.0 * second - 1.0
-        tau = math.pi * grid[1:-1]
-        worst_symbolic = max(worst_symbolic, float(np.max(np.abs(w + 0.25 / tau**2))))
+    logf = np.array([asymptotic_log_dets(t) for t in grid]).T
+    second = (logf[:, 2:] - 2.0 * logf[:, 1:-1] + logf[:, :-2]) / (h_tau * h_tau)
+    w = -2.0 * second - 1.0
+    tau = math.pi * grid[1:-1]
+    worst_symbolic = float(np.max(np.abs(w + 0.25 / tau**2)))
     elapsed = time.perf_counter() - start
     report(
         8,
         tail_ok and worst_symbolic <= 1e-3 and elapsed < 60.0,
-        f"W*4tau^2 at tau~8: even {scaled[PARITY_EVEN]:.4f}, odd "
-        f"{scaled[PARITY_ODD]:.4f} (within 0.2 of -1), stencil on the closed "
+        f"W*4tau^2 at tau~8: even {scaled[0]:.4f}, odd "
+        f"{scaled[1]:.4f} (within 0.2 of -1), stencil on the closed "
         f"form off -1/(4 tau^2) by {worst_symbolic:.3e} (limit 1e-3) "
         f"in {elapsed:.2f}s",
     )
@@ -282,13 +270,12 @@ def test_criterion_09_phase_shift_identities():
 
 
 def test_criterion_10_marchenko_rearrangement():
-    even = [marchenko_residual(PARITY_EVEN, t) for t in (1.5, 2.0, 2.5, 3.0)]
-    odd = [marchenko_residual(PARITY_ODD, t) for t in (1.5, 2.0, 2.5, 3.0)]
+    even, odd = zip(*(marchenko_residuals(t) for t in (1.5, 2.0, 2.5, 3.0)))
     monotone = all(
         abs(b) < abs(a) for vals in (even, odd) for a, b in zip(vals, vals[1:])
     )
     try:
-        marchenko_residual(PARITY_ODD, 0.15)
+        marchenko_residuals(0.15)
         rejects = False
     except TauTooSmall:
         rejects = True
@@ -296,7 +283,7 @@ def test_criterion_10_marchenko_rearrangement():
         10,
         abs(even[-1]) <= 0.02 and monotone and rejects,
         f"|even residual| at t=3 {abs(even[-1]):.3e} (limit 0.02), decreasing "
-        f"over four t values: {monotone}, odd channel rejects tau <= 1/2: {rejects}",
+        f"over four t values: {monotone}, pair rejects tau <= 1/2 (odd channel): {rejects}",
     )
 
 

@@ -270,6 +270,28 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args, message",
         [
+            (("counterexample", "--q", "abc"), "argument --q: expected a finite number, got 'abc'"),
+            (("fredholm", "--t", "1:x:0.025"), "argument --t: expected a finite number, got 'x'"),
+            (("fredholm", "--t", "1:1.1:0.025", "--quad", "x"), "argument --quad: expected an integer, got 'x'"),
+            (("smatrix", "--well", "1,x", "--energy", "1"), "argument --well: expected a finite number, got 'x'"),
+            (
+                ("smatrix", "--well", "1,1", "--energy-grid", "1,2,x"),
+                "argument --energy-grid: expected an integer, got 'x'",
+            ),
+            (("szego", "--t", "1", "--n", "8,x"), "argument --n: expected an integer, got 'x'"),
+            (("phaseshift", "--k", "1,y"), "argument --k: expected a finite number, got 'y'"),
+        ],
+        ids=["counterexample-q", "fredholm-t", "fredholm-quad", "smatrix-well", "smatrix-energy-grid", "szego-n", "phaseshift-k"],
+    )
+    def test_text_that_is_no_number_is_usage_error_naming_the_kind(self, capsys, args, message):
+        # The message names the kind of number expected, not the Python
+        # function that failed to read it.
+        assert main(list(args)) == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
             (("smatrix", "--well", "1,1", "--energy", "inf"), "energy must be finite, got inf"),
             (("smatrix", "--delta", "inf", "--energy", "1"), "alpha must be finite, got inf"),
             # A finite but out-of-domain strength is refused the same way.

@@ -20,31 +20,33 @@ from scatter1d.core import (
     ZETA_PRIME_MINUS_ONE,
 )
 from scatter1d.spectral import (
+    EIG_CLIP_TOL,
     EIG_ONE_TOL,
-    PARITY_EVEN,
-    PARITY_ODD,
     QUAD_ORDER,
     T_MAX,
     _sinc,
-    asymptotic_log_det,
+    asymptotic_log_dets,
     fredholm_log_dets,
     fredholm_report,
     jost_forms,
-    marchenko_residual,
+    marchenko_residuals,
     phase_shift,
     sine_kernel_spectrum,
 )
 from scatter1d.szego import szego_limit_check
 
 
+@pytest.fixture
+def patch_eigvalsh(monkeypatch):
+    """Sets numpy's eigvalsh to a replacement, once the cached Gauss-Legendre
+    nodes, whose leggauss calls eigvalsh too, have been formed."""
+    spectral._gauss_legendre()
+    return lambda replacement: monkeypatch.setattr(np.linalg, "eigvalsh", replacement)
+
+
 class TestKernelSpec:
     def test_guards(self):
-        with pytest.raises(PreconditionViolated, match="parity"):
-            marchenko_residual("both", 1.0)
-        # The parity is refused before t is looked at.
-        with pytest.raises(PreconditionViolated, match="parity"):
-            marchenko_residual("both", 7.0)
-        for call in (sine_kernel_spectrum, fredholm_log_dets, lambda t: marchenko_residual(PARITY_EVEN, t)):
+        for call in (sine_kernel_spectrum, fredholm_log_dets, marchenko_residuals):
             with pytest.raises(PreconditionViolated):
                 call(0.0)
             with pytest.raises(TTooLarge):
@@ -67,16 +69,18 @@ class TestSpectrum:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_eigenvalues_live_in_the_unit_interval(self, t):
         spec = sine_kernel_spectrum(t)
-        for eigs in (spec.even_eigs, spec.odd_eigs):
-            assert np.all(eigs >= 0.0)
-            assert np.all(eigs <= 1.0)
+        assert spec.shape == (2, QUAD_ORDER)
+        assert np.all(spec >= 0.0)
+        assert np.all(spec <= 1.0)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_merged_spectrum_is_descending(self, t):
+        # Even row first: the interleaved sequence starts with lambda_0 of K_plus.
         spec = sine_kernel_spectrum(t)
-        assert np.all(np.diff(spec.merged) <= 1e-10)
-        np.testing.assert_array_equal(spec.merged[0::2], spec.even_eigs)
-        np.testing.assert_array_equal(spec.merged[1::2], spec.odd_eigs)
+        merged = spec.T.ravel()
+        assert np.all(np.diff(merged) <= 1e-10)
+        np.testing.assert_array_equal(merged[0::2], spec[0])
+        np.testing.assert_array_equal(merged[1::2], spec[1])
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_parity_union_matches_full_interval_oracle(self, t):
@@ -85,20 +89,48 @@ class TestSpectrum:
         spec = sine_kernel_spectrum(t)
         oracle = full_interval_sine_eigs(t, 400)
         keep = 40
-        diff = np.max(np.abs(spec.merged[:keep] - oracle[:keep]))
+        diff = np.max(np.abs(spec.T.ravel()[:keep] - oracle[:keep]))
         assert diff < 1e-10, f"t={t}: union off the oracle by {diff}"
 
     def test_small_t_rank_one_limit(self):
         # As t -> 0 the top even eigenvalue approaches 2t and everything
         # else is negligible.
         t = 0.005
-        eigs = sine_kernel_spectrum(t).even_eigs
+        eigs = sine_kernel_spectrum(t)[0]
         assert abs(eigs[0] / (2.0 * t) - 1.0) < 0.01
         assert eigs[1] < 1e-6
 
+    @pytest.mark.parametrize("row", [0, 1], ids=["even", "odd"])
+    @pytest.mark.parametrize("stray", [1.0 + 2.0 * EIG_CLIP_TOL, -2.0 * EIG_CLIP_TOL], ids=["above", "below"])
+    def test_eigenvalues_beyond_the_clip_tolerance_are_refused(self, patch_eigvalsh, row, stray):
+        # Quadrature rounding keeps raw eigenvalues within EIG_CLIP_TOL of
+        # [0, 1]; a stray of twice that in either row is refused, not clipped.
+        def stray_eigvalsh(stack):
+            eigs = np.tile(np.linspace(0.0, 1.0, QUAD_ORDER), (2, 1))
+            eigs[row, -1 if stray > 0.5 else 0] = stray
+            return eigs
+
+        patch_eigvalsh(stray_eigvalsh)
+        with pytest.raises(ScatterError, match=r"eigenvalues escape \[0, 1\] beyond tolerance"):
+            sine_kernel_spectrum(1.0)
+
+    def test_eigenvalues_within_the_clip_tolerance_are_clipped(self, patch_eigvalsh):
+        def rounded_eigvalsh(stack):
+            eigs = np.tile(np.linspace(0.0, 1.0, QUAD_ORDER), (2, 1))
+            eigs[:, 0], eigs[:, -1] = -0.5 * EIG_CLIP_TOL, 1.0 + 0.5 * EIG_CLIP_TOL
+            return eigs
+
+        patch_eigvalsh(rounded_eigvalsh)
+        spec = sine_kernel_spectrum(1.0)
+        np.testing.assert_array_equal(spec[:, 0], [1.0, 1.0])
+        np.testing.assert_array_equal(spec[:, -1], [0.0, 0.0])
+
 
 class TestOneTablePerT:
-    """Both channels at one t come from one Nystrom table: two sinc calls."""
+    """Both channels at one t come from one Nystrom table, two sinc calls,
+    and one eigvalsh call on the stack of both channels' matrices."""
+
+    STACK = (2, QUAD_ORDER, QUAD_ORDER)
 
     @pytest.fixture
     def sinc_calls(self, monkeypatch):
@@ -111,27 +143,44 @@ class TestOneTablePerT:
         monkeypatch.setattr(spectral, "_sinc", counting_sinc)
         return calls
 
-    def test_report_builds_one_table_per_t(self, sinc_calls):
+    @pytest.fixture
+    def eigvalsh_calls(self, patch_eigvalsh):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        patch_eigvalsh(counting_eigvalsh)
+        return calls
+
+    def test_report_builds_one_table_per_t(self, sinc_calls, eigvalsh_calls):
         grid = np.arange(1.0, 1.1 + 0.0125, 0.025)
         fredholm_report(grid)
         assert grid.size == 5
         assert sinc_calls == [(QUAD_ORDER, QUAD_ORDER)] * (2 * grid.size)
+        assert eigvalsh_calls == [self.STACK] * grid.size
 
-    def test_spectrum_builds_one_table(self, sinc_calls):
+    def test_spectrum_builds_one_table(self, sinc_calls, eigvalsh_calls):
         sine_kernel_spectrum(1.0)
         assert sinc_calls == [(QUAD_ORDER, QUAD_ORDER)] * 2
+        assert eigvalsh_calls == [self.STACK]
 
-    def test_szego_cross_check_builds_one_table(self, sinc_calls):
+    def test_szego_cross_check_builds_one_table(self, sinc_calls, eigvalsh_calls):
         szego_limit_check(8, 1.0)
         assert sinc_calls == [(QUAD_ORDER, QUAD_ORDER)] * 2
+        assert eigvalsh_calls == [self.STACK]
 
-    def test_log_dets_build_one_table(self, sinc_calls):
+    def test_log_dets_build_one_table(self, sinc_calls, eigvalsh_calls):
         fredholm_log_dets(1.0)
         assert sinc_calls == [(QUAD_ORDER, QUAD_ORDER)] * 2
+        assert eigvalsh_calls == [self.STACK]
 
-    def test_marchenko_residual_builds_one_table(self, sinc_calls):
-        marchenko_residual(PARITY_ODD, 1.0)
+    def test_marchenko_residuals_build_one_table(self, sinc_calls, eigvalsh_calls):
+        marchenko_residuals(1.0)
         assert sinc_calls == [(QUAD_ORDER, QUAD_ORDER)] * 2
+        assert eigvalsh_calls == [self.STACK]
 
 
 class TestGaussLegendreNodes:
@@ -144,11 +193,11 @@ class TestGaussLegendreNodes:
 
         monkeypatch.setattr(spectral, "leggauss", counting_leggauss)
         spectral._gauss_legendre.cache_clear()
-        first = sine_kernel_spectrum(1.0).even_eigs
-        again = sine_kernel_spectrum(1.0).even_eigs
+        first = sine_kernel_spectrum(1.0)
+        again = sine_kernel_spectrum(1.0)
         sine_kernel_spectrum(2.0)
         fredholm_log_dets(2.0)
-        marchenko_residual(PARITY_ODD, 2.0)
+        marchenko_residuals(2.0)
         fredholm_report(np.arange(1.0, 1.1 + 0.0125, 0.025))
         assert calls == [spectral.QUAD_ORDER]
         assert np.array_equal(first, again)
@@ -195,9 +244,10 @@ class TestFredholmLogDets:
     @pytest.mark.parametrize("t", [5.3, 5.5, 6.0])
     def test_eigenvalue_at_one_refuses_the_pair_when_t_is_deep(self, t):
         # The even channel refuses; the message prints its top eigenvalue
-        # as a plain float, which may have clipped to 1.0.  marchenko_residual
-        # reads the pair, so the odd residual, whose log det is off by up to
-        # 7.1e-3 here, refuses too.
+        # as a plain float, which may have clipped to 1.0.  marchenko_residuals
+        # reads the pair, so it refuses too, odd residual and all, although
+        # the odd log det alone (off by up to 7.1e-3 here) has no eigenvalue
+        # at 1.
         def top_eigenvalue(error):
             match = re.search(r"top eigenvalue (\S+) is within", str(error.value))
             return float(match.group(1))
@@ -205,10 +255,9 @@ class TestFredholmLogDets:
         with pytest.raises(EigenvalueAtOne) as error:
             fredholm_log_dets(t)
         assert 1.0 - EIG_ONE_TOL <= top_eigenvalue(error) <= 1.0
-        for parity in (PARITY_EVEN, PARITY_ODD):
-            with pytest.raises(EigenvalueAtOne) as error:
-                marchenko_residual(parity, t)
-            assert 1.0 - EIG_ONE_TOL <= top_eigenvalue(error) <= 1.0
+        with pytest.raises(EigenvalueAtOne) as error:
+            marchenko_residuals(t)
+        assert 1.0 - EIG_ONE_TOL <= top_eigenvalue(error) <= 1.0
 
     def test_deepest_supported_t_works_at_the_default_order(self):
         assert all(math.isfinite(val) for val in fredholm_log_dets(5.0))
@@ -226,13 +275,15 @@ class TestFredholmLogDets:
 
 class TestAsymptoticLogDet:
     def test_frozen_values_at_t_one(self):
-        assert abs(asymptotic_log_det(PARITY_EVEN, 1.0) - (-4.2272524506857705)) < 1e-12
-        assert abs(asymptotic_log_det(PARITY_ODD, 1.0) - (-1.4322333873759496)) < 1e-12
+        even, odd = asymptotic_log_dets(1.0)
+        assert abs(even - (-4.2272524506857705)) < 1e-12
+        assert abs(odd - (-1.4322333873759496)) < 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 3.0])
     def test_parity_gap_is_linear_in_tau(self, t):
         # even minus odd collapses to -pi t + log(2)/2 exactly.
-        gap = asymptotic_log_det(PARITY_EVEN, t) - asymptotic_log_det(PARITY_ODD, t)
+        even, odd = asymptotic_log_dets(t)
+        gap = even - odd
         assert abs(gap - (-math.pi * t + 0.5 * math.log(2.0))) < 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 3.0])
@@ -244,15 +295,13 @@ class TestAsymptoticLogDet:
             + math.log(2.0) / 12.0
             + 3.0 * ZETA_PRIME_MINUS_ONE
         )
-        total = asymptotic_log_det(PARITY_EVEN, t) + asymptotic_log_det(PARITY_ODD, t)
+        total = sum(asymptotic_log_dets(t))
         assert abs(total - expect) < 1e-12
 
     def test_residual_against_quadrature_shrinks_with_t(self):
-        pairs = {t: fredholm_log_dets(t) for t in (1.0, 2.0)}
-        for i, parity in enumerate((PARITY_EVEN, PARITY_ODD)):
-            res = [abs(pairs[t][i] - asymptotic_log_det(parity, t)) for t in (1.0, 2.0)]
-            assert res[1] < res[0]
-            assert res[1] < 0.05
+        res = np.abs([np.subtract(fredholm_log_dets(t), asymptotic_log_dets(t)) for t in (1.0, 2.0)])
+        assert np.all(res[1] < res[0])
+        assert np.all(res[1] < 0.05)
 
 
 class TestReconstructedPotential:
@@ -267,7 +316,7 @@ class TestReconstructedPotential:
         report = fredholm_report(self.GRID)
         tau = math.pi * self.GRID
         i = int(np.argmin(np.abs(tau[1:-1] - 8.0))) + 1
-        for w, ref in ((report.w_plus, -0.884311), (report.w_minus, -1.141033)):
+        for w, ref in ((report["w_plus"], -0.884311), (report["w_minus"], -1.141033)):
             scaled = w[i] * 4.0 * tau[i] ** 2
             assert abs(scaled + 1.0) <= 0.2
             assert abs(scaled - ref) < 5e-3
@@ -275,18 +324,17 @@ class TestReconstructedPotential:
     def test_stencil_recovers_symbolic_tail_from_asymptotics(self):
         # Feeding the closed-form log determinant through the same stencil
         # must land on -1/(4 tau^2) up to stencil truncation alone.
-        for parity in (PARITY_EVEN, PARITY_ODD):
-            logf = np.array([asymptotic_log_det(parity, t) for t in self.GRID])
-            h_tau = math.pi * (self.GRID[1] - self.GRID[0])
-            second = (logf[2:] - 2.0 * logf[1:-1] + logf[:-2]) / (h_tau * h_tau)
-            w = -2.0 * second - 1.0
-            tau = math.pi * self.GRID[1:-1]
-            assert np.max(np.abs(w + 0.25 / tau**2)) < 1e-6
+        logf = np.array([asymptotic_log_dets(t) for t in self.GRID]).T
+        h_tau = math.pi * (self.GRID[1] - self.GRID[0])
+        second = (logf[:, 2:] - 2.0 * logf[:, 1:-1] + logf[:, :-2]) / (h_tau * h_tau)
+        w = -2.0 * second - 1.0
+        tau = math.pi * self.GRID[1:-1]
+        assert np.max(np.abs(w + 0.25 / tau**2)) < 1e-6
 
     def test_interior_alignment(self):
         # The stencil loses exactly the two endpoints, in both channels.
         report = fredholm_report(self.GRID)
-        for w in (report.w_plus, report.w_minus):
+        for w in (report["w_plus"], report["w_minus"]):
             assert w.shape == self.GRID.shape
             assert np.isnan(w[0]) and np.isnan(w[-1])
             assert np.all(np.isfinite(w[1:-1]))
@@ -313,9 +361,9 @@ class TestReconstructedPotential:
         # -0.015315 at 1e-5 and 1e-6: below the floor it is rounding noise.
         # The floor itself is accepted, also where t is large and the
         # spacing formed from it rounds below 1e-4.
-        w = fredholm_report(1.0 + 1e-4 * np.arange(5)).w_plus
+        w = fredholm_report(1.0 + 1e-4 * np.arange(5))["w_plus"]
         assert abs(w[2] + 0.018226) < 5e-6
-        w = fredholm_report(5.2 + 1e-4 * np.arange(5)).w_plus
+        w = fredholm_report(5.2 + 1e-4 * np.arange(5))["w_plus"]
         assert np.all(np.isfinite(w[1:-1]))
 
 
@@ -383,75 +431,86 @@ class TestJostForms:
 def test_closed_forms_refuse_non_finite_input(bad):
     # Unchecked, k = inf fails the phase identity with a bare ScatterError,
     # gives NaN Jost forms, and t = inf gives a log det of -inf.
-    for call in (phase_shift, jost_forms, lambda t: asymptotic_log_det(PARITY_EVEN, t)):
+    for call in (phase_shift, jost_forms, asymptotic_log_dets):
         with pytest.raises(PreconditionViolated, match=f"must be finite, got {bad}"):
             call(bad)
 
 
 class TestMarchenko:
     def test_even_residual_is_small_and_decreasing(self):
-        vals = [marchenko_residual(PARITY_EVEN, t) for t in (1.5, 2.0, 2.5, 3.0)]
+        vals = [marchenko_residuals(t)[0] for t in (1.5, 2.0, 2.5, 3.0)]
         assert abs(vals[-1]) <= 0.02
         for a, b in zip(vals, vals[1:]):
             assert abs(b) < abs(a)
 
     def test_odd_residual_decreases_too(self):
-        vals = [marchenko_residual(PARITY_ODD, t) for t in (1.5, 2.0, 2.5, 3.0)]
+        vals = [marchenko_residuals(t)[1] for t in (1.5, 2.0, 2.5, 3.0)]
         for a, b in zip(vals, vals[1:]):
             assert abs(b) < abs(a)
 
     def test_odd_channel_rejects_small_tau(self):
+        # The pair refuses as soon as its odd channel does.
         with pytest.raises(TauTooSmall):
-            marchenko_residual(PARITY_ODD, 0.15)
-        # The even channel has no such restriction.
-        assert math.isfinite(marchenko_residual(PARITY_EVEN, 0.15))
+            marchenko_residuals(0.15)
+        # The even channel has no such restriction: the report keeps it.
+        report = fredholm_report(0.15 + 0.025 * np.arange(5))
+        assert math.isfinite(report["marchenko_plus"][0])
+        assert math.isnan(report["marchenko_minus"][0])
 
 
 class TestFredholmReport:
     def test_shapes_and_nan_policy(self):
         grid = np.arange(0.1, 0.5 + 0.0125, 0.025)
         report = fredholm_report(grid)
-        n = grid.size
-        for arr in (
-            report.logf_plus,
-            report.logf_minus,
-            report.asym_residual_plus,
-            report.asym_residual_minus,
-            report.w_plus,
-            report.w_minus,
-            report.marchenko_plus,
-            report.marchenko_minus,
-        ):
-            assert arr.shape == (n,)
+        # The columns in the order the CLI writes them.
+        assert list(report) == [
+            "t",
+            "logf_plus",
+            "logf_minus",
+            "asym_residual_plus",
+            "asym_residual_minus",
+            "w_plus",
+            "w_minus",
+            "marchenko_plus",
+            "marchenko_minus",
+        ]
+        np.testing.assert_array_equal(report["t"], grid)
+        for column in report.values():
+            assert column.shape == grid.shape
         # The stencil loses both endpoints.
-        assert np.isnan(report.w_plus[0]) and np.isnan(report.w_plus[-1])
-        assert np.all(np.isfinite(report.w_plus[1:-1]))
+        assert np.isnan(report["w_plus"][0]) and np.isnan(report["w_plus"][-1])
+        assert np.all(np.isfinite(report["w_plus"][1:-1]))
         # The odd-channel replacement only exists for tau > 1/2.
         expect_nan = math.pi * grid <= 0.5
-        np.testing.assert_array_equal(np.isnan(report.marchenko_minus), expect_nan)
-        assert np.all(np.isfinite(report.marchenko_plus))
+        np.testing.assert_array_equal(np.isnan(report["marchenko_minus"]), expect_nan)
+        assert np.all(np.isfinite(report["marchenko_plus"]))
 
     @staticmethod
     def _assert_report_matches_pointwise_calls(start):
         # Every column comes from one sweep and must equal, bit for bit, what
-        # the public pointwise functions give on the same grid.
+        # the public pointwise pair functions give on the same grid.
         grid = np.arange(start, start + 0.2 + 0.0125, 0.025)
         report = fredholm_report(grid)
-        pairs = [fredholm_log_dets(t) for t in grid.tolist()]
-        for channel, (parity, tag) in enumerate(((PARITY_EVEN, "plus"), (PARITY_ODD, "minus"))):
-            logf = getattr(report, f"logf_{tag}")
-            marchenko = getattr(report, f"marchenko_{tag}")
-            for i, t in enumerate(grid.tolist()):
-                assert logf[i] == pairs[i][channel]
-                assert getattr(report, f"asym_residual_{tag}")[i] == (
-                    logf[i] - asymptotic_log_det(parity, t)
-                )
-                if parity == PARITY_ODD and math.pi * t <= 0.5:
-                    assert np.isnan(marchenko[i])
-                    with pytest.raises(TauTooSmall):
-                        marchenko_residual(parity, t)
-                else:
-                    assert marchenko[i] == marchenko_residual(parity, t)
+        for i, t in enumerate(grid.tolist()):
+            pair = {
+                name: (report[f"{name}_plus"][i], report[f"{name}_minus"][i])
+                for name in ("logf", "asym_residual", "marchenko")
+            }
+            logf, asym = fredholm_log_dets(t), asymptotic_log_dets(t)
+            assert report["t"][i] == t
+            assert pair["logf"] == logf
+            assert pair["asym_residual"] == (logf[0] - asym[0], logf[1] - asym[1])
+            tau = math.pi * t
+            if tau <= 0.5:
+                with pytest.raises(TauTooSmall):
+                    marchenko_residuals(t)
+                assert np.isnan(pair["marchenko"][1])
+                # Only the even replacement is defined: it is the even
+                # asymptotic form with log(tau + 1/2) for log tau.
+                closed_form = (math.log(tau + 0.5) - math.log(tau)) / 8.0
+                assert abs(pair["marchenko"][0] - pair["asym_residual"][0] - closed_form) < 1e-14
+            else:
+                assert pair["marchenko"] == marchenko_residuals(t)
 
     def test_report_matches_pointwise_calls(self):
         self._assert_report_matches_pointwise_calls(1.0)

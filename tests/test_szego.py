@@ -8,7 +8,7 @@ import pytest
 from helpers import arc_coefficient_quadrature, arc_toeplitz_logdet_lu, levinson_durbin_logdets
 from scatter1d import szego
 from scatter1d.core import NotPositiveDefinite, PreconditionViolated
-from scatter1d.spectral import PARITY_EVEN, PARITY_ODD, QUAD_ORDER, asymptotic_log_det
+from scatter1d.spectral import QUAD_ORDER, asymptotic_log_dets
 from scatter1d.szego import (
     ArcSymbol,
     SzegoCrossCheck,
@@ -242,9 +242,8 @@ class TestSzegoLimitCheck:
         assert chk.gap_continuum == chk.log_det - chk.continuum_asymptotic
         # The continuum closed form is the parity factorisation of the
         # sine-kernel asymptotics, like fredholm_total.
-        assert chk.continuum_asymptotic == asymptotic_log_det(
-            PARITY_EVEN, t
-        ) + asymptotic_log_det(PARITY_ODD, t)
+        even, odd = asymptotic_log_dets(t)
+        assert chk.continuum_asymptotic == even + odd
 
     def test_refining_alpha_quarters_the_gap(self):
         # At fixed t the discrete-to-continuum gap scales like alpha^2, so
