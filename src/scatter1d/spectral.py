@@ -225,6 +225,7 @@ def marchenko_residuals(t: float) -> tuple[float, float]:
     wherever fredholm_log_dets does.  fredholm_report keeps the even value
     there in its marchenko_plus column.
     """
+    _check_positive("t", t)
     tau = math.pi * t
     if tau <= 0.5:
         raise TauTooSmall(

@@ -46,8 +46,9 @@ def patch_eigvalsh(monkeypatch):
 
 class TestKernelSpec:
     def test_guards(self):
+        # t itself is checked before the Marchenko pair's tau > 1/2.
         for call in (sine_kernel_spectrum, fredholm_log_dets, marchenko_residuals):
-            with pytest.raises(PreconditionViolated):
+            with pytest.raises(PreconditionViolated, match="t must be positive, got 0.0"):
                 call(0.0)
             with pytest.raises(TTooLarge):
                 call(7.0)
