@@ -24,15 +24,20 @@ Every eigenvalue at t comes from one Nystrom table: the QUAD_ORDER
 Gauss-Legendre nodes x_i and weights w_i on [0, pi t], sqrt(w_i), and the
 matrices sinc(x_i - x_j) and sinc(x_i + x_j).  The order is fixed: it has
 converged for every t up to T_MAX, and a higher one only adds rounding
-and cost.  ``sine_kernel_spectrum`` forms both channels' matrices from
-that table as one stack and diagonalizes it with one eigvalsh call;
-``fredholm_log_dets``, ``fredholm_report`` (at each t of its grid),
-``marchenko_residuals`` and szego's cross-check read their log dets off
-that spectrum.  The log det of a channel is sum log1p(-lambda) over its
-eigenvalues, and a pair refuses as soon as either channel does (the even
-one from t = 5.3 on; the odd Marchenko replacement for tau <= 1/2).
-One large-tau (Widom) form backs both ``asymptotic_log_dets`` and the
-Marchenko replacement.
+and cost.  The t values are independent, so besides the channel axis
+there is a t axis: ``_spectra`` forms the tables of several t values and
+both channels' matrices of each as one stack and diagonalizes it with one
+eigvalsh call.  ``fredholm_report`` walks its grid in blocks of
+SPECTRA_BLOCK t values, one eigvalsh call per block;
+``sine_kernel_spectrum`` is the stack of one t, and
+``fredholm_log_dets``, ``marchenko_residuals`` and szego's cross-check
+read their log dets off it.  Every elementwise step is the same at every
+stack size, so a t gets the same bits in a block as alone.  The log det
+of a channel is sum log1p(-lambda) over its eigenvalues, and a pair
+refuses as soon as either channel does (the even one from t = 5.3 on; the
+odd Marchenko replacement for tau <= 1/2); a block refuses for its first
+failing t in grid order, as that t alone would.  One large-tau (Widom)
+form backs both ``asymptotic_log_dets`` and the Marchenko replacement.
 
 Convention: the upper sign is the even channel throughout, i.e. F_plus and
 W_plus pair with the eigenvalues lambda_0, lambda_2, ... of K_plus.
@@ -88,6 +93,15 @@ MIN_GRID_POINTS = 5
 #: leaves a residual of 2; at this k the tolerance is 1.
 PHASE_K_MIN = 1e-12
 
+#: Most t values in one _spectra stack, so that a fredholm grid goes
+#: through in blocks.  A stack holds about 40 KiB per t at its peak (16 KiB
+#: per t for each (2, QUAD_ORDER, QUAD_ORDER) array), so the
+#: MAX_GRID_POINTS t values of the longest grid in one stack would take
+#: gigabytes.  On 5-, 41- and 401-point grids, blocks of 8 were as fast as
+#: any other size; from 16 up, each block's arrays cross glibc's heap-trim
+#: threshold, and a 401-point report paid about 3200 minor page faults.
+SPECTRA_BLOCK = 8
+
 _SINC_TAYLOR_CUTOFF = 1e-6
 
 #: The channel axis of every pair: the sign of sinc(x + y) in K_pm and of
@@ -105,8 +119,12 @@ def _sinc(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < _SINC_TAYLOR_CUTOFF
     out = np.sin(u)
+    if not small.any():
+        out /= u
+        return out
     np.divide(out, u, out=out, where=~small)
-    u2 = u[small] * u[small]
+    u_small = u[small]
+    u2 = u_small * u_small
     out[small] = 1.0 - u2 / 6.0 + u2 * u2 / 120.0
     return out
 
@@ -124,64 +142,101 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _spectra(ts) -> tuple[np.ndarray, ScatterError | None]:
+    """Clipped spectra of K_plus and K_minus at each t of ts, as a (T, 2, QUAD_ORDER) stack.
+
+    The only Nystrom table builder.  Each t gets the Gauss-Legendre nodes
+    x_i of [0, pi t], sqrt(w_i), and its sinc(x - y) and sinc(x + y)
+    tables, formed for all of ts by one _sinc call each; the symmetric
+    matrices sqrt(w_i) K_pm(x_i, x_j) sqrt(w_j) of every t and channel go
+    to one eigvalsh call.  The matrix stack holds the channel axis first,
+    so each broadcast runs along its leading axis, which numpy does without
+    an iteration buffer.  Each row descends.  Raw eigenvalues may stray
+    outside [0, 1] by quadrature rounding only: the first t whose rows
+    stray beyond EIG_CLIP_TOL ends the stack, which then holds the t values
+    before it, and its refusal comes back in place of None.  Smaller strays
+    are clipped.  The caller raises the refusal after any of its own that
+    an earlier t calls for.
+    """
+    half_length = 0.5 * (math.pi * np.asarray(ts, dtype=float))[:, None]
+    nodes, weights = _gauss_legendre()
+    x = half_length * (nodes + 1.0)
+    root_w = np.sqrt(half_length * weights)
+    diff, total = _sinc(x[:, :, None] - x[:, None, :]), _sinc(x[:, :, None] + x[:, None, :])
+    # sqrt(w_i) K_pm(x_i, x_j) sqrt(w_j), formed in place.
+    sym = SIGNS[:, None, None, None] * total
+    sym += diff
+    sym /= math.pi
+    sym *= root_w[:, :, None]
+    sym *= root_w[:, None, :]
+    del diff, total  # before the averaged copy, to lower the peak
+    # eigvalsh reads one triangle, so both are averaged into it first.
+    sym = sym + sym.swapaxes(-1, -2)
+    sym *= 0.5
+
+    eigs = np.linalg.eigvalsh(sym)[..., ::-1].swapaxes(0, 1)
+    refusal = None
+    # The extremes of the whole stack first, as they are cheap; then the first t that strays.
+    if eigs[..., -1].min() < -EIG_CLIP_TOL or eigs[..., 0].max() > 1.0 + EIG_CLIP_TOL:
+        stray = (eigs[..., -1].min(axis=1) < -EIG_CLIP_TOL) | (eigs[..., 0].max(axis=1) > 1.0 + EIG_CLIP_TOL)
+        first = int(stray.argmax())
+        refusal = ScatterError(
+            f"eigenvalues escape [0, 1] beyond tolerance: min {eigs[first].min():.3e}, "
+            f"max {eigs[first].max():.3e} (t {ts[first]}, quad_order {QUAD_ORDER})"
+        )
+        eigs = eigs[:first]
+    return eigs.clip(0.0, 1.0), refusal
+
+
 def sine_kernel_spectrum(t: float) -> np.ndarray:
     """Eigenvalues of K_plus and K_minus at t as the rows of one (2, QUAD_ORDER) array.
 
     Nystrom discretization on the Gauss-Legendre nodes x_i of [0, pi t]:
-    the symmetric matrices sqrt(w_i) K_pm(x_i, x_j) sqrt(w_j), both formed
-    from one table of sinc(x - y) and sinc(x + y) and diagonalized by one
-    eigvalsh call on their stack.  Each row descends.  Raw eigenvalues may
-    stray outside [0, 1] by quadrature rounding only; any excursion beyond
-    EIG_CLIP_TOL in either row is an error, smaller ones are clipped.
-    spectrum.T.ravel() interleaves the rows into one sequence, descending
-    up to quadrature error.
+    the one-t stack of _spectra, whose rows descend.  Any raw eigenvalue
+    beyond EIG_CLIP_TOL outside [0, 1], in either row, is an error;
+    smaller excursions are clipped.  spectrum.T.ravel() interleaves the
+    rows into one sequence, descending up to quadrature error.
     """
     _check_positive("t", t)
     if t > T_MAX:
         raise TTooLarge(f"t = {t} exceeds {T_MAX}; eigenvalues too close to 1 for double precision")
-    half_length = 0.5 * (math.pi * t)
-    nodes, weights = _gauss_legendre()
-    x = half_length * (nodes + 1.0)
-    root_w = np.sqrt(half_length * weights)
-    kernel = (_sinc(x[:, None] - x[None, :]) + SIGNS[:, None, None] * _sinc(x[:, None] + x[None, :])) / math.pi
-    sym = root_w[:, None] * kernel * root_w[None, :]
-    # eigvalsh reads one triangle, so both are averaged into it first.
-    sym = 0.5 * (sym + sym.swapaxes(1, 2))
-
-    eigs = np.linalg.eigvalsh(sym)[:, ::-1]
-    if eigs[:, -1].min() < -EIG_CLIP_TOL or eigs[:, 0].max() > 1.0 + EIG_CLIP_TOL:
-        raise ScatterError(
-            f"eigenvalues escape [0, 1] beyond tolerance: min {eigs.min():.3e}, "
-            f"max {eigs.max():.3e} (t {t}, quad_order {QUAD_ORDER})"
-        )
-    return np.clip(eigs, 0.0, 1.0)
+    spectra, refusal = _spectra([t])
+    if refusal is not None:
+        raise refusal
+    return spectra[0]
 
 
-def _log_det(eigs: np.ndarray, t: float) -> float:
-    """sum log(1 - lambda) over one channel's eigenvalues at t.
+def _log_dets(spectra: np.ndarray, ts) -> list[list[float]]:
+    """sum log(1 - lambda) over each row of a (T, 2, QUAD_ORDER) stack, as T (even, odd) pairs.
 
-    Terms with lambda < EIG_TRUNCATE contribute nothing at double precision
-    and are dropped.  log1p keeps full accuracy across the whole range of
-    retained eigenvalues.
+    The first t in order, even channel before odd, whose top eigenvalue lies
+    within EIG_ONE_TOL of 1 refuses the stack.  Terms with lambda <
+    EIG_TRUNCATE contribute nothing at double precision and are dropped;
+    the rows descend, so the kept terms are a prefix of each row, summed
+    from one log1p over the stack.  log1p keeps full accuracy across the
+    whole range of retained eigenvalues.
     """
-    if eigs.size and eigs[0] >= 1.0 - EIG_ONE_TOL:
+    top = spectra[..., 0]
+    if top.max(initial=0.0) >= 1.0 - EIG_ONE_TOL:
+        first, channel = np.unravel_index(np.argmax(top >= 1.0 - EIG_ONE_TOL), top.shape)
         raise EigenvalueAtOne(
-            f"top eigenvalue {float(eigs[0])!r} is within {EIG_ONE_TOL} of 1 at "
-            f"t = {t}; the determinant underflows double precision"
+            f"top eigenvalue {float(top[first, channel])!r} is within {EIG_ONE_TOL} of 1 at "
+            f"t = {ts[first]}; the determinant underflows double precision"
         )
-    kept = eigs[eigs >= EIG_TRUNCATE]
-    return float(np.sum(np.log1p(-kept)))
+    terms = np.log1p(-spectra)
+    kept = (spectra >= EIG_TRUNCATE).sum(axis=-1).tolist()
+    return [[float(row[:k].sum()) for row, k in zip(rows, counts)] for rows, counts in zip(terms, kept)]
 
 
 def fredholm_log_dets(t: float) -> tuple[float, float]:
     """(even, odd) log of the Fredholm determinant det(1 - K_pm) at t.
 
-    Both are read off one sine_kernel_spectrum; see _log_det for how the
+    Both are read off one sine_kernel_spectrum; see _log_dets for how the
     eigenvalues are summed.  EigenvalueAtOne from either channel refuses
     the pair.
     """
-    even, odd = sine_kernel_spectrum(t)
-    return _log_det(even, t), _log_det(odd, t)
+    even, odd = _log_dets(sine_kernel_spectrum(t)[None], [t])[0]
+    return even, odd
 
 
 def _large_tau(sign, tau, log_term):
@@ -326,11 +381,19 @@ def fredholm_report(t_grid: np.ndarray) -> dict[str, np.ndarray]:
     (odd).  w_pm reconstructs W_pm(tau) = -2 (d/dtau)^2 log F_pm - 1 on
     tau = pi t, which approaches -1/(4 tau^2) for large tau; it is NaN at
     both endpoints, lost to the central difference stencil.  marchenko_minus
-    is NaN where tau <= 1/2.  One fredholm_log_dets call per t gives both
-    channels.
+    is NaN where tau <= 1/2.  The grid goes to _spectra in blocks of
+    SPECTRA_BLOCK t values, one eigvalsh call each, and a t refuses as
+    fredholm_log_dets(t) would, the first one in grid order first.
     """
     grid = _validated_grid(t_grid)
-    logf = np.array([fredholm_log_dets(t) for t in grid]).T
+    pairs = []
+    for start in range(0, grid.size, SPECTRA_BLOCK):
+        block = grid[start:start + SPECTRA_BLOCK]
+        spectra, refusal = _spectra(block)
+        pairs += _log_dets(spectra, block)
+        if refusal is not None:
+            raise refusal
+    logf = np.array(pairs).T
     asym = np.array([asymptotic_log_dets(t) for t in grid]).T
     h_tau = math.pi * float(grid[1] - grid[0])
     w = np.full(logf.shape, np.nan)

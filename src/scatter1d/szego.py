@@ -51,7 +51,6 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import add, mul
 
 from .core import (
@@ -182,9 +181,32 @@ def _split_levinson_logdets(column: list[int], scale: int, sizes, digits: int) -
             f"split Levinson recursion lost positivity at step {len(pivots) - 1} "
             f"of n = {n} with {digits} digits"
         )
+    return _log_products(pivots, bits, sizes, digits)
+
+
+def _log_products(pivots: list[int], bits: int, sizes, digits: int) -> dict:
+    """log of the product of the first m pivots, each scaled by 2**bits, for every m in sizes.
+
+    One running Python-int product, its mantissa cut back to bits + 64 bits
+    after each pivot and the shift kept as a binary exponent, so each of the
+    m cuts is off by at most 2**-(bits + 64) relative: below the rounding of
+    an mpf product at ``digits`` decimal digits.  mpmath takes one log per
+    size.
+    """
+    import mpmath as mp
+
+    keep, wanted = bits + 64, set(sizes)
+    man, exp, logs = 1, 0, {}
     with mp.workdps(digits):
-        dets = list(accumulate(map(mp.mpf, pivots), mul))
-        return {m: mp.log(dets[m - 1]) - m * bits * mp.ln2 for m in set(sizes)}
+        for m, pivot in enumerate(pivots, 1):
+            man *= pivot
+            cut = man.bit_length() - keep
+            if cut > 0:
+                man >>= cut
+                exp += cut
+            if m in wanted:
+                logs[m] = mp.log(mp.mpf((man, exp))) - m * bits * mp.ln2
+    return logs
 
 
 def _result(alpha: float, n: int, log_det: float) -> ToeplitzResult:
@@ -213,8 +235,9 @@ def toeplitz_logdet(
     """
     single = isinstance(n, numbers.Integral)
     sizes = [n] if single else list(n)
-    if not sizes or not all(1 <= m <= MAX_N for m in sizes):
-        raise PreconditionViolated(f"n must lie in [1, {MAX_N}], got {n}")
+    out_of_range = [m for m in sizes if not 1 <= m <= MAX_N]
+    if out_of_range or not sizes:
+        raise PreconditionViolated(f"n must lie in [1, {MAX_N}], got {out_of_range[0] if out_of_range else n}")
     alpha = symbol.alpha
     log_dets = dict.fromkeys(sizes, 0.0)
     if alpha != 0.0:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -228,6 +229,25 @@ class TestExitCodes:
     def test_fredholm_t_too_large_exits_three(self):
         proc = run_cli("fredholm", "--t", "6.5:6.7:0.05")
         assert proc.returncode == 3
+
+    def test_fredholm_eigenvalue_at_one_exits_three_naming_the_first_t(self):
+        # t = 5.3 opens the grid and the first block of its stacked spectra.
+        # The eigenvalue's last digits depend on the LAPACK in use.
+        proc = run_cli("fredholm", "--t", "5.3:5.5:0.05")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        match = re.fullmatch(
+            r"error: top eigenvalue (\S+) is within 1e-13 of 1 at t = 5\.3; "
+            r"the determinant underflows double precision\n",
+            proc.stderr,
+        )
+        assert match and 1.0 - 1e-13 <= float(match.group(1)) <= 1.0
+
+    @pytest.mark.parametrize("sizes, bad", [("0", "0"), ("8,0", "0"), ("600,8", "600")])
+    def test_szego_size_out_of_range_exits_three_naming_it(self, sizes, bad):
+        proc = run_cli("szego", "--alpha", "1", "--n", sizes)
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: n must lie in [1, 512], got {bad}\n"
 
     def test_fredholm_spacing_below_the_floor_exits_three(self):
         # w at this spacing is rounding noise; it used to print with exit 0.

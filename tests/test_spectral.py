@@ -23,6 +23,7 @@ from scatter1d.spectral import (
     EIG_CLIP_TOL,
     EIG_ONE_TOL,
     QUAD_ORDER,
+    SPECTRA_BLOCK,
     T_MAX,
     _sinc,
     asymptotic_log_dets,
@@ -34,6 +35,14 @@ from scatter1d.spectral import (
     sine_kernel_spectrum,
 )
 from scatter1d.szego import szego_limit_check
+
+
+def _ladder(stack, top=1.0):
+    """What eigvalsh gives for stack, with every row replaced by an ascending 0..top ladder.
+
+    The stack holds the channel axis first: (2, T, m, m) gives (2, T, m).
+    """
+    return np.broadcast_to(np.linspace(0.0, top, QUAD_ORDER), stack.shape[:-1]).copy()
 
 
 @pytest.fixture
@@ -105,33 +114,46 @@ class TestSpectrum:
     @pytest.mark.parametrize("stray", [1.0 + 2.0 * EIG_CLIP_TOL, -2.0 * EIG_CLIP_TOL], ids=["above", "below"])
     def test_eigenvalues_beyond_the_clip_tolerance_are_refused(self, patch_eigvalsh, row, stray):
         # Quadrature rounding keeps raw eigenvalues within EIG_CLIP_TOL of
-        # [0, 1]; a stray of twice that in either row is refused, not clipped.
+        # [0, 1]; a stray of twice that in either row, at any t of a stack,
+        # is refused, not clipped.  Here it sits at the third t of a report's
+        # block, or at the one t of a spectrum.
         def stray_eigvalsh(stack):
-            eigs = np.tile(np.linspace(0.0, 1.0, QUAD_ORDER), (2, 1))
-            eigs[row, -1 if stray > 0.5 else 0] = stray
+            eigs = _ladder(stack, top=0.5)
+            eigs[row, min(2, stack.shape[1] - 1), -1 if stray > 0.5 else 0] = stray
             return eigs
 
         patch_eigvalsh(stray_eigvalsh)
         with pytest.raises(ScatterError, match=r"eigenvalues escape \[0, 1\] beyond tolerance"):
             sine_kernel_spectrum(1.0)
+        grid = 1.0 + 0.025 * np.arange(5)
+        with pytest.raises(ScatterError, match=rf"beyond tolerance: .* \(t {re.escape(str(grid[2]))}, quad_order"):
+            fredholm_report(grid)
 
     def test_eigenvalues_within_the_clip_tolerance_are_clipped(self, patch_eigvalsh):
         def rounded_eigvalsh(stack):
-            eigs = np.tile(np.linspace(0.0, 1.0, QUAD_ORDER), (2, 1))
-            eigs[:, 0], eigs[:, -1] = -0.5 * EIG_CLIP_TOL, 1.0 + 0.5 * EIG_CLIP_TOL
+            eigs = _ladder(stack)
+            eigs[..., 0], eigs[..., -1] = -0.5 * EIG_CLIP_TOL, 1.0 + 0.5 * EIG_CLIP_TOL
             return eigs
 
         patch_eigvalsh(rounded_eigvalsh)
         spec = sine_kernel_spectrum(1.0)
         np.testing.assert_array_equal(spec[:, 0], [1.0, 1.0])
         np.testing.assert_array_equal(spec[:, -1], [0.0, 0.0])
+        spectra, refusal = spectral._spectra(1.0 + 0.025 * np.arange(5))
+        assert refusal is None
+        assert spectra.shape == (5, 2, QUAD_ORDER)
+        np.testing.assert_array_equal(spectra[..., 0], 1.0)
+        np.testing.assert_array_equal(spectra[..., -1], 0.0)
 
 
 class TestOneTablePerT:
-    """Both channels at one t come from one Nystrom table, two sinc calls,
-    and one eigvalsh call on the stack of both channels' matrices."""
+    """Each t has its own Nystrom table, formed in stacks of at most
+    SPECTRA_BLOCK t values: two sinc calls and one eigvalsh call per stack,
+    on both channels' matrices, the channel axis first."""
 
-    STACK = (2, QUAD_ORDER, QUAD_ORDER)
+    @staticmethod
+    def stack(size):
+        return (2, size, QUAD_ORDER, QUAD_ORDER)
 
     @pytest.fixture
     def sinc_calls(self, monkeypatch):
@@ -156,32 +178,111 @@ class TestOneTablePerT:
         patch_eigvalsh(counting_eigvalsh)
         return calls
 
-    def test_report_builds_one_table_per_t(self, sinc_calls, eigvalsh_calls):
-        grid = np.arange(1.0, 1.1 + 0.0125, 0.025)
+    @pytest.mark.parametrize("blocks", [[5], [SPECTRA_BLOCK, SPECTRA_BLOCK, 3]], ids=["one", "three"])
+    def test_report_builds_one_stack_per_block(self, sinc_calls, eigvalsh_calls, blocks):
+        grid = 1.0 + 0.025 * np.arange(sum(blocks))
         fredholm_report(grid)
-        assert grid.size == 5
-        assert sinc_calls == [(QUAD_ORDER, QUAD_ORDER)] * (2 * grid.size)
-        assert eigvalsh_calls == [self.STACK] * grid.size
+        assert sinc_calls == [(size, QUAD_ORDER, QUAD_ORDER) for size in blocks for _ in range(2)]
+        assert eigvalsh_calls == [self.stack(size) for size in blocks]
 
-    def test_spectrum_builds_one_table(self, sinc_calls, eigvalsh_calls):
-        sine_kernel_spectrum(1.0)
-        assert sinc_calls == [(QUAD_ORDER, QUAD_ORDER)] * 2
-        assert eigvalsh_calls == [self.STACK]
+    @pytest.mark.parametrize(
+        "call",
+        [
+            sine_kernel_spectrum,
+            fredholm_log_dets,
+            marchenko_residuals,
+            lambda t: szego_limit_check(8, t),
+        ],
+        ids=["spectrum", "log_dets", "marchenko_residuals", "szego_cross_check"],
+    )
+    def test_one_t_builds_one_table(self, sinc_calls, eigvalsh_calls, call):
+        call(1.0)
+        assert sinc_calls == [(1, QUAD_ORDER, QUAD_ORDER)] * 2
+        assert eigvalsh_calls == [self.stack(1)]
 
-    def test_szego_cross_check_builds_one_table(self, sinc_calls, eigvalsh_calls):
-        szego_limit_check(8, 1.0)
-        assert sinc_calls == [(QUAD_ORDER, QUAD_ORDER)] * 2
-        assert eigvalsh_calls == [self.STACK]
 
-    def test_log_dets_build_one_table(self, sinc_calls, eigvalsh_calls):
-        fredholm_log_dets(1.0)
-        assert sinc_calls == [(QUAD_ORDER, QUAD_ORDER)] * 2
-        assert eigvalsh_calls == [self.STACK]
+class TestStackedSpectra:
+    """A stack of t values gives, bit for bit, what one-t calls give."""
 
-    def test_marchenko_residuals_build_one_table(self, sinc_calls, eigvalsh_calls):
-        marchenko_residuals(1.0)
-        assert sinc_calls == [(QUAD_ORDER, QUAD_ORDER)] * 2
-        assert eigvalsh_calls == [self.STACK]
+    @pytest.mark.parametrize("size", [1, SPECTRA_BLOCK - 1, SPECTRA_BLOCK, SPECTRA_BLOCK + 1, 41])
+    def test_stack_equals_one_t_calls(self, size):
+        # From t = 1e-3 to 5.25; the one-t stack takes 5.25.
+        ts = np.linspace(5.25, 1e-3, size)[::-1]
+        spectra, refusal = spectral._spectra(ts)
+        assert refusal is None
+        np.testing.assert_array_equal(spectra, [sine_kernel_spectrum(t) for t in ts.tolist()])
+        assert spectral._log_dets(spectra, ts) == [list(fredholm_log_dets(t)) for t in ts.tolist()]
+
+    @pytest.mark.parametrize("size", [SPECTRA_BLOCK - 1, SPECTRA_BLOCK, SPECTRA_BLOCK + 1, 41])
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_report_columns_equal_one_t_calls(self, size, end):
+        # Grids at spacing 0.05 that start at t = 1e-3 or end at 5.25.
+        start = 1e-3 if end == "first" else 5.25 - 0.05 * (size - 1)
+        grid = start + 0.05 * np.arange(size)
+        report = fredholm_report(grid)
+        logf = np.array([fredholm_log_dets(t) for t in grid.tolist()]).T
+        asym = np.array([asymptotic_log_dets(t) for t in grid.tolist()]).T
+        np.testing.assert_array_equal([report["logf_plus"], report["logf_minus"]], logf)
+        np.testing.assert_array_equal([report["asym_residual_plus"], report["asym_residual_minus"]], logf - asym)
+
+
+class TestRefusalOrder:
+    """A report refuses for its first failing t in grid order, as one t
+    refuses: a clip excursion first, then the even EigenvalueAtOne, then the
+    odd one.  The faults go into the second block of the grid."""
+
+    GRID = 1.0 + 0.025 * np.arange(2 * SPECTRA_BLOCK + 3)
+    AT_ONE = 1.0 - 0.5 * EIG_ONE_TOL
+
+    @pytest.fixture
+    def faulty_block(self, patch_eigvalsh):
+        """Puts (t index in the block, row, value) faults into the second eigvalsh call."""
+        eigvalsh = np.linalg.eigvalsh
+
+        def install(faults):
+            calls = []
+
+            def faulty_eigvalsh(stack):
+                eigs = eigvalsh(stack)
+                calls.append(stack.shape)
+                if len(calls) == 2:
+                    for index, row, value in faults:
+                        eigs[row, index, -1 if value > 0.5 else 0] = value
+                return eigs
+
+            patch_eigvalsh(faulty_eigvalsh)
+
+        return install
+
+    def grid_t(self, index):
+        return re.escape(str(self.GRID[SPECTRA_BLOCK + index]))
+
+    def test_eigenvalue_at_one_before_a_later_excursion_wins(self, faulty_block):
+        faulty_block([(0, 0, self.AT_ONE), (2, 1, -2.0 * EIG_CLIP_TOL)])
+        with pytest.raises(EigenvalueAtOne, match=rf"^top eigenvalue {self.AT_ONE!r} .* at t = {self.grid_t(0)};"):
+            fredholm_report(self.GRID)
+
+    def test_excursion_before_a_later_eigenvalue_at_one_wins(self, faulty_block):
+        faulty_block([(0, 1, 1.0 + 2.0 * EIG_CLIP_TOL), (2, 0, self.AT_ONE)])
+        with pytest.raises(ScatterError, match=rf"beyond tolerance: .* \(t {self.grid_t(0)}, quad_order"):
+            fredholm_report(self.GRID)
+
+    def test_excursion_wins_at_its_own_t(self, faulty_block):
+        faulty_block([(1, 0, self.AT_ONE), (1, 1, -2.0 * EIG_CLIP_TOL)])
+        with pytest.raises(ScatterError, match=rf"beyond tolerance: .* \(t {self.grid_t(1)}, quad_order"):
+            fredholm_report(self.GRID)
+
+    def test_even_channel_wins_at_its_own_t(self, faulty_block):
+        odd = 1.0 - 0.25 * EIG_ONE_TOL
+        faulty_block([(1, 1, odd), (1, 0, self.AT_ONE), (3, 0, odd)])
+        with pytest.raises(EigenvalueAtOne, match=rf"^top eigenvalue {self.AT_ONE!r} .* at t = {self.grid_t(1)};"):
+            fredholm_report(self.GRID)
+
+    def test_odd_channel_at_an_earlier_t_wins(self, faulty_block):
+        odd = 1.0 - 0.25 * EIG_ONE_TOL
+        faulty_block([(1, 0, self.AT_ONE), (0, 1, odd)])
+        with pytest.raises(EigenvalueAtOne, match=rf"^top eigenvalue {odd!r} .* at t = {self.grid_t(0)};"):
+            fredholm_report(self.GRID)
 
 
 class TestGaussLegendreNodes:

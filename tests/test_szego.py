@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -169,6 +170,29 @@ class TestToeplitzLogDet:
         with pytest.raises(NotPositiveDefinite, match="lost positivity at step 0"):
             _split_levinson_logdets([0, 0, 0], scale, [3], 30)
 
+    @pytest.mark.parametrize("alpha, sizes", [(1.0, [8, 64, 128]), (math.pi / 2, [16, 256]), (0.05, [8, 128])])
+    def test_log_products_match_an_mpmath_product_at_twice_the_digits(self, monkeypatch, alpha, sizes):
+        # The tail cuts its running integer product back to bits + 64 bits;
+        # the reference multiplies the same pivots as mpf at twice the
+        # digits.  What is left is the rounding of the log at ``digits``.
+        calls = []
+        log_products = szego._log_products
+
+        def recorded(pivots, bits, sizes, digits):
+            logs = log_products(pivots, bits, sizes, digits)
+            calls.append((pivots, bits, digits, logs))
+            return logs
+
+        monkeypatch.setattr(szego, "_log_products", recorded)
+        toeplitz_logdet(ArcSymbol(alpha), sizes)
+        assert len(calls) == 2  # the pass and its re-run
+        for pivots, bits, digits, logs in calls:
+            assert sorted(logs) == sorted(sizes)
+            with mp.workdps(2 * digits):
+                for m in sizes:
+                    reference = mp.log(mp.fprod(mp.mpf(p) for p in pivots[:m])) - m * bits * mp.ln2
+                    assert abs(logs[m] - reference) <= mp.mpf(10) ** -digits * (abs(reference) + m * bits)
+
     @pytest.mark.parametrize("alpha", [0.2, 1.0, math.pi / 2, 2.2])
     def test_table_equals_single_calls(self, alpha):
         # The table takes the digits of its largest n; each single call
@@ -220,6 +244,11 @@ class TestToeplitzLogDet:
             toeplitz_logdet(ArcSymbol(1.0), [8, 513])
         with pytest.raises(PreconditionViolated):
             toeplitz_logdet(ArcSymbol(1.0), [])
+
+    @pytest.mark.parametrize("n, bad", [(0, 0), ([8, 0], 0), ([600, 8], 600), ([8, 16, 513, -1], 513)])
+    def test_n_guard_names_the_first_size_out_of_range(self, n, bad):
+        with pytest.raises(PreconditionViolated, match=rf"^n must lie in \[1, 512\], got {bad}$"):
+            toeplitz_logdet(ArcSymbol(1.0), n)
 
 
 class TestSzegoLimitCheck:

@@ -1,6 +1,7 @@
 """The code-line counter in tools/code_lines.py, the per-operation stats of tools/opstats.py,
 and the set-up of the benchmark in perfbench/workloads.py."""
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -62,6 +63,12 @@ opstats = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(opstats)
 
 
+OPSTATS_FIELDS = [
+    "workload", "seed", "operations", "rounds", "median_op_ms", "emit_median_ms", "minflt_per_op",
+    "peak_heap_kb", "failed", "output_sha256",
+]
+
+
 def test_peak_heap_is_the_largest_of_one_operation_above_its_start(monkeypatch):
     # Each operation keeps its buffer, so the second starts 1 MiB up; its
     # own peak is 0.5 MiB, and the largest of the two is the first's 1 MiB.
@@ -80,12 +87,7 @@ def test_opstats_prints_one_json_line_per_run():
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     stats = json.loads(lines[0])
-    assert sorted(stats) == sorted(
-        [
-            "workload", "seed", "operations", "rounds", "median_op_ms", "emit_median_ms", "minflt_per_op",
-            "peak_heap_kb", "failed", "output_sha256",
-        ]
-    )
+    assert sorted(stats) == sorted(OPSTATS_FIELDS)
     assert (stats["workload"], stats["seed"], stats["rounds"]) == ("fredholm_sweep", 2, 1)
     assert stats["operations"] == 8
     assert stats["failed"] == 0
@@ -141,3 +143,33 @@ def test_benchmark_warm_up_and_first_operation_run(workload, tmp_path, capsys):
     assert scatter1d.cli.main(workloads.WARMUP[workload]) == 0
     assert scatter1d.cli.main(workloads.build(workload, 1, str(tmp_path))[0]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_opstats_times_one_command_in_place_of_a_workload(monkeypatch, capsys):
+    calls = []
+    cli_main = opstats.scatter1d.cli.main
+
+    def recorded(argv):
+        calls.append(argv)
+        return cli_main(argv)
+
+    monkeypatch.setattr(opstats.scatter1d.cli, "main", recorded)
+    text = "fredholm --t 0.1:0.3:0.025 --format json"
+    assert opstats.main(["--argv", text, "--rounds", "2"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert sorted(stats) == sorted(OPSTATS_FIELDS)
+    assert (stats["workload"], stats["seed"], stats["operations"], stats["rounds"]) == (text, None, 1, 2)
+    assert stats["failed"] == 0
+    command = text.split()
+    # The untimed warm-up, two timed rounds, and the round that reads the heap peak.
+    assert calls == [command] * 4
+    record = opstats.output_record(command, opstats.run(command), "<workdir>")
+    assert stats["output_sha256"] == hashlib.sha256(record).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [[], ["fredholm_sweep", "--argv", "fredholm --t 1:1.1:0.025"]], ids=["neither", "both"])
+def test_opstats_takes_a_workload_or_one_command(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        opstats.main(argv)
+    assert exit_info.value.code == 2
+    assert "give either a workload or --argv" in capsys.readouterr().err

@@ -1,12 +1,17 @@
 """Time and page faults per operation of one benchmark workload, in process.
 
     PYTHONPATH=<checkout>/src python3 tools/opstats.py WORKLOAD [--seed N] [--rounds R]
+    PYTHONPATH=<checkout>/src python3 tools/opstats.py --argv "COMMAND" [--rounds R]
 
 builds the seeded operation list of WORKLOAD from perfbench/workloads.py
 (imported by path, so perfbench/ needs no package), runs the workload's
 warm-up operation once, then R rounds of the list through
-``scatter1d.cli.main`` with stdout and stderr captured.  It prints one
-JSON line: the workload, seed, operation count and rounds, the median time
+``scatter1d.cli.main`` with stdout and stderr captured.  With --argv the
+list is the one scatter1d command COMMAND, split as a shell splits it
+(e.g. ``--argv "fredholm --t 0.1:5.1:0.0125"``), and its warm-up is one
+untimed run of the same command; "workload" then reports COMMAND and
+"seed" null.  It prints one JSON line: the workload, seed, operation
+count and rounds, the median time
 of one operation in ms, the median time of one operation spent in the
 output layer, ``scatter1d.cli._emit`` (wrapped here, so the package needs
 no hook), the minor page faults (``ru_minflt``) per operation over the
@@ -33,6 +38,7 @@ import importlib.util
 import io
 import json
 import resource
+import shlex
 import statistics
 import sys
 import tempfile
@@ -99,17 +105,24 @@ class TimedEmit:
 def main(argv: list[str]) -> int:
     workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=sorted(workloads.BUILDERS))
+    parser.add_argument("workload", nargs="?", choices=sorted(workloads.BUILDERS))
+    parser.add_argument("--argv", metavar="COMMAND", help="time this one scatter1d command instead of a workload")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args(argv)
+    if (args.workload is None) == (args.argv is None):
+        parser.error("give either a workload or --argv")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     emit = scatter1d.cli._emit = TimedEmit(scatter1d.cli._emit)
     try:
         with tempfile.TemporaryDirectory() as workdir:
-            ops = workloads.build(args.workload, args.seed, workdir)
-            run(workloads.WARMUP[args.workload])
+            if args.argv is None:
+                ops = workloads.build(args.workload, args.seed, workdir)
+                run(workloads.WARMUP[args.workload])
+            else:
+                ops = [shlex.split(args.argv)]
+                run(ops[0])
             times, emit_times, failed, digest = [], [], 0, hashlib.sha256()
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for round_number in range(args.rounds):
@@ -127,8 +140,8 @@ def main(argv: list[str]) -> int:
     finally:
         scatter1d.cli._emit = emit.emit
     print(json.dumps({
-        "workload": args.workload,
-        "seed": args.seed,
+        "workload": args.workload or args.argv,
+        "seed": None if args.argv is not None else args.seed,
         "operations": len(ops),
         "rounds": args.rounds,
         "median_op_ms": 1e3 * statistics.median(times),
