@@ -394,11 +394,12 @@ def fredholm_report(t_grid: np.ndarray) -> dict[str, np.ndarray]:
         if refusal is not None:
             raise refusal
     logf = np.array(pairs).T
-    asym = np.array([asymptotic_log_dets(t) for t in grid]).T
+    sign, tau = SIGNS[:, None], math.pi * grid
+    # asymptotic_log_dets over the grid: its math.log, which np.log does not match in every last bit.
+    asym = _large_tau(sign, tau, np.array([math.log(x) for x in tau.tolist()]))
     h_tau = math.pi * float(grid[1] - grid[0])
     w = np.full(logf.shape, np.nan)
     w[:, 1:-1] = -2.0 * (logf[:, 2:] - 2.0 * logf[:, 1:-1] + logf[:, :-2]) / (h_tau * h_tau) - 1.0
-    sign, tau = SIGNS[:, None], math.pi * grid
     with np.errstate(divide="ignore", invalid="ignore"):  # the log where tau + sign/2 <= 0
         marchenko = np.where(tau + 0.5 * sign > 0.0, _marchenko(sign, tau, logf), np.nan)
     columns = {"t": grid}
