@@ -150,8 +150,8 @@ def _spectra(ts) -> tuple[np.ndarray, ScatterError | None]:
     tables, formed for all of ts by one _sinc call each; the symmetric
     matrices sqrt(w_i) K_pm(x_i, x_j) sqrt(w_j) of every t and channel go
     to one eigvalsh call.  The matrix stack holds the channel axis first,
-    so each broadcast runs along its leading axis, which numpy does without
-    an iteration buffer.  Each row descends.  Raw eigenvalues may stray
+    so the signs and the sinc(x - y) tables broadcast along its leading
+    axis, which numpy does without an iteration buffer.  Each row descends.  Raw eigenvalues may stray
     outside [0, 1] by quadrature rounding only: the first t whose rows
     stray beyond EIG_CLIP_TOL ends the stack, which then holds the t values
     before it, and its refusal comes back in place of None.  Smaller strays
@@ -170,11 +170,14 @@ def _spectra(ts) -> tuple[np.ndarray, ScatterError | None]:
     sym *= root_w[:, :, None]
     sym *= root_w[:, None, :]
     del diff, total  # before the averaged copy, to lower the peak
-    # eigvalsh reads one triangle, so both are averaged into it first.
-    sym = sym + sym.swapaxes(-1, -2)
-    sym *= 0.5
+    # eigvalsh reads one triangle, so both are averaged into it first.  A
+    # plain copy of the transpose: as an operand of the sum, numpy would
+    # read it through a 64 KiB iteration buffer.
+    avg = sym.swapaxes(-1, -2).copy()
+    avg += sym
+    avg *= 0.5
 
-    eigs = np.linalg.eigvalsh(sym)[..., ::-1].swapaxes(0, 1)
+    eigs = np.linalg.eigvalsh(avg)[..., ::-1].swapaxes(0, 1)
     refusal = None
     # The extremes of the whole stack first, as they are cheap; then the first t that strays.
     if eigs[..., -1].min() < -EIG_CLIP_TOL or eigs[..., 0].max() > 1.0 + EIG_CLIP_TOL:
