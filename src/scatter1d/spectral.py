@@ -145,18 +145,19 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 def _spectra(ts) -> tuple[np.ndarray, ScatterError | None]:
     """Clipped spectra of K_plus and K_minus at each t of ts, as a (T, 2, QUAD_ORDER) stack.
 
-    The only Nystrom table builder.  Each t gets the Gauss-Legendre nodes
-    x_i of [0, pi t], sqrt(w_i), and its sinc(x - y) and sinc(x + y)
-    tables, formed for all of ts by one _sinc call each; the symmetric
-    matrices sqrt(w_i) K_pm(x_i, x_j) sqrt(w_j) of every t and channel go
-    to one eigvalsh call.  The matrix stack holds the channel axis first,
-    so the signs and the sinc(x - y) tables broadcast along its leading
-    axis, which numpy does without an iteration buffer.  Each row descends.  Raw eigenvalues may stray
-    outside [0, 1] by quadrature rounding only: the first t whose rows
-    stray beyond EIG_CLIP_TOL ends the stack, which then holds the t values
-    before it, and its refusal comes back in place of None.  Smaller strays
-    are clipped.  The caller raises the refusal after any of its own that
-    an earlier t calls for.
+    The only function that forms a Nystrom table.  Each t gets the
+    Gauss-Legendre nodes x_i of [0, pi t], sqrt(w_i), and its sinc(x - y)
+    and sinc(x + y) tables, formed for all of ts by one _sinc call each;
+    the symmetric matrices sqrt(w_i) K_pm(x_i, x_j) sqrt(w_j) of every t
+    and channel go to one eigvalsh call.  The matrix stack holds the
+    channel axis first, so the signs and the sinc(x - y) tables broadcast
+    along its leading axis, which numpy does without an iteration buffer.
+    Each row descends.  Raw eigenvalues may stray outside [0, 1] by
+    quadrature rounding only: the first t whose rows stray beyond
+    EIG_CLIP_TOL ends the stack, which then holds the t values before it,
+    and its refusal comes back in place of None.  Smaller strays are
+    clipped.  The caller raises the refusal after any of its own that an
+    earlier t calls for.
     """
     half_length = 0.5 * (math.pi * np.asarray(ts, dtype=float))[:, None]
     nodes, weights = _gauss_legendre()
