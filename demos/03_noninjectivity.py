@@ -19,9 +19,10 @@ the support is the undeformed one, pins that channel too, so the full
 2x2 matrices agree.  The single-bump pair at the end shows what is left
 without it.
 
-The potentials are tables on the construction grid, so the comparisons
-below forward-solve them at the pair's own step count, where the solver
-reads them at their nodes.
+The potentials are tables on the construction grid.  The construction
+forward-solves them at its own step count, where the solver reads them at
+their nodes, and keeps that comparison; the one away from the
+construction energy forward-solves them again at the same step count.
 """
 
 from scatter1d.noninjective import build_counterexample, verify_same_smatrix
@@ -32,7 +33,7 @@ print(f"tuning bump amplitude c = {pair.odd_coefficient:.6f}")
 print(f"sup-norm separation of the two potentials: {pair.separation:.6f}")
 print(f"boundary residual of the deformed wave: {pair.boundary_residual:.1e}")
 
-at_energy = verify_same_smatrix(pair)
+at_energy = pair.comparison
 print("\nscattering comparison at the construction energy:")
 print(f"  even channel gap: {at_energy.even_channel_diff:.3e}  (boundary data)")
 print(f"  odd channel gap:  {at_energy.odd_channel_diff:.3e}  (tuning bump)")
@@ -45,7 +46,7 @@ print(f"  odd channel gap:  {shifted.odd_channel_diff:.3e}")
 
 # Without the tuning bump only the even channel is pinned.
 single = build_counterexample(q=1.0, eps=0.01, a=1.0, single_bump=True)
-split = verify_same_smatrix(single)
+split = single.comparison
 print("\nsingle-bump pair at the construction energy:")
 print(f"  even channel gap: {split.even_channel_diff:.3e}  (identical)")
 print(f"  odd channel gap:  {split.odd_channel_diff:.3e}  (genuinely different)")

@@ -219,10 +219,10 @@ def cmd_smatrix(args: argparse.Namespace) -> int:
             "a": s.a,
             "s11": s.s11,
             "s12": s.s12,
-            "s21": s.s21,
-            "s22": s.s22,
+            "s21": s.s12,
+            "s22": s.s11,
             "abs_s11_sq": abs(s.s11) ** 2,
-            "abs_s21_sq": abs(s.s21) ** 2,
+            "abs_s21_sq": abs(s.s12) ** 2,
             "unitarity_residual": residual,
         }
         for e, s, residual in zip(energies, matrices, unitarity_residuals(matrices).tolist())
@@ -231,12 +231,6 @@ def cmd_smatrix(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    if args.q * args.a >= math.pi / 2.0:
-        print(
-            "error: need q * a below pi/2 so cos(q x) stays node free on the support",
-            file=sys.stderr,
-        )
-        return 2
     pair = build_counterexample(
         q=args.q,
         eps=args.eps,
@@ -342,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     en = sm.add_mutually_exclusive_group(required=True)
     en.add_argument("--energy", type=float, help="single energy, must be positive")
     en.add_argument("--energy-grid", type=_energy_grid, metavar="START,STOP,COUNT", help="uniform energy grid")
-    sm.add_argument("--steps", type=int, default=4096,
+    sm.add_argument("--steps", type=_integer, default=4096,
                     help="steps of [-a, a], even (default 4096); S crosses [0, a] in ceil(steps/4) cells")
     sm.add_argument("--format", choices=("json", "csv"), default="json")
     sm.add_argument("--out", default=None, help="output path (default standard output)")
@@ -353,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--eps", type=_finite, default=0.01,
                     help="bump amplitude (default 0.01); write a negative one in exponent form as --eps=-1e-3")
     ce.add_argument("--a", type=_finite, default=1.0, help="support half width (default 1)")
-    ce.add_argument("--steps", type=int, default=4096, help="integration steps, a multiple of 4 (default 4096)")
+    ce.add_argument("--steps", type=_integer, default=4096, help="integration steps, a multiple of 4 (default 4096)")
     ce.add_argument(
         "--single-bump",
         action="store_true",

@@ -13,10 +13,10 @@ exactly even, so each has a well-defined scattering matrix at E, and
 ``verify_same_smatrix`` forward-solves both and compares.
 
 Identical boundary data of the even solution fixes the even reflection
-eigenvalue s11 + s12 at E.  The odd solution feels the bump through its
-reduction-of-order integral: for V = E + psi''/psi it is
-psi(x) * integral_0^x psi^-2, so with psi and psi' fixed at +-a the odd
-eigenvalue s11 - s12 depends on the wave only through I = integral of
+eigenvalue at E, the first of ``SMatrix.channels``.  The odd solution feels
+the bump through its reduction-of-order integral: for V = E + psi''/psi it
+is psi(x) * integral_0^x psi^-2, so with psi and psi' fixed at +-a the odd
+eigenvalue depends on the wave only through I = integral of
 psi^-2 over the support, and a single bump leaves it different.  The
 default construction therefore adds a second edge-flat even bump
 c x^2 (x^2 - a^2)^2 and chooses c by Newton's method on I with Simpson's
@@ -58,7 +58,7 @@ DEFAULT_NODE_TOL = 1e-6
 
 IMAG_RTOL = 1e-12
 
-#: Largest odd-channel gap |(s11 - s12) - (s11 - s12)'| a tuned pair may
+#: Largest gap between the odd channels of the two matrices a tuned pair may
 #: show when both potentials are forward-solved at the construction steps.
 #: The Simpson match leaves at most about 7e-11 over the benchmark's
 #: counterexample lists, so this is well clear of working pairs.
@@ -189,8 +189,8 @@ def recover_potential(
 class SMatrixComparison:
     """Forward-solved scattering matrices of the two potentials of a pair.
 
-    even/odd channel entries are the parity reflection eigenvalues
-    s11 + s12 and s11 - s12.  Equal boundary data fixes the even channel
+    even/odd channel gaps are those between the parity reflection
+    eigenvalues, ``SMatrix.channels``.  Equal boundary data fixes the even channel
     and the default construction tunes the odd channel, so at the
     construction energy both gaps, and max_entry_diff, measure numerics
     only.  For a single-bump pair odd_channel_diff is a genuine gap between
@@ -209,8 +209,7 @@ def _compare(base: EvaluatedPotential, pert: EvaluatedPotential, energy: float, 
     """Forward-solve both potentials at one energy and step count, in one scan, and compare."""
     (sb,), (sp,) = _smatrices([base, pert], [energy], steps)
     diff = float(np.max(np.abs(sb.as_matrix() - sp.as_matrix())))
-    even = abs((sb.s11 + sb.s12) - (sp.s11 + sp.s12))
-    odd = abs((sb.s11 - sb.s12) - (sp.s11 - sp.s12))
+    even, odd = (abs(b - p) for b, p in zip(sb.channels, sp.channels))
     return SMatrixComparison(
         energy=float(energy),
         s_baseline=sb,

@@ -8,13 +8,14 @@ edges,
 
 and the scattering matrix maps incoming to outgoing, (B, C)^T = S (A, D)^T.
 For a symmetric potential S is symmetric with equal diagonal entries, and
-unitary whenever the potential is real.
+unitary whenever the potential is real; ``SMatrix`` holds s11 and s12, and
+its ``channels`` are the even and odd eigenvalues s11 + s12 and s11 - s12.
 
 S is read off the even and odd solutions u+ and u-, started at x = 0 from
 (1, 0) and (0, 1) and carried to x = a by fourth-order Magnus cells (see
 propagate), exact where V is constant.  Each is a parity channel, and
-outside the support its amplitudes give the channel eigenvalue
-e^{-2ika} (u' + iku) / (iku - u') of S at x = a.  The test suite holds
+outside the support its amplitudes give its entry of ``channels``,
+e^{-2ika} (u' + iku) / (iku - u') at x = a.  The test suite holds
 an independent route as its oracle (tests/helpers.py): it carries two
 solutions across [-a, a] one cell at a time and solves the linear
 relations B = s11 A + s12 D, C = s12 A + s11 D from their amplitudes.
@@ -34,17 +35,24 @@ from .propagate import _endpoint_maps
 
 @dataclass(frozen=True)
 class SMatrix:
-    """Scattering matrix entries at wavenumber k of a potential supported on [-a, a]."""
+    """Symmetric scattering matrix [[s11, s12], [s12, s11]] at wavenumber k of a potential on [-a, a].
+
+    A symmetric potential has s22 = s11 and s21 = s12, so the record holds
+    those two entries only and cannot hold an asymmetric S.
+    """
 
     s11: complex
     s12: complex
-    s21: complex
-    s22: complex
     k: float
     a: float
 
+    @property
+    def channels(self) -> tuple[complex, complex]:
+        """The even and odd channel eigenvalues (s11 + s12, s11 - s12) of S."""
+        return self.s11 + self.s12, self.s11 - self.s12
+
     def as_matrix(self) -> np.ndarray:
-        return np.array([[self.s11, self.s12], [self.s21, self.s22]])
+        return np.array([[self.s11, self.s12], [self.s12, self.s11]])
 
     def unitarity_residual(self) -> float:
         return float(unitarity_residuals([self])[0])
@@ -52,7 +60,7 @@ class SMatrix:
 
 def unitarity_residuals(matrices: Sequence[SMatrix]) -> np.ndarray:
     """max |S^H S - I| of each matrix, from one stacked product; empty for no matrices."""
-    s = np.array([[[m.s11, m.s12], [m.s21, m.s22]] for m in matrices], dtype=complex).reshape(-1, 2, 2)
+    s = np.array([[[m.s11, m.s12], [m.s12, m.s11]] for m in matrices], dtype=complex).reshape(-1, 2, 2)
     return np.max(np.abs(np.conj(np.swapaxes(s, 1, 2)) @ s - np.eye(2)), axis=(1, 2))
 
 
@@ -73,7 +81,7 @@ def _from_channels(m, k: float, a: float) -> SMatrix:
     phase = cmath.exp(-2j * k * a)
     s11 = -phase * (du_even / d_even * (du_odd / d_odd) + k * k * (u_even / d_even) * (u_odd / d_odd))
     s12 = -1j * k * phase / d_even / d_odd
-    return SMatrix(s11=s11, s12=s12, s21=s12, s22=s11, k=k, a=a)
+    return SMatrix(s11=s11, s12=s12, k=k, a=a)
 
 
 def smatrix_via_transfer(
@@ -126,10 +134,7 @@ def analytic_square_well(v0: float, a: float, energy: float) -> SMatrix:
         np.cos(two_la) - 1j * ((k * k + l * l) / (2.0 * k * l)) * np.sin(two_la)
     )
     diag = common * 1j * ((l * l - k * k) / (2.0 * k * l)) * np.sin(two_la)
-    return SMatrix(
-        s11=complex(diag), s12=complex(common), s21=complex(common), s22=complex(diag),
-        k=k, a=a,
-    )
+    return SMatrix(s11=complex(diag), s12=complex(common), k=k, a=a)
 
 
 def analytic_delta(alpha: float, energy: float) -> SMatrix:
@@ -149,7 +154,7 @@ def analytic_delta(alpha: float, energy: float) -> SMatrix:
     denom = 1.0 - 1j * beta
     diag = 1j * beta / denom
     off = 1.0 / denom
-    return SMatrix(s11=diag, s12=off, s21=off, s22=diag, k=k, a=0.0)
+    return SMatrix(s11=diag, s12=off, k=k, a=0.0)
 
 
 def delta_as_well_limit(alpha: float, energy: float, eps: float, steps: int = 4096) -> SMatrix:

@@ -169,7 +169,7 @@ def analytic_square_barrier(height: float, a: float, energy: float) -> SMatrix:
     two_la = 2.0 * l * a
     off = np.exp(-2j * k * a) / (np.cos(two_la) - 1j * ((k * k + l * l) / (2.0 * k * l)) * np.sin(two_la))
     diag = off * 1j * ((l * l - k * k) / (2.0 * k * l)) * np.sin(two_la)
-    return SMatrix(s11=complex(diag), s12=complex(off), s21=complex(off), s22=complex(diag), k=k, a=a)
+    return SMatrix(s11=complex(diag), s12=complex(off), k=k, a=a)
 
 
 def flat_barrier(height: float, a: float = 1.0) -> Sampled:
@@ -257,7 +257,7 @@ def smatrix_from_quads(quads, k: float, a: float) -> SMatrix:
     if abs(det) < 1e-12 * max(abs(a1) ** 2 + abs(d1) ** 2, abs(a2) ** 2 + abs(d2) ** 2):
         raise SingularQuads(f"amplitude quads are parity degenerate (|det| = {abs(det):.3e})")
     s11, s12 = (b1 * d2 - b2 * d1) / det, (a1 * b2 - a2 * b1) / det
-    return SMatrix(s11=s11, s12=s12, s21=s12, s22=s11, k=k, a=a)
+    return SMatrix(s11=s11, s12=s12, k=k, a=a)
 
 
 def amplitude_route(pot, energy: float, steps: int = 4096) -> SMatrix:

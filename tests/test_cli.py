@@ -139,7 +139,7 @@ class TestSmatrix:
         assert abs(complex(*row["s11"]) - ref.s11) < 1e-5
 
     def test_tall_sampled_barrier_transmits_what_the_closed_form_says(self, tmp_path, validator):
-        # |s21|^2 is about 1.5e-54 here; it is read off the channel
+        # |s21|^2 = |s12|^2 is about 1.5e-54 here; it is read off the channel
         # solutions on [0, a] with no cancellation.
         path = tmp_path / "barrier.csv"
         x = np.linspace(-1.0, 1.0, 257)
@@ -147,7 +147,7 @@ class TestSmatrix:
         proc = run_cli("smatrix", "--sampled", str(path), "--energy", "1", "--format", "json")
         assert proc.returncode == 0
         (row,) = check_json(validator, proc.stdout)["results"]
-        expected = abs(analytic_square_barrier(900.0, 1.0, 1.0).s21) ** 2
+        expected = abs(analytic_square_barrier(900.0, 1.0, 1.0).s12) ** 2
         assert abs(row["abs_s21_sq"] - expected) <= 1e-10 * expected
 
     def test_out_file_writes_and_silences_stdout(self, tmp_path):
@@ -214,10 +214,12 @@ class TestExitCodes:
         header = text.split()[0]
         assert proc.stderr == f"error: the file holds no data rows after its header {header!r}\n"
 
-    def test_node_free_guard_exits_two_with_message(self):
+    def test_node_free_guard_exits_three_with_the_library_message(self):
+        # The refusal comes from build_counterexample, like the command's
+        # other precondition refusals.
         proc = run_cli("counterexample", "--q", "1.6", "--a", "1.0")
-        assert proc.returncode == 2
-        assert "pi/2" in proc.stderr
+        assert proc.returncode == 3
+        assert proc.stderr == "error: need q*a < pi/2 for a node-free baseline, got q*a = 1.6\n"
 
     def test_bump_shape_flag_is_gone(self):
         # The smooth bump is the only deformation, so no flag selects a
@@ -300,8 +302,16 @@ class TestExitCodes:
             ),
             (("szego", "--t", "1", "--n", "8,x"), "argument --n: expected an integer, got 'x'"),
             (("phaseshift", "--k", "1,y"), "argument --k: expected a finite number, got 'y'"),
+            (
+                ("smatrix", "--well", "1,1", "--energy", "1", "--steps", "4.5"),
+                "argument --steps: expected an integer, got '4.5'",
+            ),
+            (("counterexample", "--steps", "x"), "argument --steps: expected an integer, got 'x'"),
         ],
-        ids=["counterexample-q", "fredholm-t", "fredholm-quad", "smatrix-well", "smatrix-energy-grid", "szego-n", "phaseshift-k"],
+        ids=[
+            "counterexample-q", "fredholm-t", "fredholm-quad", "smatrix-well", "smatrix-energy-grid", "szego-n",
+            "phaseshift-k", "smatrix-steps", "counterexample-steps",
+        ],
     )
     def test_text_that_is_no_number_is_usage_error_naming_the_kind(self, capsys, args, message):
         # The message names the kind of number expected, not the Python

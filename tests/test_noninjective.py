@@ -454,6 +454,15 @@ class TestVerifySameSMatrix:
         assert cmp.max_entry_diff > 1e-4
         assert cmp.even_channel_diff > 1e-4
 
+    def test_channel_gaps_equal_the_entry_formulas_bit_for_bit(self, pair, single_bump_pair):
+        # The gaps read SMatrix.channels; they keep the bits of s11 +- s12
+        # formed from the entries.
+        for built in (pair, single_bump_pair):
+            cmp = built.comparison
+            sb, sp = cmp.s_baseline, cmp.s_perturbed
+            assert cmp.even_channel_diff == float(abs((sb.s11 + sb.s12) - (sp.s11 + sp.s12)))
+            assert cmp.odd_channel_diff == float(abs((sb.s11 - sb.s12) - (sp.s11 - sp.s12)))
+
     def test_build_comparison_equals_a_fresh_solve(self, pair, single_bump_pair):
         # The construction hands over the matrices of its own solves; they
         # must be exactly those of a forward solve at its steps and energy.

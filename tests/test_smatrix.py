@@ -1,5 +1,6 @@
 """Scattering matrix routes, closed forms, barriers, and degeneracy guards."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
 from scatter1d.core import NonPositiveEnergy, Overflow, PreconditionViolated
 from scatter1d.potential import Sampled, SquareWell, validate
 from scatter1d.smatrix import (
+    SMatrix,
     analytic_delta,
     analytic_square_well,
     delta_as_well_limit,
@@ -297,3 +299,26 @@ class TestUnitarityResiduals:
     def test_no_matrices_give_an_empty_array(self):
         residuals = unitarity_residuals([])
         assert isinstance(residuals, np.ndarray) and residuals.shape == (0,)
+
+
+class TestSMatrixRecord:
+    def test_record_holds_the_two_entries_of_a_symmetric_matrix(self):
+        assert [field.name for field in dataclasses.fields(SMatrix)] == ["s11", "s12", "k", "a"]
+        with pytest.raises(TypeError):
+            SMatrix(s11=0j, s12=1 + 0j, s21=1 + 0j, k=1.0, a=1.0)
+        s = SMatrix(s11=0.5j, s12=0.25 + 0j, k=1.0, a=1.0)
+        assert np.array_equal(s.as_matrix(), [[0.5j, 0.25], [0.25, 0.5j]])
+        with pytest.raises(AttributeError):
+            s.channels = (1j, 1j)
+
+    def test_channels_are_the_sum_and_difference_of_the_entries_bit_for_bit(self, gaussian_pot):
+        energies = [0.25, 1.0, 3.7, 40.0]
+        matrices = [
+            *smatrix_via_transfer(validate(SquareWell(v0=2.0, a=1.0)), energies),
+            *smatrix_via_transfer(gaussian_pot, energies),
+            *smatrix_via_transfer(validate(flat_barrier(30.0)), energies),
+            *(analytic_square_well(2.0, 1.0, e) for e in energies),
+            *(analytic_delta(alpha, e) for alpha in (0.5, 7.0) for e in energies),
+        ]
+        for s in matrices:
+            assert np.array(s.channels).tobytes() == np.array([s.s11 + s.s12, s.s11 - s.s12]).tobytes()
