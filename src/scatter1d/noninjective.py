@@ -255,18 +255,14 @@ def _node_free(psi: np.ndarray) -> bool:
     return bool(np.min(psi) > DEFAULT_NODE_TOL * np.max(np.abs(psi)))
 
 
-def _simpson(values: np.ndarray) -> float:
-    """Composite Simpson sum over an odd number of equally spaced nodes, without its factor h / 3."""
-    return float(values[0] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-1:2]) + values[-1])
-
-
 def _match_odd_channel(psi0: np.ndarray, p: np.ndarray, g: np.ndarray) -> float:
     """Tuning-bump amplitude c that gives p + c g the odd channel of psi0.
 
     With the boundary data fixed, the odd channel depends only on the
     integral of psi^-2 over the support, so c is the root of
     J(c) = S[(p + c g)^-2] - S[psi0^-2], with S the Simpson rule on the
-    construction grid (its factor h / 3 cancels in the Newton step).
+    construction grid, one dot with the weights (1, 4, 2, ..., 4, 1) (its
+    factor h / 3 cancels in the Newton step).
     Where p + c g has no node, J is convex and decreasing in c (g >= 0),
     so the root is unique and Newton's method, J'(c) = -2 S[g (p + c g)^-3],
     finds it from c = 0.  An iterate that gives the wave a node is pulled
@@ -275,7 +271,9 @@ def _match_odd_channel(psi0: np.ndarray, p: np.ndarray, g: np.ndarray) -> float:
     iterations do not converge or when J'(c) underflows to 0 (a tuning bump
     below about 1e-320 on every node, as at a <= 1e-54), before dividing by it.
     """
-    target = _simpson(psi0**-2.0)
+    weights = np.tile([2.0, 4.0], p.size // 2 + 1)[: p.size]
+    weights[0] = weights[-1] = 1.0
+    target = float(weights @ psi0**-2.0)
     c = good = 0.0
     for _ in range(MAX_NEWTON_STEPS):
         psi = p + c * g
@@ -285,10 +283,12 @@ def _match_odd_channel(psi0: np.ndarray, p: np.ndarray, g: np.ndarray) -> float:
             c = 0.5 * (c + good)
             continue
         good = c
-        slope = -2.0 * _simpson(g * psi**-3.0)
+        inverse = 1.0 / psi
+        inverse_sq = inverse * inverse
+        slope = -2.0 * float(weights @ (g * inverse_sq * inverse))
         if slope == 0.0:
             raise OddChannelUnmatched(f"g psi^-3 underflows to 0 at c = {c}, so the tuning bump cannot move the odd channel")
-        step = (_simpson(psi**-2.0) - target) / slope
+        step = (float(weights @ inverse_sq) - target) / slope
         c -= step
         if abs(step) <= NEWTON_RTOL * (1.0 + abs(c)):
             return c
