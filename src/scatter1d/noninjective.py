@@ -190,8 +190,8 @@ class SMatrixComparison:
     """Forward-solved scattering matrices of the two potentials of a pair.
 
     even/odd channel gaps are those between the parity reflection
-    eigenvalues, ``SMatrix.channels``.  Equal boundary data fixes the even channel
-    and the default construction tunes the odd channel, so at the
+    eigenvalues, ``SMatrix.channels``.  Equal boundary data fixes the even
+    channel and the default construction tunes the odd channel, so at the
     construction energy both gaps, and max_entry_diff, measure numerics
     only.  For a single-bump pair odd_channel_diff is a genuine gap between
     the two matrices.

@@ -35,7 +35,7 @@ from .propagate import _endpoint_maps
 
 @dataclass(frozen=True)
 class SMatrix:
-    """Symmetric scattering matrix [[s11, s12], [s12, s11]] at wavenumber k of a potential on [-a, a].
+    """Symmetric S = [[s11, s12], [s12, s11]] at wavenumber k of a potential on [-a, a].
 
     A symmetric potential has s22 = s11 and s21 = s12, so the record holds
     those two entries only and cannot hold an asymmetric S.

@@ -2,14 +2,17 @@
 and the set-up of the benchmark in perfbench/workloads.py."""
 
 import hashlib
+import importlib.metadata
 import importlib.util
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scatter1d.cli
@@ -65,7 +68,7 @@ _spec.loader.exec_module(opstats)
 
 OPSTATS_FIELDS = [
     "workload", "seed", "operations", "rounds", "median_op_ms", "emit_median_ms", "minflt_per_op",
-    "peak_heap_kb", "failed", "output_sha256",
+    "peak_heap_kb", "failed", "output_sha256", "python", "numpy", "mpmath", "cpus",
 ]
 
 
@@ -94,6 +97,8 @@ def test_opstats_prints_one_json_line_per_run():
     assert len(stats["output_sha256"]) == 64
     assert stats["median_op_ms"] > stats["emit_median_ms"] > 0.0
     assert stats["minflt_per_op"] >= 0.0
+    assert (stats["python"], stats["numpy"]) == (platform.python_version(), np.__version__)
+    assert (stats["mpmath"], stats["cpus"]) == (importlib.metadata.version("mpmath"), os.cpu_count())
     # A five-point window builds a QUAD_ORDER-node Nystrom table per t, and
     # a channel's kernel and symmetric matrix live beside its two sinc
     # matrices: at least four QUAD_ORDER x QUAD_ORDER doubles, 32 KiB.

@@ -18,9 +18,13 @@ no hook), the minor page faults (``ru_minflt``) per operation over the
 timed rounds, the largest heap peak of one operation in KiB
 (``peak_heap_kb``, from tracemalloc in one more round after the timed
 ones, above what the operation found allocated), how many operations
-exited non-zero, and ``output_sha256``.  Faults count what glibc's heap
-trimming costs, which the times alone do not show; the heap peak says how
-close an operation comes to glibc's trim threshold.
+exited non-zero, ``output_sha256``, and the Python, numpy and mpmath
+versions and the CPU count of the host (``python``, ``numpy``, ``mpmath``,
+``cpus``).  The mpmath version is read from the installed package's
+metadata, so mpmath is imported only by the operations that use it.
+Faults count what glibc's heap trimming costs, which the times alone do
+not show; the heap peak says how close an operation comes to glibc's trim
+threshold.
 
 ``output_sha256`` is a SHA-256 over the argv, exit code, stdout and stderr
 of each operation of the first timed round, in list order, with the
@@ -34,9 +38,12 @@ script with PYTHONPATH set to each checkout's src.
 import argparse
 import contextlib
 import hashlib
+import importlib.metadata
 import importlib.util
 import io
 import json
+import os
+import platform
 import resource
 import shlex
 import statistics
@@ -45,6 +52,8 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 import scatter1d.cli
 
@@ -150,6 +159,10 @@ def main(argv: list[str]) -> int:
         "peak_heap_kb": peak_heap / 1024,
         "failed": failed,
         "output_sha256": digest.hexdigest(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "mpmath": importlib.metadata.version("mpmath"),
+        "cpus": os.cpu_count(),
     }))
     return 0
 
