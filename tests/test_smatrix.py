@@ -305,7 +305,7 @@ class TestSMatrixRecord:
     def test_record_holds_the_two_entries_of_a_symmetric_matrix(self):
         assert [field.name for field in dataclasses.fields(SMatrix)] == ["s11", "s12", "k", "a"]
         with pytest.raises(TypeError):
-            SMatrix(s11=0j, s12=1 + 0j, s21=1 + 0j, k=1.0, a=1.0)
+            SMatrix(s11=0j, s12=1 + 0j, k=1.0, a=1.0, **{"s21": 1 + 0j})
         s = SMatrix(s11=0.5j, s12=0.25 + 0j, k=1.0, a=1.0)
         assert np.array_equal(s.as_matrix(), [[0.5j, 0.25], [0.25, 0.5j]])
         with pytest.raises(AttributeError):
